@@ -33,7 +33,6 @@ from .entropy import (
     composite_gl,
     conditional_entropy,
     kernel_k,
-    quadratic_relent,
     relative_entropy,
     relative_entropy_integral,
     relative_entropy_integral_fixed,
@@ -79,12 +78,10 @@ from .matcore import (
     as_matrix,
     as_psd,
     hermitian_eig,
-    hs_inner,
     matrix_from_json,
     matrix_function,
     matrix_to_json,
     partial_trace,
-    permute_factors,
     read_matrix,
     tensor,
     write_matrix,
@@ -100,7 +97,7 @@ from .randgen import (
     random_unit_vector,
     random_unitary,
 )
-from .superop import SuperOpSpec, left_mul, right_mul, solve_resolvent, superop_matrix
+from .superop import SuperOpSpec, solve_resolvent, superop_matrix
 from .suites import run_suite, suite_names
 
 __version__ = "0.1.0"

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
-    as_density,
     as_hermitian,
     as_matrix,
     as_psd,
     hermitian_eig,
     max_abs,
     partial_trace,
+    psd_eig,
+    require_unit_trace,
     tensor,
     zero_band,
 )
@@ -60,7 +61,8 @@ class KrausMap:
         return self.completeness_defect() <= TP_TOL
 
 
-def _require_tp(phi: KrausMap) -> KrausMap:
+def require_tp(phi: KrausMap) -> KrausMap:
+    """The one trace-preservation check: raises unless sum K^dag K = I to TP_TOL."""
     defect = phi.completeness_defect()
     if defect > TP_TOL:
         raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
@@ -268,7 +270,7 @@ def ancilla_representation(phi: KrausMap) -> AncillaRep:
     """
     if phi.d_in != phi.d_out:
         raise ValueError("ancilla representation needs a square channel")
-    _require_tp(phi)
+    require_tp(phi)
     d = phi.d_in
     r = len(phi.kraus_ops)
     big = d * r
@@ -320,9 +322,9 @@ def purify(rho) -> np.ndarray:
     band), and the ancilla basis enumerates those eigenvalues in ascending
     order; psi.size // d recovers the ancilla dimension.
     """
-    rho = as_density(rho)
-    spec = hermitian_eig(rho)
-    lam = np.maximum(spec.eigenvalues, 0.0)
+    rho, spec = psd_eig(rho)
+    require_unit_trace(rho)
+    lam = spec.eigenvalues
     sel = lam > zero_band(lam)
     lam = lam[sel]
     vecs = spec.eigenvectors[:, sel]

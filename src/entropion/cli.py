@@ -12,9 +12,9 @@ Three subcommands:
                     CSV rows.
 
 Every float is serialized with 17 significant digits so runs are
-reproducible byte for byte; infinities are rendered as the strings "inf"
-and "-inf".  Usage, file, and parse problems exit 1.  The default seed is
-taken from the ENTROPION_SEED environment variable when set.
+reproducible byte for byte; infinities and NaN are rendered as the strings
+"inf", "-inf" and "nan".  Usage, file, and parse problems exit 1.  The
+default seed is taken from the ENTROPION_SEED environment variable when set.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _fmt_float(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     if math.isnan(x):
-        raise ValueError("refusing to serialize NaN")
+        return "nan"
     return format(float(x), ".17g")
 
 
@@ -65,7 +65,7 @@ def _json_scalar(x) -> str:
         return str(x)
     if isinstance(x, float):
         s = _fmt_float(x)
-        return f'"{s}"' if s in ("inf", "-inf") else s
+        return f'"{s}"' if s in ("inf", "-inf", "nan") else s
     if isinstance(x, str):
         return json.dumps(x)
     if x is None:

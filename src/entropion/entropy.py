@@ -19,28 +19,36 @@ The Tr(P - Q) correction makes all three total on PSD pairs with
 compatible supports, not just on density matrices.  The substitution
 t = s/(1-s) maps the half-line onto [0, 1) and absorbs the (1+t)^{-2}
 weight exactly, so the quadrature never sees the infinite endpoint.
+
+Each route validates its operands on the decomposition it needs anyway
+(``matcore.psd_eigvalsh`` / ``psd_eig``), so a relative entropy costs two
+eigensolves and an entropy one.  One function, ``_support_split``, holds
+the support rule that decides +inf: P's weight on ker Q against
+``SUPPORT_MASS_TOL * max(1, Tr P)``.  All three routes and
+``support_defect`` read it, and no route calls another.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .matcore import (
     NonConvergence,
+    Spectrum,
     as_density,
-    as_hermitian,
     as_psd,
-    hermitian_eig,
     matrix_function,
     partial_trace,
+    psd_eig,
+    psd_eigvalsh,
+    require_unit_trace,
     tensor,
     zero_band,
 )
-from .superop import SuperOpSpec, solve_resolvent
 
 # Relative mass of P allowed on ker(Q) before H(P, Q) is declared +inf.
 SUPPORT_MASS_TOL = 1e-10
@@ -99,12 +107,41 @@ def adaptive_gl(f: Callable[[np.ndarray], np.ndarray], cfg: QuadratureConfig = _
     )
 
 
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -Tr rho ln rho, in nats, over the support of rho."""
-    a = as_density(rho)
-    lam = np.linalg.eigvalsh(a)
+def _entropy(lam: np.ndarray) -> float:
+    """-sum lam ln lam over the eigenvalues above the zero band."""
     sel = lam > zero_band(lam)
     return float(-np.dot(lam[sel], np.log(lam[sel]))) + 0.0
+
+
+def von_neumann_entropy(rho) -> float:
+    """S(rho) = -Tr rho ln rho, in nats, over the support of rho."""
+    a, lam = psd_eigvalsh(rho)
+    require_unit_trace(a)
+    return _entropy(lam)
+
+
+def _same_shape(p: np.ndarray, q: np.ndarray) -> None:
+    if p.shape != q.shape:
+        raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
+
+
+class _Support(NamedTuple):
+    p_in_q: np.ndarray  # diagonal of P in the eigenbasis of Q
+    on_q: np.ndarray    # mask of Q's eigenvalues above the zero band
+    ker_mass: float     # weight of P on ker Q
+    infinite: bool      # H(P, Q) = +inf
+
+
+def _support_split(p: np.ndarray, q: Spectrum) -> _Support:
+    """The support rule for H(P, Q): +inf exactly when P's weight on ker Q
+    exceeds SUPPORT_MASS_TOL * max(1, Tr P).  ``q`` is Q's spectrum with
+    eigenvalues clipped at zero."""
+    u = q.eigenvectors
+    p_in_q = np.einsum("ij,ik,kj->j", u.conj(), p, u).real
+    on_q = q.eigenvalues > zero_band(q.eigenvalues)
+    ker_mass = float(p_in_q[~on_q].sum())
+    infinite = ker_mass > SUPPORT_MASS_TOL * max(1.0, float(np.trace(p).real))
+    return _Support(p_in_q, on_q, ker_mass, infinite)
 
 
 def support_defect(p, q) -> float:
@@ -114,42 +151,29 @@ def support_defect(p, q) -> float:
     detector for relative entropy.
     """
     p = as_psd(p)
-    q = as_psd(q)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
-    spec = hermitian_eig(q)
-    lam = np.maximum(spec.eigenvalues, 0.0)
-    ker = spec.eigenvectors[:, lam <= zero_band(lam)]
-    if ker.shape[1] == 0:
-        return 0.0
-    mass = np.einsum("ij,ik,kj->", ker.conj(), p, ker)
-    return max(float(mass.real), 0.0)
+    q, spec_q = psd_eig(q)
+    _same_shape(p, q)
+    return max(_support_split(p, spec_q).ker_mass, 0.0)
 
 
-def _support_violated(p, q, tr_p: float) -> bool:
-    return support_defect(p, q) > SUPPORT_MASS_TOL * max(1.0, tr_p)
+def _relent(p: np.ndarray, lam_p: np.ndarray, q: Spectrum) -> float:
+    """The spectral route on validated operands: P with its eigenvalues and
+    Q's spectrum, both clipped at zero."""
+    sel_p = lam_p > zero_band(lam_p)
+    tr_p_ln_p = float(np.dot(lam_p[sel_p], np.log(lam_p[sel_p])))
+    split = _support_split(p, q)
+    if split.infinite:
+        return math.inf
+    tr_p_ln_q = float(np.dot(split.p_in_q[split.on_q], np.log(q.eigenvalues[split.on_q])))
+    return tr_p_ln_p - tr_p_ln_q
 
 
 def relative_entropy(p, q) -> float:
     """H(P, Q) = Tr P (ln P - ln Q) on PSD pairs; +inf on support violation."""
-    p = as_psd(p)
-    q = as_psd(q)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
-    lam_p = np.maximum(np.linalg.eigvalsh(p), 0.0)
-    sel_p = lam_p > zero_band(lam_p)
-    tr_p_ln_p = float(np.dot(lam_p[sel_p], np.log(lam_p[sel_p])))
-
-    spec_q = hermitian_eig(q)
-    lam_q = np.maximum(spec_q.eigenvalues, 0.0)
-    sel_q = lam_q > zero_band(lam_q)
-    u = spec_q.eigenvectors
-    p_in_q = np.einsum("ij,ik,kj->j", u.conj(), p, u).real
-    ker_mass = float(p_in_q[~sel_q].sum())
-    if ker_mass > SUPPORT_MASS_TOL * max(1.0, float(np.trace(p).real)):
-        return math.inf
-    tr_p_ln_q = float(np.dot(p_in_q[sel_q], np.log(lam_q[sel_q])))
-    return tr_p_ln_p - tr_p_ln_q
+    p, lam_p = psd_eigvalsh(p)
+    q, spec_q = psd_eig(q)
+    _same_shape(p, q)
+    return _relent(p, lam_p, spec_q)
 
 
 class _IntegralData:
@@ -158,33 +182,21 @@ class _IntegralData:
     __slots__ = ("weights", "q_eigs", "p_eigs", "trace_correction", "violated")
 
     def __init__(self, p, q):
-        p = as_psd(p)
-        q = as_psd(q)
-        if p.shape != q.shape:
-            raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
-        sq = hermitian_eig(q)
-        sp = hermitian_eig(p)
-        lam_q = np.maximum(sq.eigenvalues, 0.0)
-        lam_p = np.maximum(sp.eigenvalues, 0.0)
-        band_q = zero_band(lam_q)
-        band_p = zero_band(lam_p)
-        diff = q - p
-        xt = sq.eigenvectors.conj().T @ diff @ sp.eigenvectors
+        p, sp = psd_eig(p)
+        q, sq = psd_eig(q)
+        _same_shape(p, q)
+        xt = sq.eigenvectors.conj().T @ (q - p) @ sp.eigenvectors
         w2 = (xt.conj() * xt).real
+        split = _support_split(p, sq)
+        self.violated = split.infinite
 
-        q_support = lam_q > band_q
-        u = sq.eigenvectors
-        p_in_q = np.einsum("ij,ik,kj->j", u.conj(), p, u).real
-        tr_p = float(np.trace(p).real)
-        self.violated = float(p_in_q[~q_support].sum()) > SUPPORT_MASS_TOL * max(1.0, tr_p)
-
-        lam_p = np.where(lam_p > band_p, lam_p, 0.0)
+        lam_p = np.where(sp.eigenvalues > zero_band(sp.eigenvalues), sp.eigenvalues, 0.0)
         # rows in ker(Q) carry no true contribution once supports are
         # compatible; drop them so denominators stay bounded away from zero
-        self.weights = w2[q_support, :].ravel()
-        self.q_eigs = np.repeat(lam_q[q_support], lam_p.size)
-        self.p_eigs = np.tile(lam_p, int(q_support.sum()))
-        self.trace_correction = tr_p - float(np.trace(q).real)
+        self.weights = w2[split.on_q, :].ravel()
+        self.q_eigs = np.repeat(sq.eigenvalues[split.on_q], lam_p.size)
+        self.p_eigs = np.tile(lam_p, int(split.on_q.sum()))
+        self.trace_correction = float(np.trace(p).real) - float(np.trace(q).real)
 
     def integrand(self, s: np.ndarray) -> np.ndarray:
         t = s / (1.0 - s)
@@ -229,18 +241,11 @@ def kernel_k(a: float, b: float) -> float:
     b = float(b)
     if not (a > 0.0) or not (b > 0.0):
         raise ValueError(f"kernel_k needs positive arguments, got ({a!r}, {b!r})")
-    scale = max(a, b)
-    diff = b - a
-    if abs(diff) <= _SWITCH_EXACT * scale:
-        return 0.5 / a
-    if abs(diff) <= _SWITCH_SERIES * scale:
-        delta = diff / a
-        return (0.5 - delta / 6.0 + delta ** 2 / 12.0 - delta ** 3 / 20.0 + delta ** 4 / 30.0) / a
-    return b * math.log(b / a) / (diff * diff) - 1.0 / diff
+    return float(_kernel_k_arrays(np.array([a]), np.array([b]))[0])
 
 
 def _kernel_k_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized kernel_k over positive arrays (same switch bands)."""
+    """kernel_k elementwise over arrays of positive arguments."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.empty(a.shape)
@@ -307,30 +312,21 @@ def conditional_entropy(rho_ab, dims, check_identity: bool = False) -> float:
     S(rho_AB) - S(rho_A) = ln d_B - H(rho_AB, rho_A (x) I/d_B) to 1e-9 and
     raises ArithmeticError on disagreement.
     """
-    rho = as_density(rho_ab)
+    rho, lam = psd_eigvalsh(rho_ab)
+    require_unit_trace(rho)
     if len(dims) != 2:
         raise ValueError(f"dims must list two factors, got {dims!r}")
     d_a, d_b = int(dims[0]), int(dims[1])
     rho_a = partial_trace(rho, (d_a, d_b), keep=(0,))
-    value = von_neumann_entropy(rho) - von_neumann_entropy(rho_a)
+    value = _entropy(lam) - von_neumann_entropy(rho_a)
     if check_identity:
         gamma = tensor(rho_a, np.eye(d_b) / d_b)
-        rhs = math.log(d_b) - relative_entropy(rho, gamma)
+        rhs = math.log(d_b) - _relent(rho, lam, psd_eig(gamma)[1])
         if abs(value - rhs) > 1e-9:
             raise ArithmeticError(
                 f"conditional entropy identity broken: {value!r} vs {rhs!r}"
             )
     return value
-
-
-def quadratic_relent(p, q) -> float:
-    """Tr (Q-P) (L_P + R_Q)^{-1} (Q-P), the quadratic lower-order proxy of
-    H(P, Q).  Joint-kernel modes of the pair carry no weight of Q - P, so
-    the pseudo-inverse convention is exact here."""
-    spec = SuperOpSpec(p, q, 1.0)
-    diff = spec.right - spec.left  # validated copies of q, p
-    y = solve_resolvent(spec, diff)
-    return float(np.sum(diff.conj() * y).real)
 
 
 def bures_distance(p, q) -> float:

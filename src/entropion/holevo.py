@@ -25,14 +25,18 @@ from .channels import (
     povm_channel,
     tensor_channel,
 )
-from .entropy import relative_entropy, von_neumann_entropy
-from .matcore import as_density, tensor
+from .entropy import _entropy, _relent, relative_entropy, von_neumann_entropy
+from .matcore import psd_eig, psd_eigvalsh, require_unit_trace, tensor
 
 
 class Ensemble:
-    """Finite ensemble of density matrices with strictly positive weights."""
+    """Finite ensemble of density matrices with strictly positive weights.
 
-    __slots__ = ("weights", "states")
+    ``spectra`` keeps the eigenvalues that validated each state, so the
+    member entropies decompose nothing again.
+    """
+
+    __slots__ = ("weights", "states", "spectra")
 
     def __init__(self, weights, states):
         w = np.asarray(weights, dtype=float)
@@ -42,7 +46,8 @@ class Ensemble:
             raise ValueError("ensemble weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
-        rhos = tuple(as_density(r) for r in states)
+        validated = [psd_eigvalsh(r) for r in states]
+        rhos = tuple(require_unit_trace(r) for r, _ in validated)
         if len(rhos) != w.size:
             raise ValueError("one state per weight")
         d = rhos[0].shape[0]
@@ -51,6 +56,7 @@ class Ensemble:
                 raise ValueError("ensemble states must share one dimension")
         self.weights = w
         self.states = rhos
+        self.spectra = tuple(lam for _, lam in validated)
 
     @property
     def dim(self) -> int:
@@ -90,16 +96,17 @@ def chi(ensemble: Ensemble) -> float:
             for w, r in zip(ensemble.weights, ensemble.states)
         )
         return _shannon(np.maximum(np.diag(avg).real, 0.0)) - float(members)
-    members = float(np.dot(ensemble.weights, [von_neumann_entropy(r) for r in ensemble.states]))
+    members = float(np.dot(ensemble.weights, [_entropy(lam) for lam in ensemble.spectra]))
     return von_neumann_entropy(avg) - members
 
 
 def yuen_ozawa_gap(ensemble: Ensemble) -> float:
     """|chi - sum_j pi_j H(rho_j, rho_av)|; zero in exact arithmetic, and
     every term is finite because supp(rho_j) lies inside supp(rho_av)."""
-    avg = ensemble.average()
+    avg = psd_eig(ensemble.average())[1]
     mix = sum(
-        w * relative_entropy(r, avg) for w, r in zip(ensemble.weights, ensemble.states)
+        w * _relent(r, lam, avg)
+        for w, r, lam in zip(ensemble.weights, ensemble.states, ensemble.spectra)
     )
     return abs(chi(ensemble) - float(mix))
 

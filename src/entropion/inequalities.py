@@ -18,21 +18,25 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import KrausMap, apply_channel, apply_linear, adjoint_channel, dephase
+from .channels import KrausMap, adjoint_channel, apply_channel, apply_linear, dephase, require_tp
 from .entropy import (
+    _entropy,
+    _relent,
+    _same_shape,
+    _support_split,
     conditional_entropy,
     relative_entropy,
-    support_defect,
     von_neumann_entropy,
 )
 from .matcore import (
     as_density,
-    as_hermitian,
     as_matrix,
     as_psd,
-    hermitian_eig,
     matrix_function,
     partial_trace,
+    psd_eig,
+    psd_eigvalsh,
+    require_unit_trace,
     zero_band,
 )
 from .superop import SuperOpSpec, solve_resolvent
@@ -102,22 +106,32 @@ class CheckReport:
 class ConvexityInstance:
     """A convex-combination instance: simplex weights and PSD pairs with
     compatible supports (every P_j supported inside the corresponding Q_j,
-    so no term of the combination is infinite by construction)."""
+    so no term of the combination is infinite by construction).
 
-    __slots__ = ("weights", "pairs")
+    ``spectra`` keeps, per pair, the eigenvalues of P and the spectrum of Q
+    that validated it, so the termwise entropies decompose nothing again.
+    """
+
+    __slots__ = ("weights", "pairs", "spectra")
 
     def __init__(self, weights, pairs):
         self.weights = _simplex_weights(weights, clamp=True)
-        ps = tuple((as_psd(p), as_psd(q)) for p, q in pairs)
+        ps, spectra = [], []
+        for p, q in pairs:
+            p, lam_p = psd_eigvalsh(p)
+            q, spec_q = psd_eig(q)
+            ps.append((p, q))
+            spectra.append((lam_p, spec_q))
         if len(ps) != self.weights.size:
             raise ValueError("one (P, Q) pair required per weight")
-        for j, (p, q) in enumerate(ps):
+        for j, ((p, q), (_, spec_q)) in enumerate(zip(ps, spectra)):
             if p.shape != q.shape or p.shape != ps[0][0].shape:
                 raise ValueError("all pairs must share one dimension")
-            mass = support_defect(p, q)
-            if mass > 1e-10 * max(1.0, float(np.trace(p).real)):
-                raise ValueError(f"pair {j}: P has weight {mass:.3e} outside supp(Q)")
-        self.pairs = ps
+            split = _support_split(p, spec_q)
+            if split.infinite:
+                raise ValueError(f"pair {j}: P has weight {split.ker_mass:.3e} outside supp(Q)")
+        self.pairs = tuple(ps)
+        self.spectra = tuple(spectra)
 
 
 class JointConvexityMargins(NamedTuple):
@@ -137,7 +151,7 @@ def check_joint_convexity(inst: ConvexityInstance) -> JointConvexityMargins:
     convexity.  All three come back +inf if any term is infinite, so the
     caller can classify the trial as skipped.
     """
-    terms = [relative_entropy(p, q) for p, q in inst.pairs]
+    terms = [_relent(p, lam_p, spec_q) for (p, _), (lam_p, spec_q) in zip(inst.pairs, inst.spectra)]
     if any(math.isinf(h) for h in terms):
         return JointConvexityMargins(math.inf, math.inf, math.inf)
     x = inst.weights
@@ -164,14 +178,15 @@ def check_schwarz_quadratic(a_list: Sequence, p_list: Sequence, q_list: Sequence
     at the summed data."""
     if not (len(a_list) == len(p_list) == len(q_list)) or not a_list:
         raise ValueError("need equally many A, P, Q entries")
+    specs = [SuperOpSpec(p, q, t) for p, q in zip(p_list, q_list)]
     total = 0.0
-    for a, p, q in zip(a_list, p_list, q_list):
+    for a, spec in zip(a_list, specs):
         a = as_matrix(a)
-        y = solve_resolvent(SuperOpSpec(p, q, t), a)
+        y = solve_resolvent(spec, a)
         total += float(np.sum(a.conj() * y).real)
     a_sum = sum(as_matrix(a) for a in a_list)
-    p_sum = sum(as_psd(p) for p in p_list)
-    q_sum = sum(as_psd(q) for q in q_list)
+    p_sum = sum(spec.left for spec in specs)
+    q_sum = sum(spec.right for spec in specs)
     y = solve_resolvent(SuperOpSpec(p_sum, q_sum, t), a_sum)
     combined = float(np.sum(a_sum.conj() * y).real)
     return total - combined
@@ -282,9 +297,12 @@ def check_monotonicity(rho, gamma, mode: str = "general", channel: KrausMap | No
     preserving Kraus channel.  Returns +inf (trial skipped) when the input
     relative entropy is infinite, or on the off chance the output one is.
     """
-    rho = as_density(rho)
-    gamma = as_density(gamma)
-    h_in = relative_entropy(rho, gamma)
+    rho, lam_rho = psd_eigvalsh(rho)
+    require_unit_trace(rho)
+    gamma, spec_gamma = psd_eig(gamma)
+    require_unit_trace(gamma)
+    _same_shape(rho, gamma)
+    h_in = _relent(rho, lam_rho, spec_gamma)
     if math.isinf(h_in):
         return math.inf
     if mode == "dephase":
@@ -296,9 +314,7 @@ def check_monotonicity(rho, gamma, mode: str = "general", channel: KrausMap | No
     elif mode == "general":
         if channel is None:
             raise ValueError("general mode needs a channel")
-        defect = channel.completeness_defect()
-        if defect > 1e-10:
-            raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
+        require_tp(channel)
         out = (apply_channel(channel, rho), apply_channel(channel, gamma))
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -322,11 +338,12 @@ def check_ssa(rho_abc, dims) -> SsaMargins:
     the third factor in the purifying role (f_value is F itself, which is
     numerically the same expression on the input state).
     """
-    rho = as_density(rho_abc)
+    rho, lam = psd_eigvalsh(rho_abc)
+    require_unit_trace(rho)
     ds = [int(d) for d in dims]
     if len(ds) != 3:
         raise ValueError(f"dims must list three factors, got {dims!r}")
-    s_abc = von_neumann_entropy(rho)
+    s_abc = _entropy(lam)
     s_ab = von_neumann_entropy(partial_trace(rho, ds, (0, 1)))
     s_bc = von_neumann_entropy(partial_trace(rho, ds, (1, 2)))
     s_ac = von_neumann_entropy(partial_trace(rho, ds, (0, 2)))
@@ -353,9 +370,7 @@ def check_concavity(mode: str, states: Sequence, weights, channel: KrausMap | No
     elif mode == "entropy_diff":
         if channel is None:
             raise ValueError("entropy_diff mode needs a channel")
-        defect = channel.completeness_defect()
-        if defect > 1e-10:
-            raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
+        require_tp(channel)
         f = lambda r: von_neumann_entropy(r) - von_neumann_entropy(apply_channel(channel, r))
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -398,9 +413,7 @@ def check_adjoint_contraction(phi: KrausMap, p, q, a, t: float = 1.0) -> float:
           >= Tr Phi^*(X)^dag (P Phi^*(X) + t Phi^*(X) Q)
 
     and the margin is lhs - rhs."""
-    defect = phi.completeness_defect()
-    if defect > 1e-10:
-        raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
+    require_tp(phi)
     p = as_psd(p)
     q = as_psd(q)
     a = as_matrix(a)

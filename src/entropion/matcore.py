@@ -9,7 +9,13 @@ Conventions used throughout the package:
 * eigenvalues within ``KERNEL_ETA`` of zero, relative to the largest
   eigenvalue magnitude, are treated as exact zeros.  Every kernel-related
   decision (support projections, pseudo-inverses, +inf detection) goes
-  through this one band.
+  through this one band;
+* validate once, decompose once: a PSD operand is checked on the
+  eigenvalues of the one decomposition its caller needs anyway
+  (``psd_eigvalsh`` when eigenvalues suffice, ``psd_eig`` when eigenvectors
+  are needed too), never by a separate probe.  Public functions validate
+  at the boundary; package-internal calls on matrices that are already
+  validated reuse that decomposition instead of validating again.
 
 The JSON form of a matrix is
 ``{"d_rows": r, "d_cols": c, "re": [...], "im": [...]}`` with both entry
@@ -70,23 +76,51 @@ def as_hermitian(m) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def as_psd(m, tol: float = PSD_TOL) -> np.ndarray:
-    """Validate positive semidefiniteness to tolerance (scale-aware)."""
-    a = as_hermitian(m)
-    w = np.linalg.eigvalsh(a)
+def _clip_psd(w: np.ndarray, tol: float) -> np.ndarray:
+    """PSD test (scale-aware) on ascending eigenvalues, then clip at zero."""
     lo = float(w[0])
     if lo < -tol * max(1.0, float(w[-1])):
         raise ValueError(f"matrix is not PSD (min eigenvalue {lo:.3e})")
+    return np.maximum(w, 0.0)
+
+
+def psd_eigvalsh(m, tol: float = PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Validate positive semidefiniteness from one ``eigvalsh``.
+
+    Returns the symmetrized matrix and its ascending eigenvalues, clipped
+    at zero so that no caller sees a spuriously negative one.
+    """
+    a = as_hermitian(m)
+    return a, _clip_psd(np.linalg.eigvalsh(a), tol)
+
+
+def psd_eig(m) -> tuple[np.ndarray, Spectrum]:
+    """Validate positive semidefiniteness from one ``eigh``.
+
+    Returns the symmetrized matrix and its spectrum, eigenvalues clipped at
+    zero as in `psd_eigvalsh`.
+    """
+    a = as_hermitian(m)
+    spec = _eigh(a)
+    return a, Spectrum(_clip_psd(spec.eigenvalues, PSD_TOL), spec.eigenvectors)
+
+
+def as_psd(m, tol: float = PSD_TOL) -> np.ndarray:
+    """Validate positive semidefiniteness to tolerance (scale-aware)."""
+    return psd_eigvalsh(m, tol)[0]
+
+
+def require_unit_trace(a: np.ndarray) -> np.ndarray:
+    """The density-matrix trace condition (to 1e-10) on a validated PSD matrix."""
+    tr = float(np.trace(a).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix must have unit trace, got {tr!r}")
     return a
 
 
 def as_density(m) -> np.ndarray:
     """Validate a density matrix: PSD with unit trace (both to 1e-10)."""
-    a = as_psd(m)
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix must have unit trace, got {tr!r}")
-    return a
+    return require_unit_trace(as_psd(m))
 
 
 def zero_band(eigenvalues: np.ndarray) -> float:
@@ -105,18 +139,21 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
+def _eigh(a: np.ndarray) -> Spectrum:
+    try:
+        w, u = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigensolver failed: {exc}") from exc
+    return Spectrum(w, u)
+
+
 def hermitian_eig(m) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix.
 
     Validates Hermiticity first; raises NonConvergence if the underlying
     solver fails to converge (essentially never at these dimensions).
     """
-    a = as_hermitian(m)
-    try:
-        w, u = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver failed: {exc}") from exc
-    return Spectrum(w, u)
+    return _eigh(as_hermitian(m))
 
 
 def matrix_function(m, f: Callable[[float], float], on_kernel: str = "apply") -> np.ndarray:
@@ -149,15 +186,6 @@ def matrix_function(m, f: Callable[[float], float], on_kernel: str = "apply") ->
     u = spec.eigenvectors[:, keep]
     out = (u * vals) @ u.conj().T
     return (out + out.conj().T) / 2
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr(A^dag B), antilinear in A."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.sum(a.conj() * b))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -203,21 +231,6 @@ def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     for i in keep_set:
         d_keep *= ds[i]
     return np.ascontiguousarray(t.reshape(d_keep, d_keep))
-
-
-def permute_factors(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder the tensor factors of a square matrix.
-
-    Factor ``s`` of the result is factor ``perm[s]`` of the input.
-    """
-    a = as_matrix(m)
-    ds = _factor_dims(dims, a.shape[0])
-    k = len(ds)
-    p = [int(i) for i in perm]
-    if sorted(p) != list(range(k)):
-        raise ValueError(f"perm={perm!r} is not a permutation of 0..{k - 1}")
-    t = a.reshape(ds + ds).transpose(p + [k + i for i in p])
-    return np.ascontiguousarray(t.reshape(a.shape))
 
 
 # ---------------------------------------------------------------------------

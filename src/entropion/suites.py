@@ -7,6 +7,7 @@ report.  A trial reduces to one float margin; the pass rule is uniform:
 
     margin >= -tol        inequality holds / expressions agree
     margin = +inf         trial skipped (an infinite entropy showed up)
+    margin = NaN          failure
 
 Agreement margins are negated gaps, -|lhs - rhs|.  The per-suite meaning
 of the --dims values: suites over multipartite states (ssa,
@@ -510,8 +511,9 @@ def run_suite(name: str, dims=(2, 3), trials: int = 100, seed: int = 42,
             skipped += 1
             continue
         margin = float(margin)
-        worst = min(worst, margin)
-        if margin < -tol:
+        # a NaN margin is a failure, and the worst margin stays NaN after it
+        worst = margin if math.isnan(margin) else min(worst, margin)
+        if math.isnan(margin) or margin < -tol:
             failures.append(Failure(i, margin, _digest(payload)))
     runtime_ms = (time.perf_counter() - start) * 1e3
     return CheckReport(

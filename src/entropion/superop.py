@@ -12,38 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import (
-    KernelObstruction,
-    Spectrum,
-    as_matrix,
-    as_psd,
-    hermitian_eig,
-    max_abs,
-)
+from .matcore import KernelObstruction, as_matrix, max_abs, psd_eig
 
 # Denominators at or below this fraction of the spectral scale count as
 # joint kernel; inputs may carry at most KERNEL_MASS_TOL relative weight
 # there before a resolvent solve is refused.
 KERNEL_BAND = 1e-12
 KERNEL_MASS_TOL = 1e-10
-
-
-def left_mul(p, x) -> np.ndarray:
-    """Left multiplication operator applied to x."""
-    p = as_matrix(p)
-    x = as_matrix(x)
-    if p.shape[1] != x.shape[0]:
-        raise ValueError(f"incompatible shapes {p.shape} and {x.shape}")
-    return p @ x
-
-
-def right_mul(p, x) -> np.ndarray:
-    """Right multiplication operator applied to x."""
-    p = as_matrix(p)
-    x = as_matrix(x)
-    if x.shape[1] != p.shape[0]:
-        raise ValueError(f"incompatible shapes {x.shape} and {p.shape}")
-    return x @ p
 
 
 class SuperOpSpec:
@@ -56,9 +31,9 @@ class SuperOpSpec:
 
     __slots__ = ("left", "right", "t", "left_spectrum", "right_spectrum")
 
-    def __init__(self, left, right, t: float = 1.0, _spectra=None):
-        self.left = as_psd(left)
-        self.right = as_psd(right)
+    def __init__(self, left, right, t: float = 1.0):
+        self.left, self.left_spectrum = psd_eig(left)
+        self.right, self.right_spectrum = psd_eig(right)
         if self.left.shape != self.right.shape:
             raise ValueError(
                 f"multiplier shapes differ: {self.left.shape} vs {self.right.shape}"
@@ -67,30 +42,10 @@ class SuperOpSpec:
         if not (t >= 0.0) or not np.isfinite(t):
             raise ValueError(f"t must be finite and >= 0, got {t!r}")
         self.t = t
-        if _spectra is None:
-            ls = hermitian_eig(self.left)
-            rs = hermitian_eig(self.right)
-            self.left_spectrum = Spectrum(np.maximum(ls.eigenvalues, 0.0), ls.eigenvectors)
-            self.right_spectrum = Spectrum(np.maximum(rs.eigenvalues, 0.0), rs.eigenvectors)
-        else:
-            self.left_spectrum, self.right_spectrum = _spectra
 
     @property
     def dim(self) -> int:
         return self.left.shape[0]
-
-    def with_t(self, t: float) -> "SuperOpSpec":
-        """Same multipliers at a different t; reuses the spectra."""
-        out = SuperOpSpec.__new__(SuperOpSpec)
-        out.left = self.left
-        out.right = self.right
-        t = float(t)
-        if not (t >= 0.0) or not np.isfinite(t):
-            raise ValueError(f"t must be finite and >= 0, got {t!r}")
-        out.t = t
-        out.left_spectrum = self.left_spectrum
-        out.right_spectrum = self.right_spectrum
-        return out
 
     def apply(self, x) -> np.ndarray:
         x = as_matrix(x)

@@ -7,12 +7,12 @@ from entropion import (
     NonConvergence,
     QuadratureConfig,
     RngState,
+    SuperOpSpec,
     adaptive_gl,
     bures_distance,
     composite_gl,
     conditional_entropy,
     kernel_k,
-    quadratic_relent,
     random_density,
     random_matrix,
     random_unit_vector,
@@ -244,16 +244,6 @@ def test_scalar_log_identity_fixed_points():
         assert rhs2 == pytest.approx(lhs, abs=1e-10)
 
 
-def test_quadratic_relent_commuting_oracle():
-    # commuting case: sum (q_i - p_i)^2 / (p_i + q_i) = 0.09/0.9 + 0.09/1.1
-    p = np.diag([0.3, 0.7])
-    q = np.diag([0.6, 0.4])
-    assert quadratic_relent(p, q) == pytest.approx(2 / 11, abs=1e-13)
-    rng = RngState(50)
-    rho = random_density(3, 3, rng)
-    assert quadratic_relent(rho, rho) == pytest.approx(0, abs=1e-13)
-
-
 def test_bures_distance_values():
     rng = RngState(51)
     rho = random_density(3, 3, rng)
@@ -288,3 +278,30 @@ def test_relative_entropy_via_conditional_identity():
     rng = RngState(53)
     rho = random_density(6, 6, rng)
     conditional_entropy(rho, (2, 3), check_identity=True)  # raises on mismatch
+
+
+def test_validation_reads_the_one_decomposition(monkeypatch):
+    # PSD validation uses the eigensolve each computation needs anyway:
+    # eigenvalues for an entropy or the P side of the spectral route, a
+    # full decomposition wherever eigenvectors are needed
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def count(fn, *args):
+        calls.update(eigh=0, eigvalsh=0)
+        fn(*args)
+        return calls["eigh"], calls["eigvalsh"]
+
+    rng = RngState(61)
+    p = random_density(4, 4, rng.child(0))
+    q = 1.5 * random_density(4, 4, rng.child(1))
+    assert count(relative_entropy, p, q) == (1, 1)
+    assert count(relative_entropy_integral, p, q) == (2, 0)
+    assert count(relative_entropy_spectral_kernel, p, q) == (2, 0)
+    assert count(von_neumann_entropy, p) == (0, 1)
+    assert count(SuperOpSpec, p, q, 0.5) == (2, 0)

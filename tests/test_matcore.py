@@ -12,12 +12,10 @@ from entropion import (
     as_matrix,
     as_psd,
     hermitian_eig,
-    hs_inner,
     matrix_from_json,
     matrix_function,
     matrix_to_json,
     partial_trace,
-    permute_factors,
     random_density,
     random_matrix,
     random_unitary,
@@ -117,17 +115,6 @@ def test_zero_band_scale():
     assert zero_band(np.array([0.0, 0.0])) >= 0
 
 
-def test_hs_inner():
-    a = np.array([[1, 1j], [0, 2]])
-    b = np.array([[3, 0], [1j, 1]])
-    # <A,B> = sum conj(a_ij) b_ij = 3 + 0 + 0 + 2
-    assert hs_inner(a, b) == pytest.approx(5)
-    # agrees with Tr(A^dag B)
-    assert hs_inner(a, b) == pytest.approx(np.trace(a.conj().T @ b))
-    assert hs_inner(a, a).real == pytest.approx(1 + 1 + 4)
-    assert hs_inner(a, a).imag == pytest.approx(0)
-
-
 def test_tensor_and_partial_trace_inverse():
     rng = RngState(5)
     a = random_density(2, 2, rng.child(0))
@@ -149,17 +136,6 @@ def test_partial_trace_three_factors():
     a2 = partial_trace(rho, dims, keep=(0,))
     assert np.allclose(a1, a2, atol=1e-13)
     assert np.trace(a2) == pytest.approx(1.0)
-
-
-def test_permute_factors_roundtrip():
-    rng = RngState(21)
-    a = random_density(2, 2, rng.child(0))
-    b = random_density(3, 3, rng.child(1))
-    ab = tensor(a, b)
-    ba = permute_factors(ab, (2, 3), (1, 0))
-    assert np.allclose(ba, tensor(b, a), atol=1e-14)
-    back = permute_factors(ba, (3, 2), (1, 0))
-    assert np.allclose(back, ab, atol=1e-14)
 
 
 def test_json_roundtrip(tmp_path):

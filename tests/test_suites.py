@@ -5,6 +5,7 @@ import pytest
 
 from entropion import run_suite, suite_names
 from entropion import suites as suites_mod
+from entropion.cli import dumps_17g
 
 EXPECTED_SUITES = [
     "adjoint_quadratic",
@@ -140,6 +141,23 @@ def test_runner_accounting_with_synthetic_trial(monkeypatch):
     assert rep.worst_margin == -0.5
     assert [f.trial for f in rep.failures] == [1, 4]
     assert not rep.passed
+
+
+def test_nan_margin_is_a_failure(monkeypatch):
+    # min() and < both ignore NaN; the runner must not read it as a pass
+    history = iter([0.25, math.nan, 0.5])
+
+    def fake_trial(rng, d):
+        return next(history), (np.eye(2),)
+
+    monkeypatch.setitem(suites_mod.SUITES, "fake", fake_trial)
+    rep = run_suite("fake", dims=(2,), trials=3, seed=0, tol=1e-9)
+    assert not rep.passed
+    assert rep.skipped_infinite == 0
+    assert [f.trial for f in rep.failures] == [1]
+    assert math.isnan(rep.failures[0].margin)
+    assert math.isnan(rep.worst_margin)
+    assert '"worst_margin": "nan"' in dumps_17g(rep.to_json_dict())
 
 
 def test_every_suite_passes_briefly():

@@ -5,10 +5,8 @@ from entropion import (
     KernelObstruction,
     RngState,
     SuperOpSpec,
-    left_mul,
     random_density,
     random_matrix,
-    right_mul,
     solve_resolvent,
     superop_matrix,
 )
@@ -17,25 +15,6 @@ from entropion import (
 def _rand_psd(d, rng, scale=1.0):
     g = random_matrix(d, d, rng)
     return scale * (g @ g.conj().T) / d
-
-
-def test_left_right_mul():
-    p = np.array([[1, 2], [3, 4]], dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert np.array_equal(left_mul(p, x), p @ x)
-    assert np.array_equal(right_mul(p, x), x @ p)
-
-
-def test_left_right_commute():
-    # L_Q and R_P act on different sides, so they always commute
-    rng = RngState(14)
-    q = _rand_psd(3, rng.child(0))
-    p = _rand_psd(3, rng.child(1))
-    for i in range(100):
-        x = random_matrix(3, 3, rng.child(10 + i))
-        lr = left_mul(q, right_mul(p, x))
-        rl = right_mul(p, left_mul(q, x))
-        assert np.allclose(lr, rl, atol=1e-12)
 
 
 def test_spec_validation():
@@ -142,14 +121,3 @@ def test_t_zero_reduces_to_left_inverse():
     x = random_matrix(3, 3, rng.child(1))
     y = solve_resolvent(SuperOpSpec(q, np.eye(3), 0.0), x)
     assert np.allclose(q @ y, x, atol=1e-10)
-
-
-def test_with_t_shares_spectra():
-    rng = RngState(23)
-    p = _rand_psd(2, rng.child(0))
-    q = _rand_psd(2, rng.child(1))
-    spec = SuperOpSpec(p, q, 1.0)
-    spec2 = spec.with_t(4.0)
-    assert spec2.t == 4.0
-    x = random_matrix(2, 2, rng.child(2))
-    assert np.allclose(spec2.apply(x), p @ x + 4.0 * x @ q, atol=1e-12)
