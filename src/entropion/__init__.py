@@ -82,6 +82,7 @@ from .matcore import (
     matrix_function,
     matrix_to_json,
     partial_trace,
+    partial_trace_pure,
     read_matrix,
     tensor,
     write_matrix,

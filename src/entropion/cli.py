@@ -4,7 +4,8 @@ Three subcommands:
 
 * ``verify``      - run named randomized suites, emit CheckReports (JSON
                     array or CSV rows).  Exit 0 if every suite passed,
-                    exit 2 on any margin failure.
+                    exit 2 on any margin failure or any suite whose
+                    trials were all skipped.
 * ``compute``     - evaluate one quantity (entropy | relent | chi | bures)
                     on matrix/ensemble JSON files, print JSON to stdout.
 * ``convergence`` - panel count vs absolute error of the quadrature route

@@ -29,11 +29,11 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .matcore import (
-    as_density,
     as_matrix,
     as_psd,
     matrix_function,
     partial_trace,
+    partial_trace_pure,
     psd_eig,
     psd_eigvalsh,
     require_unit_trace,
@@ -84,7 +84,8 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        # a suite whose every trial was skipped checked nothing
+        return not self.failures and self.skipped_infinite < self.trials
 
     def to_json_dict(self) -> dict:
         return {
@@ -360,9 +361,13 @@ def check_concavity(mode: str, states: Sequence, weights, channel: KrausMap | No
     f = conditional entropy (mode "conditional_entropy", needs dims) or
     f = S(rho) - S(Phi rho) (mode "entropy_diff", needs a TP channel)."""
     w = _simplex_weights(weights)
-    rhos = [as_density(r) for r in states]
+    # the entropies below validate each state (PSD, unit trace) on the
+    # decomposition they need, so no probe decomposes it here first
+    rhos = [as_matrix(r) for r in states]
     if len(rhos) != w.size:
         raise ValueError("one state per weight")
+    if any(r.shape != rhos[0].shape for r in rhos):
+        raise ValueError("states must share one shape")
     if mode == "conditional_entropy":
         if dims is None:
             raise ValueError("conditional_entropy mode needs dims")
@@ -386,13 +391,11 @@ def check_pure_state_lemmas(psi, dims) -> float:
     n = float(np.linalg.norm(v))
     if abs(n - 1.0) > 1e-12:
         raise ValueError(f"state vector must be normalized, got norm {n!r}")
-    ds = [int(d) for d in dims]
-    if len(ds) != 2 or ds[0] * ds[1] != v.size:
-        raise ValueError(f"dims {dims!r} do not match a vector of size {v.size}")
-    proj = np.outer(v, v.conj())
+    if len(dims) != 2:
+        raise ValueError(f"dims must list two factors, got {dims!r}")
     spectra = []
     for keep in ((0,), (1,)):
-        red = partial_trace(proj, ds, keep)
+        red = partial_trace_pure(v, dims, keep)
         lam = np.linalg.eigvalsh(red)
         lam = np.maximum(lam, 0.0)
         spectra.append(np.sort(lam[lam > zero_band(lam)])[::-1])

@@ -15,7 +15,9 @@ Conventions used throughout the package:
   (``psd_eigvalsh`` when eigenvalues suffice, ``psd_eig`` when eigenvectors
   are needed too), never by a separate probe.  Public functions validate
   at the boundary; package-internal calls on matrices that are already
-  validated reuse that decomposition instead of validating again.
+  validated reuse that decomposition instead of validating again;
+* reductions of a pure state go through ``partial_trace_pure`` on the
+  state vector, never through the projector ``|psi><psi|``.
 
 The JSON form of a matrix is
 ``{"d_rows": r, "d_cols": c, "re": [...], "im": [...]}`` with both entry
@@ -26,6 +28,7 @@ that format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -205,6 +208,15 @@ def _factor_dims(dims: Sequence[int], total: int) -> list[int]:
     return ds
 
 
+def _keep_factors(keep: Sequence[int], k: int) -> list[int]:
+    keep_set = sorted(set(int(i) for i in keep))
+    if len(keep_set) != len(tuple(keep)):
+        raise ValueError(f"duplicate factor index in keep={keep!r}")
+    if any(i < 0 or i >= k for i in keep_set):
+        raise ValueError(f"keep={keep!r} out of range for {k} factors")
+    return keep_set
+
+
 def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out all tensor factors not listed in ``keep``.
 
@@ -217,20 +229,36 @@ def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
         raise ValueError("partial trace needs a square matrix")
     ds = _factor_dims(dims, n)
     k = len(ds)
-    keep_set = sorted(set(int(i) for i in keep))
-    if len(keep_set) != len(tuple(keep)):
-        raise ValueError(f"duplicate factor index in keep={keep!r}")
-    if any(i < 0 or i >= k for i in keep_set):
-        raise ValueError(f"keep={keep!r} out of range for {k} factors")
+    keep_set = _keep_factors(keep, k)
     t = a.reshape(ds + ds)
     nfac = k
     for ax in sorted(set(range(k)) - set(keep_set), reverse=True):
         t = np.trace(t, axis1=ax, axis2=ax + nfac)
         nfac -= 1
-    d_keep = 1
-    for i in keep_set:
-        d_keep *= ds[i]
+    d_keep = math.prod(ds[i] for i in keep_set)
     return np.ascontiguousarray(t.reshape(d_keep, d_keep))
+
+
+def partial_trace_pure(psi, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """``partial_trace(|psi><psi|, dims, keep)`` without forming the projector.
+
+    The state vector is reshaped into its factors, the kept factors are
+    moved to the front in ascending order, and with M the resulting
+    (d_keep, d_rest) matrix the reduction is M M^dag.  Memory and time
+    scale with the vector and the kept block, not with the square of the
+    full dimension.
+    """
+    v = np.asarray(psi, dtype=complex)
+    if v.ndim != 1:
+        raise ValueError(f"expected a state vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state vector entries must be finite")
+    ds = _factor_dims(dims, v.size)
+    keep_set = _keep_factors(keep, len(ds))
+    rest = [i for i in range(len(ds)) if i not in keep_set]
+    d_keep = math.prod(ds[i] for i in keep_set)
+    m = np.transpose(v.reshape(ds), keep_set + rest).reshape(d_keep, -1)
+    return m @ m.conj().T
 
 
 # ---------------------------------------------------------------------------

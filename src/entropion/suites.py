@@ -72,7 +72,14 @@ from .inequalities import (
     check_schwarz_quadratic,
     check_ssa,
 )
-from .matcore import KernelObstruction, matrix_function, max_abs, partial_trace, tensor
+from .matcore import (
+    KernelObstruction,
+    matrix_function,
+    max_abs,
+    partial_trace,
+    partial_trace_pure,
+    tensor,
+)
 from .randgen import (
     RngState,
     random_cptp,
@@ -267,14 +274,14 @@ def _trial_monotonicity_unitary(rng: RngState, d: int):
 def _trial_ssa(rng: RngState, d: int):
     big = d ** 3
     rho = random_density(big, 1 + rng.integer(big), rng)
-    dims = (d, d, d)
-    margins = check_ssa(rho, dims)
+    margins = check_ssa(rho, (d, d, d))
+    # the alternative functional on ABD, with the purifying factor D in the
+    # third role, from psi's own marginals: S(AB) + S(AD) - S(B) - S(D)
     psi = purify(rho)
-    m = psi.size // big
-    proj = np.outer(psi, psi.conj())
-    rho_abd = partial_trace(proj, (d, d, d, m), keep=(0, 1, 3))
-    alt_by_purification = check_ssa(rho_abd, (d, d, m)).alt
-    equiv_gap = abs(alt_by_purification - margins.primary)
+    dims = (d, d, d, psi.size // big)
+    s_ab, s_ad, s_b, s_d = (von_neumann_entropy(partial_trace_pure(psi, dims, keep))
+                            for keep in ((0, 1), (0, 3), (1,), (3,)))
+    equiv_gap = abs(s_ab + s_ad - s_b - s_d - margins.primary)
     return min(margins.primary, margins.alt, -equiv_gap), (rho,)
 
 
@@ -300,9 +307,8 @@ def _trial_pure_states(rng: RngState, d: int):
     d_b = d + rng.integer(3)
     psi = random_unit_vector(d * d_b, rng)
     dist = check_pure_state_lemmas(psi, (d, d_b))
-    proj = np.outer(psi, psi.conj())
-    s_a = von_neumann_entropy(partial_trace(proj, (d, d_b), (0,)))
-    s_b = von_neumann_entropy(partial_trace(proj, (d, d_b), (1,)))
+    s_a = von_neumann_entropy(partial_trace_pure(psi, (d, d_b), (0,)))
+    s_b = von_neumann_entropy(partial_trace_pure(psi, (d, d_b), (1,)))
     return -max(dist, abs(s_a - s_b)), (psi.reshape(-1, 1),)
 
 
@@ -416,8 +422,7 @@ def _trial_purification(rng: RngState, d: int):
     rho = _mixed_rank_density(rng, d)
     psi = purify(rho)
     m = psi.size // d
-    proj = np.outer(psi, psi.conj())
-    err = max_abs(partial_trace(proj, (d, m), (0,)) - rho)
+    err = max_abs(partial_trace_pure(psi, (d, m), (0,)) - rho)
     spectra_gap = check_pure_state_lemmas(psi, (d, m))
     return -max(err, spectra_gap), (rho,)
 

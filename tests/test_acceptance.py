@@ -85,6 +85,11 @@ def test_c4_ssa_random():
     assert _verdict("C4 strong subadditivity", ok, detail)
 
 
+def test_c4_ssa_random_d3():
+    ok, detail = _suite_ok("ssa", (3,), 500, 1e-9)
+    assert _verdict("C4 strong subadditivity, d = 3", ok, detail)
+
+
 def test_c4_ssa_product_states_saturate():
     rng = RngState(43)
     worst = 0.0

@@ -254,6 +254,34 @@ def test_concavity_entropy_diff():
         check_concavity("nope", states, w)
 
 
+def test_concavity_validates_through_its_entropies(monkeypatch):
+    # each state is validated by the entropies that decompose it: two
+    # eigensolves for the average and two per state, no probe before them
+    rng = RngState(98)
+    states = [random_density(4, 4, rng.child(i)) for i in range(3)]
+    w = random_simplex(3, rng.child(50))
+    phi = KrausMap(random_cptp(4, 2, rng.child(60)))
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for kwargs in ({"mode": "conditional_entropy", "dims": (2, 2)},
+                   {"mode": "entropy_diff", "channel": phi}):
+        calls.update(eigh=0, eigvalsh=0)
+        check_concavity(states=states, weights=w, **kwargs)
+        assert (calls["eigh"], calls["eigvalsh"]) == (0, 8), kwargs
+        not_psd = states[:2] + [states[2] - 0.5 * np.eye(4)]
+        not_unit = states[:2] + [2.0 * states[2]]
+        for bad in (not_psd, not_unit):
+            with pytest.raises(ValueError):
+                check_concavity(states=bad, weights=w, **kwargs)
+    with pytest.raises(ValueError):
+        check_concavity("entropy_diff", states[:2] + [np.eye(2) / 2], w, channel=phi)
+
+
 def test_pure_state_reductions_share_spectrum():
     rng = RngState(97)
     from entropion import random_unit_vector

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from entropion import (
     matrix_function,
     matrix_to_json,
     partial_trace,
+    partial_trace_pure,
     random_density,
     random_matrix,
+    random_unit_vector,
     random_unitary,
     read_matrix,
     tensor,
@@ -136,6 +140,33 @@ def test_partial_trace_three_factors():
     a2 = partial_trace(rho, dims, keep=(0,))
     assert np.allclose(a1, a2, atol=1e-13)
     assert np.trace(a2) == pytest.approx(1.0)
+
+
+def test_partial_trace_pure_matches_projector():
+    rng = RngState(71)
+    for n, dims in enumerate([(2, 3), (2, 3, 2), (2, 2, 3, 5)]):
+        psi = random_unit_vector(math.prod(dims), rng.child(n))
+        proj = np.outer(psi, psi.conj())
+        for r in range(1, len(dims) + 1):
+            for keep in itertools.combinations(range(len(dims)), r):
+                want = partial_trace(proj, dims, keep)
+                got = partial_trace_pure(psi, dims, keep)
+                assert got.shape == want.shape
+                assert max_abs(got - want) <= 1e-13, (dims, keep)
+
+
+def test_partial_trace_pure_rejects_bad_input():
+    psi = np.ones(6, dtype=complex) / math.sqrt(6)
+    for dims, keep in [((2, 2), (0,)), ((2, 3), (0, 0)), ((2, 3), (2,)), ((2, 3), (-1,))]:
+        with pytest.raises(ValueError):
+            partial_trace_pure(psi, dims, keep)
+    for bad in (np.nan, np.inf):
+        v = psi.copy()
+        v[2] = bad
+        with pytest.raises(ValueError):
+            partial_trace_pure(v, (2, 3), (0,))
+    with pytest.raises(ValueError):
+        partial_trace_pure(np.eye(2), (2, 2), (0,))  # a matrix, not a vector
 
 
 def test_json_roundtrip(tmp_path):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from entropion import run_suite, suite_names
+from entropion import RngState, run_suite, suite_names
 from entropion import suites as suites_mod
-from entropion.cli import dumps_17g
+from entropion.cli import dumps_17g, main
 
 EXPECTED_SUITES = [
     "adjoint_quadratic",
@@ -158,6 +159,35 @@ def test_nan_margin_is_a_failure(monkeypatch):
     assert math.isnan(rep.failures[0].margin)
     assert math.isnan(rep.worst_margin)
     assert '"worst_margin": "nan"' in dumps_17g(rep.to_json_dict())
+
+
+def test_all_skipped_suite_does_not_pass(monkeypatch, tmp_path):
+    # a suite whose every trial was skipped checked nothing
+    monkeypatch.setitem(suites_mod.SUITES, "fake", lambda rng, d: (math.inf, (np.eye(2),)))
+    rep = run_suite("fake", dims=(2,), trials=3, seed=0, tol=1e-9)
+    assert rep.skipped_infinite == 3
+    assert rep.failures == ()
+    assert rep.worst_margin == math.inf
+    assert not rep.passed
+    assert rep.to_json_dict()["pass"] is False
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suites", "fake", "--trials", "3", "--out", str(out)]) == 2
+
+
+def test_ssa_trial_memory_stays_small():
+    # one full-rank trial at local d = 4 purifies onto 4096 dimensions; the
+    # projector on them alone would be a 4096 x 4096 complex matrix (268 MB)
+    d = 4
+    big = d ** 3
+    seed = next(s for s in range(1 << 16) if RngState(s).child(0).integer(big) == big - 1)
+    tracemalloc.start()
+    try:
+        margin, _ = suites_mod._trial_ssa(RngState(seed).child(0), d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert margin >= -1e-9
 
 
 def test_every_suite_passes_briefly():
