@@ -58,6 +58,7 @@ from .inequalities import (
     Failure,
     JointConvexityMargins,
     SsaMargins,
+    TrialError,
     check_adjoint_contraction,
     check_block_contraction,
     check_concavity,

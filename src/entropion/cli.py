@@ -4,8 +4,9 @@ Three subcommands:
 
 * ``verify``      - run named randomized suites, emit CheckReports (JSON
                     array or CSV rows).  Exit 0 if every suite passed,
-                    exit 2 on any margin failure or any suite whose
-                    trials were all skipped.
+                    exit 2 on any margin failure, any trial that raised
+                    (recorded under "errors" in its report) or any suite
+                    whose trials were all skipped.
 * ``compute``     - evaluate one quantity (entropy | relent | chi | bures)
                     on matrix/ensemble JSON files, print JSON to stdout.
 * ``convergence`` - panel count vs absolute error of the quadrature route
@@ -150,7 +151,7 @@ def _reports_csv(reports) -> str:
         writer.writerow(
             [r.suite, r.trials, r.seed, _fmt_float(r.tol),
              "true" if r.passed else "false", _fmt_float(r.worst_margin),
-             r.skipped_infinite, len(r.failures), _fmt_float(r.runtime_ms)]
+             r.skipped_infinite, len(r.failures) + len(r.errors), _fmt_float(r.runtime_ms)]
         )
     return buf.getvalue()
 
@@ -177,9 +178,10 @@ def _cmd_verify(args) -> int:
     ]
     for r in reports:
         status = "pass" if r.passed else "FAIL"
+        errors = f" errors={len(r.errors)}" if r.errors else ""
         print(
             f"{r.suite}: {status} worst_margin={_fmt_float(r.worst_margin)} "
-            f"skipped={r.skipped_infinite} ({r.runtime_ms:.0f} ms)",
+            f"skipped={r.skipped_infinite}{errors} ({r.runtime_ms:.0f} ms)",
             file=sys.stderr,
         )
     if args.format == "json":

@@ -16,9 +16,24 @@ The three routes:
   form per eigenpair via ``kernel_k``.
 
 The Tr(P - Q) correction makes all three total on PSD pairs with
-compatible supports, not just on density matrices.  The substitution
-t = s/(1-s) maps the half-line onto [0, 1) and absorbs the (1+t)^{-2}
-weight exactly, so the quadrature never sees the infinite endpoint.
+compatible supports, not just on density matrices.
+
+In the eigenbases of Q (rows m) and P (columns n) the integrand is
+sum_k w_k / (q_k + t p_k) (1+t)^{-2}, with w_k = |(U^dag (Q-P) V)_{mn}|^2.
+Each term turns over near t = q_k / p_k, so the quadrature runs in
+u = ln t, where every turnover has width O(1) whatever the conditioning:
+
+    g(u) = sum_k w_k / (q_k + e^u p_k) * e^u / (1 + e^u)^2.
+
+Rows in ker Q are dropped, so every q_k > 0, 1/(q_k + e^u p_k) <= 1/q_k
+and e^u / (1 + e^u)^2 <= e^{-|u|}; hence g(u) <= C e^{-|u|} with
+C = sum_k w_k / q_k.  Cutting the line at |u| = L drops at most
+2 C e^{-L}, so L = ln(C / tau) with tau = 1e-4 * abs_tol keeps the tails
+far below the quadrature's own tolerance.  The finite range u in [-L, L]
+is mapped onto the s in [0, 1] that ``adaptive_gl`` integrates by
+u = L (2s - 1).  L grows like the log of 1 / lambda_min(Q), and g is
+analytic in the strip |Im u| < pi, so the panel count needed grows by a
+bounded amount per decade of conditioning.
 
 Each route validates its operands on the decomposition it needs anyway
 (``matcore.psd_eigvalsh`` / ``psd_eig``), so a relative entropy costs two
@@ -41,7 +56,6 @@ from .matcore import (
     Spectrum,
     as_density,
     as_psd,
-    matrix_function,
     partial_trace,
     psd_eig,
     psd_eigvalsh,
@@ -55,12 +69,21 @@ SUPPORT_MASS_TOL = 1e-10
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _GL_CHUNK = 4096  # nodes evaluated per batch, bounds memory at high panel counts
+# The integral route cuts u = ln t at |u| = L where its tails sum to at
+# most 2 * _TAIL_SHARE * abs_tol.
+_TAIL_SHARE = 1e-4
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Adaptive Gauss-Legendre settings: 10-node panels on [0, 1], panel
-    count doubled until two successive estimates differ by at most abs_tol."""
+    count doubled until two successive estimates differ by at most abs_tol.
+
+    The integral route integrates over u = ln t in [-L, L], mapped onto
+    [0, 1] by u = L (2s - 1); abs_tol also sets L, through the tail bound
+    C e^{-L} = 1e-4 * abs_tol on each side (see the module docstring), so
+    a panel spans 2L / panels in u.
+    """
 
     abs_tol: float = 1e-10
     max_refinements: int = 30
@@ -100,6 +123,10 @@ def adaptive_gl(f: Callable[[np.ndarray], np.ndarray], cfg: QuadratureConfig = _
         cur = composite_gl(f, panels)
         if abs(cur - prev) <= cfg.abs_tol:
             return cur
+        if not math.isfinite(cur):
+            # it would never settle; doubling on would only run the panel
+            # count up to base_panels * 2^max_refinements
+            raise NonConvergence(f"quadrature estimate is {cur!r} at {panels} panels")
         prev = cur
     raise NonConvergence(
         f"quadrature did not settle to {cfg.abs_tol:g} within "
@@ -177,11 +204,16 @@ def relative_entropy(p, q) -> float:
 
 
 class _IntegralData:
-    """Shared spectral preparation for the integral and kernel routes."""
+    """Shared spectral preparation for the integral and kernel routes.
 
-    __slots__ = ("weights", "q_eigs", "p_eigs", "trace_correction", "violated")
+    ``half_width`` is the cut L of the integral route's range u in [-L, L]
+    for a tail budget of 2 * _TAIL_SHARE * abs_tol (see the module
+    docstring).
+    """
 
-    def __init__(self, p, q):
+    __slots__ = ("weights", "q_eigs", "p_eigs", "trace_correction", "violated", "half_width")
+
+    def __init__(self, p, q, abs_tol: float = _DEFAULT_QUAD.abs_tol):
         p, sp = psd_eig(p)
         q, sq = psd_eig(q)
         _same_shape(p, q)
@@ -197,22 +229,36 @@ class _IntegralData:
         self.q_eigs = np.repeat(sq.eigenvalues[split.on_q], lam_p.size)
         self.p_eigs = np.tile(lam_p, int(split.on_q.sum()))
         self.trace_correction = float(np.trace(p).real) - float(np.trace(q).real)
+        # g(u) <= C e^{-|u|}; L >= 1 keeps the range nonempty when C is tiny
+        bound = float(np.sum(self.weights / self.q_eigs))
+        self.half_width = math.log(max(bound / (_TAIL_SHARE * abs_tol), math.e))
 
     def integrand(self, s: np.ndarray) -> np.ndarray:
-        t = s / (1.0 - s)
-        return (self.weights[:, None] / (self.q_eigs[:, None] + t[None, :] * self.p_eigs[:, None])).sum(axis=0)
+        """2L g(u) at u = L (2s - 1): the integral over s in [0, 1] is the
+        resolvent integral over t = e^u in [e^{-L}, e^L]."""
+        half = self.half_width
+        u = half * (2.0 * s - 1.0)
+        decay = np.exp(-np.abs(u))
+        # Jacobian 2L times e^u / (1 + e^u)^2, written in e^{-|u|} so it
+        # cannot overflow
+        jac = 2.0 * half * decay / (1.0 + decay) ** 2
+        t = np.exp(u)
+        terms = self.weights[:, None] / (self.q_eigs[:, None] + t[None, :] * self.p_eigs[:, None])
+        return jac * terms.sum(axis=0)
 
 
 def relative_entropy_integral(p, q, cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
     """H(P, Q) by adaptive quadrature of the resolvent quadratic form."""
-    data = _IntegralData(p, q)
+    data = _IntegralData(p, q, cfg.abs_tol)
     if data.violated:
         return math.inf
     return data.trace_correction + adaptive_gl(data.integrand, cfg)
 
 
 def relative_entropy_integral_fixed(p, q, panels: int) -> float:
-    """Single-pass version at a fixed panel count, for convergence studies."""
+    """Single-pass version at a fixed panel count, for convergence studies:
+    ``panels`` Gauss-Legendre panels across u = ln t in [-L, L], with L
+    set by the default abs_tol."""
     if panels < 1:
         raise ValueError("panel count must be >= 1")
     data = _IntegralData(p, q)
@@ -285,8 +331,9 @@ def scalar_log_identity(w: float, cfg: QuadratureConfig = _DEFAULT_QUAD) -> tupl
 
     Returns (-ln w, quadrature of int_0^inf [1/(w+t) - 1/(1+t)] dt,
     (1-w) + quadrature of int_0^inf (w-1)^2 / ((w+t)(1+t)^2) dt); all three
-    agree for w > 0.  The same t = s/(1-s) substitution is used, under
-    which both integrands become smooth rational functions on [0, 1].
+    agree for w > 0.  Both integrals are taken under t = s/(1-s), which
+    maps the half-line onto [0, 1) and absorbs the (1+t)^{-2} weight
+    exactly, so both integrands become rational functions on [0, 1].
     """
     w = float(w)
     if not (w > 0.0) or not np.isfinite(w):
@@ -331,14 +378,19 @@ def conditional_entropy(rho_ab, dims, check_identity: bool = False) -> float:
 
 def bures_distance(p, q) -> float:
     """Bures distance sqrt(2 (1 - Tr sqrt(sqrt(P) Q sqrt(P)))) between
-    density matrices; sqrt(2) for orthogonal pure states."""
-    p = as_density(p)
+    density matrices; sqrt(2) for orthogonal pure states.
+
+    sqrt(P) comes from the decomposition that validates P, and the trace
+    of the outer root needs only the eigenvalues of sqrt(P) Q sqrt(P).
+    """
+    p, spec_p = psd_eig(p)
+    require_unit_trace(p)
     q = as_density(q)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
-    root_p = matrix_function(p, lambda x: math.sqrt(max(x, 0.0)))
+    _same_shape(p, q)
+    lam_p = spec_p.eigenvalues
+    u = spec_p.eigenvectors
+    root_p = (u * np.sqrt(np.where(lam_p > zero_band(lam_p), lam_p, 0.0))) @ u.conj().T
     inner = root_p @ q @ root_p
-    inner = (inner + inner.conj().T) / 2
-    root = matrix_function(inner, lambda x: math.sqrt(max(x, 0.0)))
-    fid_root = float(np.trace(root).real)
+    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    fid_root = float(np.sqrt(np.where(lam > zero_band(lam), lam, 0.0)).sum())
     return math.sqrt(max(0.0, 2.0 * (1.0 - fid_root)))

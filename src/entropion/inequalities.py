@@ -69,6 +69,14 @@ class Failure(NamedTuple):
     digest: str
 
 
+class TrialError(NamedTuple):
+    """A trial that raised instead of returning a margin."""
+
+    trial: int
+    error: str  # exception class name
+    message: str
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Aggregated outcome of one randomized suite."""
@@ -81,14 +89,15 @@ class CheckReport:
     skipped_infinite: int
     failures: tuple[Failure, ...] = field(default_factory=tuple)
     runtime_ms: float = 0.0
+    errors: tuple[TrialError, ...] = field(default_factory=tuple)
 
     @property
     def passed(self) -> bool:
         # a suite whose every trial was skipped checked nothing
-        return not self.failures and self.skipped_infinite < self.trials
+        return not self.failures and not self.errors and self.skipped_infinite < self.trials
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "suite": self.suite,
             "trials": self.trials,
             "seed": self.seed,
@@ -100,8 +109,15 @@ class CheckReport:
                 {"trial": f.trial, "margin": f.margin, "digest": f.digest}
                 for f in self.failures
             ],
-            "runtime_ms": self.runtime_ms,
         }
+        if self.errors:
+            # only reports with errors carry the key, so the rest keep their bytes
+            out["errors"] = [
+                {"trial": e.trial, "error": e.error, "message": e.message}
+                for e in self.errors
+            ]
+        out["runtime_ms"] = self.runtime_ms
+        return out
 
 
 class ConvexityInstance:

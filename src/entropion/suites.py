@@ -8,6 +8,8 @@ report.  A trial reduces to one float margin; the pass rule is uniform:
     margin >= -tol        inequality holds / expressions agree
     margin = +inf         trial skipped (an infinite entropy showed up)
     margin = NaN          failure
+    trial raises          failure, recorded as an error against the trial
+                          (NonConvergence, ValueError, ArithmeticError)
 
 Agreement margins are negated gaps, -|lhs - rhs|.  The per-suite meaning
 of the --dims values: suites over multipartite states (ssa,
@@ -40,6 +42,7 @@ from .channels import (
     tensor_channel,
 )
 from .entropy import (
+    _relent,
     conditional_entropy,
     relative_entropy,
     relative_entropy_integral,
@@ -61,6 +64,7 @@ from .inequalities import (
     CheckReport,
     ConvexityInstance,
     Failure,
+    TrialError,
     check_adjoint_contraction,
     check_block_contraction,
     check_concavity,
@@ -74,10 +78,13 @@ from .inequalities import (
 )
 from .matcore import (
     KernelObstruction,
+    NonConvergence,
     matrix_function,
     max_abs,
     partial_trace,
     partial_trace_pure,
+    psd_eig,
+    psd_eigvalsh,
     tensor,
 )
 from .randgen import (
@@ -362,11 +369,15 @@ def _trial_holevo_routes(rng: RngState, d: int):
     phi = povm_channel(povm)
     avg = ens.average()
     avg_out = apply_channel(phi, avg)
-    # route one: member-by-member data processing
+    # route one: member-by-member data processing, with each average
+    # decomposed once and each member read through the spectrum that
+    # validated it
+    spec_avg = psd_eig(avg)[1]
+    spec_out = psd_eig(avg_out)[1]
     per_member = math.inf
-    for r in ens.states:
-        h_in = relative_entropy(r, avg)
-        h_out = relative_entropy(apply_channel(phi, r), avg_out)
+    for r, lam_r in zip(ens.states, ens.spectra):
+        h_in = _relent(r, lam_r, spec_avg)
+        h_out = _relent(*psd_eigvalsh(apply_channel(phi, r)), spec_out)
         per_member = min(per_member, h_in - h_out)
     # route two: data processing on the flagged state
     n = len(ens)
@@ -504,6 +515,7 @@ def run_suite(name: str, dims=(2, 3), trials: int = 100, seed: int = 42,
     worst = math.inf
     skipped = 0
     failures: list[Failure] = []
+    errors: list[TrialError] = []
     for i in range(trials):
         rng = root.child(i)
         d = dim_list[i % len(dim_list)]
@@ -511,6 +523,10 @@ def run_suite(name: str, dims=(2, 3), trials: int = 100, seed: int = 42,
             margin, payload = fn(rng, d)
         except KernelObstruction:
             skipped += 1
+            continue
+        except (NonConvergence, ValueError, ArithmeticError) as exc:
+            # one trial's error fails the suite but does not end the run
+            errors.append(TrialError(i, type(exc).__name__, str(exc)))
             continue
         if math.isinf(margin) and margin > 0:
             skipped += 1
@@ -530,4 +546,5 @@ def run_suite(name: str, dims=(2, 3), trials: int = 100, seed: int = 42,
         skipped_infinite=skipped,
         failures=tuple(failures),
         runtime_ms=runtime_ms,
+        errors=tuple(errors),
     )

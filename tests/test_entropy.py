@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from entropion import entropy as entropy_mod
 from entropion import (
     NonConvergence,
     QuadratureConfig,
@@ -216,6 +218,13 @@ def test_adaptive_gl_converges_and_reports_failure():
         adaptive_gl(lambda s: np.sin(5000.0 * s), cfg)
 
 
+def test_adaptive_gl_stops_on_a_non_finite_estimate(monkeypatch):
+    panels = _count_panels(monkeypatch)
+    with pytest.raises(NonConvergence):
+        adaptive_gl(lambda s: np.full_like(s, np.nan))
+    assert panels == [8, 16]
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1.0)
@@ -236,6 +245,65 @@ def test_fixed_panel_route_converges():
     assert errs[-1] < 1e-12
 
 
+def _count_panels(monkeypatch):
+    panels = []
+    gl = entropy_mod.composite_gl
+
+    def counted(f, n):
+        panels.append(n)
+        return gl(f, n)
+
+    monkeypatch.setattr(entropy_mod, "composite_gl", counted)
+    return panels
+
+
+def test_integral_route_time_is_bounded_in_conditioning(monkeypatch):
+    # p = diag(1-e, e), q = diag(e, 1-e): the terms turn over at t = e^2
+    # and 1/e^2, far outside any fixed grid in t
+    panels = _count_panels(monkeypatch)
+    used = {}
+    for k in range(2, 13):
+        eps = 10.0 ** -k
+        p = np.diag([1.0 - eps, eps])
+        q = np.diag([eps, 1.0 - eps])
+        del panels[:]
+        start = time.perf_counter()
+        h = relative_entropy_integral(p, q)
+        assert time.perf_counter() - start < 1.0
+        assert h == pytest.approx(relative_entropy(p, q), abs=1e-8)
+        used[k] = sum(panels)
+    # the range in u = ln t widens by ln 10 per decade, which costs at most
+    # one more doubling of the 8 base panels over ten decades
+    assert used[12] <= used[2] + 64
+
+
+def test_integral_route_equal_operands():
+    # every weight is zero, so the tail bound C is zero too
+    rng = RngState(62)
+    for p in (np.eye(3) / 3, 1.7 * random_density(4, 4, rng), random_density(4, 2, rng.child(1))):
+        assert relative_entropy_integral(p, p) == pytest.approx(0.0, abs=1e-14)
+        assert relative_entropy_integral_fixed(p, p, 4) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_integral_route_singular_p():
+    # p_n = 0 terms decay only like e^{-|u|} on the right, the slowest the
+    # tail bound allows
+    rng = RngState(63)
+    u = random_unitary(4, rng.child(0))
+    v = random_unitary(4, rng.child(1))
+    q = (v * np.array([1e-9, 0.2, 0.3, 0.5])) @ v.conj().T
+    for p_eigs in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.4], [0.7, 0.0, 0.3, 0.0]):
+        p = (u * np.array(p_eigs)) @ u.conj().T
+        assert relative_entropy_integral(p, q) == pytest.approx(relative_entropy(p, q), abs=1e-9)
+    # singular on both sides, supp P inside supp Q: the ker Q rows drop out
+    p = np.diag([0.0, 0.0, 0.25, 0.75])
+    q = np.diag([0.0, 1e-10, 0.5, 0.5 - 1e-10])
+    assert relative_entropy_integral(p, q) == pytest.approx(relative_entropy(p, q), abs=1e-10)
+    assert relative_entropy_integral(np.diag([1.0, 0.0]), np.diag([1e-12, 1.0])) == pytest.approx(
+        relative_entropy(np.diag([1.0, 0.0]), np.diag([1e-12, 1.0])), abs=1e-10
+    )
+
+
 def test_scalar_log_identity_fixed_points():
     for w in (0.1, 0.5, 1.0, 2.0, 10.0):
         lhs, rhs1, rhs2 = scalar_log_identity(w)
@@ -253,6 +321,20 @@ def test_bures_distance_values():
     e1 = np.diag([0.0, 1.0])
     assert bures_distance(e0, e1) == pytest.approx(math.sqrt(2), abs=1e-12)
     assert bures_distance(P_QUBIT, Q_QUBIT) == pytest.approx(BURES_QUBIT, abs=1e-12)
+
+
+def test_bures_distance_decomposes_each_operand_once(monkeypatch):
+    # one eigh of P gives sqrt(P); Q is validated by one eigvalsh, and the
+    # fidelity needs only the eigenvalues of sqrt(P) Q sqrt(P)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    bures_distance(P_QUBIT, Q_QUBIT)
+    assert calls == {"eigh": 1, "eigvalsh": 2}
 
 
 def test_conditional_entropy_product_state():

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entropion import RngState, run_suite, suite_names
+from entropion import NonConvergence, RngState, run_suite, suite_names
 from entropion import suites as suites_mod
 from entropion.cli import dumps_17g, main
+from entropion.matcore import KernelObstruction
 
 EXPECTED_SUITES = [
     "adjoint_quadratic",
@@ -172,6 +173,91 @@ def test_all_skipped_suite_does_not_pass(monkeypatch, tmp_path):
     assert rep.to_json_dict()["pass"] is False
     out = tmp_path / "r.json"
     assert main(["verify", "--suites", "fake", "--trials", "3", "--out", str(out)]) == 2
+
+
+def _raising_trial(rng, d):
+    # the first draw of each trial's own stream picks how it ends
+    outcome = rng.integer(5)
+    if outcome == 0:
+        raise NonConvergence("quadrature did not settle")
+    if outcome == 1:
+        raise ValueError("matrix is not PSD")
+    if outcome == 2:
+        raise ZeroDivisionError("division by zero")
+    if outcome == 3:
+        raise KernelObstruction("weight on the kernel")
+    return 0.0, (np.eye(2),)
+
+
+def test_trial_errors_are_recorded_and_the_run_goes_on(monkeypatch, tmp_path):
+    monkeypatch.setitem(suites_mod.SUITES, "fake", _raising_trial)
+    outcomes = [RngState(0).child(i).integer(5) for i in range(40)]
+    assert set(outcomes) == {0, 1, 2, 3, 4}
+    rep = run_suite("fake", dims=(2,), trials=40, seed=0, tol=1e-9)
+    names = {0: "NonConvergence", 1: "ValueError", 2: "ZeroDivisionError"}
+    assert [(e.trial, e.error) for e in rep.errors] == [
+        (i, names[o]) for i, o in enumerate(outcomes) if o in names
+    ]
+    # a kernel obstruction stays a skip, not an error
+    assert rep.skipped_infinite == outcomes.count(3)
+    assert rep.failures == ()
+    assert rep.worst_margin == 0.0
+    assert not rep.passed
+    errors = rep.to_json_dict()["errors"]
+    assert errors[0] == {"trial": outcomes.index(0), "error": "NonConvergence",
+                         "message": "quadrature did not settle"}
+
+    # verify prints every report and exits 2 instead of a traceback
+    out = tmp_path / "r.json"
+    rc = main(["verify", "--suites", "fake,klein", "--trials", "40", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 2
+    text = out.read_text()
+    assert '"suite": "fake"' in text and '"suite": "klein"' in text
+    assert '"error": "ZeroDivisionError"' in text
+    csv_out = tmp_path / "r.csv"
+    assert main(["verify", "--suites", "fake", "--trials", "40", "--seed", "0",
+                 "--format", "csv", "--out", str(csv_out)]) == 2
+    row = csv_out.read_text().splitlines()[1].split(",")
+    assert row[4] == "false" and int(row[7]) == len(rep.errors)
+
+
+def test_report_without_errors_has_no_errors_key():
+    rep = run_suite("klein", dims=(2,), trials=3, seed=0)
+    assert rep.errors == ()
+    assert list(rep.to_json_dict()) == [
+        "suite", "trials", "seed", "tol", "pass", "worst_margin",
+        "skipped_infinite", "failures", "runtime_ms",
+    ]
+
+
+def test_other_trial_exceptions_still_propagate(monkeypatch):
+    # a programming error is not a trial outcome
+    def broken(rng, d):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(suites_mod.SUITES, "fake", broken)
+    with pytest.raises(TypeError):
+        run_suite("fake", dims=(2,), trials=2, seed=0)
+
+
+def test_holevo_routes_decomposes_each_matrix_once(monkeypatch):
+    # the ensemble average and its channel image are decomposed once per
+    # trial, not once per member
+    seen = {}
+    solver = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        key = np.ascontiguousarray(a).tobytes()
+        seen[key] = seen.get(key, 0) + 1
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for d in (2, 3):
+        for i in range(4):
+            seen.clear()
+            suites_mod._trial_holevo_routes(RngState(42).child(i), d)
+            assert max(seen.values()) == 1
 
 
 def test_ssa_trial_memory_stays_small():
