@@ -28,10 +28,11 @@ u = ln t, where every turnover has width O(1) whatever the conditioning:
 Rows in ker Q are dropped, so every q_k > 0, 1/(q_k + e^u p_k) <= 1/q_k
 and e^u / (1 + e^u)^2 <= e^{-|u|}; hence g(u) <= C e^{-|u|} with
 C = sum_k w_k / q_k.  Cutting the line at |u| = L drops at most
-2 C e^{-L}, so L = ln(C / tau) with tau = 1e-4 * abs_tol keeps the tails
-far below the quadrature's own tolerance.  The finite range u in [-L, L]
-is mapped onto the s in [0, 1] that ``adaptive_gl`` integrates by
-u = L (2s - 1).  L grows like the log of 1 / lambda_min(Q), and g is
+2 C e^{-L}, so L = ln(C / tau) with tau = 1e-6 * abs_tol (1e-16 at the
+default) keeps the tails at the rounding floor.  The bound is close to
+tight on the left, where g(u) ~ C e^u, so the cut biases every value low
+by about tau.  The finite range u in [-L, L] is mapped onto the s in
+[0, 1] that ``adaptive_gl`` integrates by u = L (2s - 1).  L grows like the log of 1 / lambda_min(Q), and g is
 analytic in the strip |Im u| < pi, so the panel count needed grows by a
 bounded amount per decade of conditioning.
 
@@ -70,8 +71,9 @@ SUPPORT_MASS_TOL = 1e-10
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _GL_CHUNK = 4096  # nodes evaluated per batch, bounds memory at high panel counts
 # The integral route cuts u = ln t at |u| = L where its tails sum to at
-# most 2 * _TAIL_SHARE * abs_tol.
-_TAIL_SHARE = 1e-4
+# most 2 * _TAIL_SHARE * abs_tol.  L grows only by ln(1 / _TAIL_SHARE),
+# so the budget can sit at the rounding floor.
+_TAIL_SHARE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class QuadratureConfig:
 
     The integral route integrates over u = ln t in [-L, L], mapped onto
     [0, 1] by u = L (2s - 1); abs_tol also sets L, through the tail bound
-    C e^{-L} = 1e-4 * abs_tol on each side (see the module docstring), so
+    C e^{-L} = 1e-6 * abs_tol on each side (see the module docstring), so
     a panel spans 2L / panels in u.
     """
 

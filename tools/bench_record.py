@@ -1,15 +1,15 @@
 """Record alternating parent/change benchmark runs as one BENCH_<n>.json.
 
-    python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_<n>.json \
-        [--pairs 10] [--seconds 30] [--seed 600] [--trace-seconds 10] \
-        [--workloads verify_all,ssa_tripartite,relent_conditioned]
+    python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_<n>.json
 
 Each DIR is the root of a checkout (its ``perfbench/`` and ``src/``), one
-at the parent commit and one at the change.  For every workload, pair k
-runs ``perfbench/run.py --trace 0`` at seed ``seed + k`` on both, the
-parent first on even k and the change first on odd k, one run at a time.
-Then each side gets one traced run (``--trace 1``) per workload at seed
-``seed``, for the per-layer metrics.
+at the parent commit and one at the change.  The workloads and the run
+length come from the change's ``BENCHMARK.json`` (``workloads[].name``,
+``run_seconds``).  For every workload, pair k of ``PAIRS`` runs
+``perfbench/run.py --trace 0`` at seed ``SEED + k`` on both, the parent
+first on even k and the change first on odd k, one run at a time.  Then
+each side gets one traced run (``--trace 1``, ``TRACE_SECONDS`` long) per
+workload at seed ``SEED``, for the per-layer metrics.
 
 The record holds every run, and per workload and end-to-end metric: each
 side's median and quartiles, the pairs the change won (ties count for
@@ -34,6 +34,9 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+PAIRS = 10
+SEED = 600
+TRACE_SECONDS = 10.0
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -120,21 +123,18 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=600)
-    parser.add_argument("--trace-seconds", type=float, default=10.0)
-    parser.add_argument("--workloads", default="verify_all,ssa_tripartite,relent_conditioned")
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    seconds = float(bench["run_seconds"])
 
     record = {
         "command": " ".join(["python3", "tools/bench_record.py"] + (argv or sys.argv[1:])),
         "revisions": {side: git_rev(root) for side, root in roots.items()},
-        "pairs": args.pairs,
-        "seconds": args.seconds,
-        "seeds": [args.seed + k for k in range(args.pairs)],
+        "pairs": PAIRS,
+        "seconds": seconds,
+        "trace_seconds": TRACE_SECONDS,
+        "seeds": [SEED + k for k in range(PAIRS)],
         "order": "parent first on even pairs, change first on odd pairs",
         "machine": machine(),
         "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -144,13 +144,13 @@ def main(argv=None) -> int:
     def save():
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         entry = record["workloads"][workload] = {"runs": [], "traced": {}}
-        for k in range(args.pairs):
-            seed = args.seed + k
+        for k in range(PAIRS):
+            seed = SEED + k
             pair = {}
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                pair[side] = run_once(roots[side], workload, seed, args.seconds, 0)
+                pair[side] = run_once(roots[side], workload, seed, seconds, 0)
                 print(f"{workload} pair {k} {side}: "
                       f"ops_per_s {pair[side]['metrics']['ops_per_s']:.2f}", file=sys.stderr)
             entry["runs"].append({"pair": k, "first": "parent" if k % 2 == 0 else "change", **pair})
@@ -162,8 +162,7 @@ def main(argv=None) -> int:
             }
             save()
         for side in SIDES:
-            entry["traced"][side] = run_once(roots[side], workload, args.seed,
-                                             args.trace_seconds, 1)
+            entry["traced"][side] = run_once(roots[side], workload, SEED, TRACE_SECONDS, 1)
             save()
     record["finished_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     save()
