@@ -92,7 +92,6 @@ from .randgen import (
     RngState,
     random_cptp,
     random_density,
-    random_ensemble,
     random_matrix,
     random_povm,
     random_simplex,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -240,6 +241,7 @@ def _cmd_convergence(args) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache  # built on the first main() call, reused by later calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog=_PROG, description=__doc__.split("\n")[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -64,19 +64,30 @@ def as_matrix(m) -> np.ndarray:
 
 def max_abs(a) -> float:
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def as_hermitian(m) -> np.ndarray:
-    """Validate Hermiticity to tolerance and return the symmetrized matrix."""
-    a = as_matrix(m)
+    """Validate Hermiticity to tolerance and return the symmetrized matrix.
+
+    Checks run in the order of `as_matrix` and then squareness, with the
+    same errors."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    scale = max_abs(a)
+    # |z| overflows to inf for finite entries near the float limit, so an
+    # infinite scale alone does not prove a non-finite entry
+    if not math.isfinite(scale) and not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     r, c = a.shape
     if r != c:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    defect = max_abs(a - a.conj().T)
-    if defect > HERMITICITY_TOL * max(1.0, max_abs(a)):
+    h = a.conj().T
+    defect = max_abs(a - h)
+    if defect > HERMITICITY_TOL * max(1.0, scale):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return (a + a.conj().T) / 2
+    return (a + h) / 2
 
 
 def _clip_psd(w: np.ndarray, tol: float) -> np.ndarray:

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entropion
 from entropion import RngState, matrix_to_json, random_density, write_matrix
-from entropion.cli import dumps_17g, main
+from entropion.cli import _build_parser, dumps_17g, main
 
 
 def _strip_runtime(text: str) -> str:
@@ -101,6 +106,25 @@ def test_usage_error_exits_one(capsys):
     assert main([]) == 1
     assert main(["verify"]) == 1  # --suites is required
     assert main(["verify", "--suites", "klein", "--trials", "abc"]) == 1
+
+
+def test_successive_main_calls_match_a_fresh_process(capsys):
+    args = ["verify", "--suites", "klein,relent_routes", "--trials", "6",
+            "--seed", "3", "--dims", "2"]
+    env = dict(os.environ, PYTHONPATH=str(Path(entropion.__file__).parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "entropion.cli", *args],
+                           capture_output=True, text=True, env=env, check=True)
+    outs = []
+    for before in (["verify", "--suites", "klein", "--trials", "abc"],
+                   ["compute", "entropy"],
+                   [],
+                   args + ["--format", "csv", "--seed", "4"]):
+        main(before)  # a usage error or other options must not leak into the next call
+        capsys.readouterr()
+        assert main(args) == 0
+        outs.append(capsys.readouterr().out)
+    assert _build_parser() is _build_parser()
+    assert [_strip_runtime(o) for o in outs] == [_strip_runtime(fresh.stdout)] * 4
 
 
 def test_verify_deterministic_bytes(tmp_path):

@@ -15,12 +15,17 @@ from entropion import (
     measure_ensemble,
     partial_trace,
     random_density,
-    random_ensemble,
     random_povm,
+    random_simplex,
     tensor,
     von_neumann_entropy,
     yuen_ozawa_gap,
 )
+
+
+def _ensemble(d, n, rank, rng):
+    """Weights and states of an n-member ensemble on C^d, all of one rank."""
+    return random_simplex(n, rng), [random_density(d, rank, rng) for _ in range(n)]
 
 
 def test_ensemble_validation():
@@ -56,7 +61,7 @@ def test_chi_orthogonal_pure_states_is_shannon():
 def test_chi_nonnegative_random():
     rng = RngState(102)
     for i in range(10):
-        w, states = random_ensemble(3, 3, 3, rng.child(i))
+        w, states = _ensemble(3, 3, 3, rng.child(i))
         assert chi(Ensemble(w, states)) > -1e-11
 
 
@@ -78,13 +83,13 @@ def test_chi_diagonal_fast_path_matches_general():
 
 def test_yuen_ozawa_identity():
     rng = RngState(104)
-    w, states = random_ensemble(3, 4, 2, rng)
+    w, states = _ensemble(3, 4, 2, rng)
     assert yuen_ozawa_gap(Ensemble(w, states)) < 1e-11
 
 
 def test_flagged_state_structure():
     rng = RngState(105)
-    w, states = random_ensemble(2, 3, 2, rng)
+    w, states = _ensemble(2, 3, 2, rng)
     ens = Ensemble(w, states)
     gamma = flagged_state(ens)
     assert gamma.shape == (6, 6)
@@ -97,14 +102,14 @@ def test_flagged_state_structure():
 
 def test_chi_via_qc_identity():
     rng = RngState(106)
-    w, states = random_ensemble(3, 3, 3, rng)
+    w, states = _ensemble(3, 3, 3, rng)
     ens = Ensemble(w, states)
     assert chi_via_qc(ens) == pytest.approx(chi(ens), abs=1e-10)
 
 
 def test_measured_ensemble_is_classical():
     rng = RngState(107)
-    w, states = random_ensemble(3, 2, 3, rng.child(0))
+    w, states = _ensemble(3, 2, 3, rng.child(0))
     povm = Povm(random_povm(3, 4, rng.child(1)))
     measured = measure_ensemble(Ensemble(w, states), povm)
     assert measured.dim == 4
@@ -115,7 +120,7 @@ def test_measured_ensemble_is_classical():
 def test_holevo_bound_margin():
     rng = RngState(108)
     for i in range(10):
-        w, states = random_ensemble(2, 3, 2, rng.child(2 * i))
+        w, states = _ensemble(2, 3, 2, rng.child(2 * i))
         povm = Povm(random_povm(2, 3, rng.child(2 * i + 1)))
         assert check_holevo_bound(Ensemble(w, states), povm) > -1e-10
 
@@ -132,7 +137,7 @@ def test_holevo_bound_orthogonal_projective_equality():
 def test_partial_measurement_chain():
     rng = RngState(109)
     for i in range(5):
-        w, states = random_ensemble(4, 2, 4, rng.child(3 * i))
+        w, states = _ensemble(4, 2, 4, rng.child(3 * i))
         povm_a = Povm(random_povm(2, 2, rng.child(3 * i + 1)))
         povm_b = Povm(random_povm(2, 3, rng.child(3 * i + 2)))
         m1, m2 = check_partial_measurement_chain(

@@ -55,6 +55,38 @@ def test_as_hermitian_accepts_roundoff_rejects_structure():
         as_hermitian([[0, 1], [0, 0]])
 
 
+def test_as_hermitian_output_bits():
+    rng = RngState(21)
+    for d in (1, 2, 3, 9):
+        a = random_matrix(d, d, rng.child(d))
+        a = a + a.conj().T + 1e-14 * random_matrix(d, d, rng.child(d + 100))
+        want = (a + a.conj().T) / 2
+        got = as_hermitian(a)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert as_hermitian(np.zeros((0, 0))).shape == (0, 0)
+    assert np.array_equal(as_hermitian([[1, 2], [2, 3]]), [[1, 2], [2, 3]])
+
+
+@pytest.mark.parametrize("m, message", [
+    ([1.0, 2.0], "expected a 2-d matrix, got shape (2,)"),
+    (np.full((2, 2, 2), np.nan), "expected a 2-d matrix, got shape (2, 2, 2)"),
+    ([[np.inf, 0.0], [0.0, 1.0]], "matrix entries must be finite"),
+    ([[0.0, complex(0.0, np.nan)], [0.0, 1.0]], "matrix entries must be finite"),
+    ([[1.0, np.nan, 0.0]], "matrix entries must be finite"),
+    ([[1.0, 2.0, 0.0]], "expected a square matrix, got shape (1, 3)"),
+    # |z| overflows to inf, but every entry is finite
+    ([[1.3e308 + 1.3e308j, 0.0]], "expected a square matrix, got shape (1, 2)"),
+    ([[0.0, 1.0], [0.0, 0.0]], "matrix is not Hermitian (defect 1.000e+00)"),
+    ([[1.0, 1e-9], [0.0, 1.0]], "matrix is not Hermitian (defect 1.000e-09)"),
+])
+def test_as_hermitian_errors_in_order(m, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        as_hermitian(m)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_as_psd_and_density():
     as_psd([[1, 0], [0, 0]])
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,13 @@ from entropion import (
     RngState,
     random_cptp,
     random_density,
-    random_ensemble,
     random_matrix,
     random_povm,
     random_simplex,
     random_unit_vector,
     random_unitary,
 )
-from entropion.randgen import _splitmix64
+from entropion.randgen import _BULK_MIN_ENTRIES, _MASK64, _XORSHIFT_MULT, _splitmix64
 
 
 # Golden values pin the generator bit-for-bit.  If any of these move, every
@@ -103,6 +104,56 @@ def test_random_matrix_row_major_fill():
     assert m.shape == (2, 3)
 
 
+def _assert_draw_matches_stream(shape, a, b):
+    """random_matrix on ``a`` equals complex_normal() calls on ``b``, bit for bit."""
+    m = random_matrix(*shape, a)
+    ref = np.array([b.complex_normal() for _ in range(shape[0] * shape[1])]).reshape(shape)
+    assert m.shape == shape and m.dtype == np.complex128
+    assert np.array_equal(m.view(np.uint64), ref.view(np.uint64)), shape
+    assert (a._state, a.position) == (b._state, b.position)
+    assert a.uniform() == b.uniform()
+    return m
+
+
+def test_random_matrix_matches_scalar_stream():
+    t = _BULK_MIN_ENTRIES
+    shapes = [(r, c) for r in (1, 2, 3, 5, 8) for c in (1, 2, 4, 7)]
+    shapes += [(1, 64), (64, 1), (t - 1, 1), (1, t), (t, 1), (16, 16), (33, 70), (64, 64)]
+    sizes = {r * c for r, c in shapes}
+    assert min(sizes) == 1 and any(n < t for n in sizes) and any(n >= t for n in sizes)
+    for k in range(240):
+        a, b = RngState(k), RngState(k)
+        for _ in range(k % 3):  # start at odd and even stream positions
+            a.next_u64(), b.next_u64()
+        _assert_draw_matches_stream(shapes[k % len(shapes)], a, b)
+
+
+def _state_before(word: int) -> int:
+    """The xorshift state whose next ``next_u64()`` returns ``word``."""
+    s = (word * pow(_XORSHIFT_MULT, -1, 1 << 64)) & _MASK64
+    for shift in (27, -25, 12):  # undo the three xorshifts, last first
+        x = s
+        for _ in range(64):
+            x = s ^ (x >> shift if shift > 0 else (x << -shift) & _MASK64)
+        s = x
+    return s
+
+
+def test_random_matrix_signed_zeros_match():
+    # a first word whose top 53 bits are all ones gives uniform_pos() == 1.0,
+    # so r = sqrt(-0.0) = -0.0 and the first entry is zero; the signs of its
+    # parts depend on the angle the next word draws
+    signs = set()
+    for low in range(8):
+        for shape in ((1, 1), (_BULK_MIN_ENTRIES, 1)):
+            a, b = RngState(0), RngState(0)
+            a._state = b._state = _state_before(_MASK64 ^ low)
+            z = _assert_draw_matches_stream(shape, a, b)[0, 0]
+            assert z == 0
+            signs.add((math.copysign(1.0, z.real), math.copysign(1.0, z.imag)))
+    assert len(signs) >= 3
+
+
 def test_random_density_golden_and_validity():
     rho = random_density(2, 2, RngState(42))
     assert rho[0, 0].real == pytest.approx(0.6251047190007802, abs=1e-16)
@@ -165,10 +216,3 @@ def test_random_simplex_golden():
     assert s2.sum() == pytest.approx(1.0, abs=1e-13)
     assert s2.min() > 0
 
-
-def test_random_ensemble():
-    w, states = random_ensemble(3, 4, 2, RngState(9))
-    assert len(w) == 4 and len(states) == 4
-    assert w.sum() == pytest.approx(1.0, abs=1e-13)
-    for rho in states:
-        assert np.trace(rho) == pytest.approx(1.0, abs=1e-13)
