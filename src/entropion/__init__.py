@@ -8,7 +8,6 @@ inequalities, and Holevo bounds.
 
 from .channels import (
     AncillaRep,
-    CptpVerdict,
     KrausMap,
     Povm,
     adjoint_channel,
@@ -16,18 +15,15 @@ from .channels import (
     apply_ancilla,
     apply_channel,
     apply_linear,
-    choi_matrix,
     dephase,
     dephase_via_z,
     identity_channel,
-    is_cptp,
     povm_channel,
     purify,
     tensor_channel,
     trace_out_channel,
 )
 from .entropy import (
-    QuadratureConfig,
     adaptive_gl,
     bures_distance,
     composite_gl,
@@ -38,7 +34,6 @@ from .entropy import (
     relative_entropy_integral_fixed,
     relative_entropy_spectral_kernel,
     scalar_log_identity,
-    support_defect,
     von_neumann_entropy,
 )
 from .holevo import (

@@ -1,27 +1,25 @@
-"""Quantum channels in Kraus form, with Choi, dilation, and purification.
+"""Quantum channels in Kraus form, with dilation and purification.
 
 A channel is a finite list of Kraus operators K_j of common shape
-(d_out, d_in); trace preservation means sum_j K_j^dag K_j = I to 1e-10.
-The Choi matrix is (id (x) Phi) applied to the unnormalized maximally
-entangled matrix sum_{ij} |ii><jj|, with the identity leg slowest, so the
-channel is completely positive exactly when the Choi matrix is PSD.
+(d_out, d_in), so it is completely positive by construction; trace
+preservation means sum_j K_j^dag K_j = I to 1e-10, and `require_tp` is the
+one check of it.  Dephasing, partial traces and measurements are channels
+like any other (see `trace_out_channel` and `povm_channel`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .matcore import (
+    _keep_factors,
     as_hermitian,
     as_matrix,
-    as_psd,
-    hermitian_eig,
     max_abs,
-    partial_trace,
     psd_eig,
     require_unit_trace,
     tensor,
@@ -55,10 +53,6 @@ class KrausMap:
         """max-norm distance of sum K^dag K from the identity."""
         s = sum(k.conj().T @ k for k in self.kraus_ops)
         return max_abs(s - np.eye(self.d_in))
-
-    @property
-    def is_trace_preserving(self) -> bool:
-        return self.completeness_defect() <= TP_TOL
 
 
 def require_tp(phi: KrausMap) -> KrausMap:
@@ -106,42 +100,16 @@ def trace_out_channel(dims, keep) -> KrausMap:
 
     Kraus operators are indexed row-major by the basis labels of the traced
     factors; kept factors remain in their original order, matching
-    ``matcore.partial_trace``.
+    ``matcore.partial_trace``.  Each operator is a block of rows of the
+    identity, read off with the kept axes first.
     """
     ds = [int(d) for d in dims]
-    keep_set = sorted(set(int(i) for i in keep))
-    if any(i < 0 or i >= len(ds) for i in keep_set):
-        raise ValueError(f"keep={keep!r} out of range")
+    keep_set = _keep_factors(keep, len(ds))
     traced = [i for i in range(len(ds)) if i not in keep_set]
-    ops = []
-    idx = [0] * len(traced)
-    while True:
-        factors = []
-        pos = 0
-        for f, d in enumerate(ds):
-            if f in keep_set:
-                factors.append(np.eye(d, dtype=complex))
-            else:
-                row = np.zeros((1, d), dtype=complex)
-                row[0, idx[pos]] = 1.0
-                factors.append(row)
-                pos += 1
-        k = factors[0]
-        for f in factors[1:]:
-            k = np.kron(k, f)
-        ops.append(k)
-        if not traced:
-            break
-        i = len(traced) - 1
-        while i >= 0:
-            idx[i] += 1
-            if idx[i] < ds[traced[i]]:
-                break
-            idx[i] = 0
-            i -= 1
-        if i < 0:
-            break
-    return KrausMap(ops)
+    n = math.prod(ds)
+    rows = np.eye(n).reshape(ds + [n]).transpose(keep_set + traced + [len(ds)])
+    rows = rows.reshape(math.prod(ds[i] for i in keep_set), -1, n)
+    return KrausMap([rows[:, j, :] for j in range(rows.shape[1])])
 
 
 def dephase(x) -> np.ndarray:
@@ -169,12 +137,18 @@ def dephase_via_z(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """Measurement effects: PSD to 1e-10, summing to the identity to 1e-10."""
+    """Measurement effects: PSD to 1e-10, summing to the identity to 1e-10.
+
+    ``spectra`` keeps the decomposition that validated each effect, so
+    `povm_channel` takes the square roots from it.
+    """
 
     effects: tuple
+    spectra: tuple = field(repr=False, compare=False)
 
     def __init__(self, effects):
-        ops = tuple(as_psd(m) for m in effects)
+        validated = [psd_eig(m) for m in effects]
+        ops = tuple(m for m, _ in validated)
         if not ops:
             raise ValueError("need at least one effect")
         d = ops[0].shape[0]
@@ -185,6 +159,7 @@ class Povm:
         if defect > POVM_TOL:
             raise ValueError(f"effects do not sum to the identity (defect {defect:.3e})")
         object.__setattr__(self, "effects", ops)
+        object.__setattr__(self, "spectra", tuple(spec for _, spec in validated))
 
     @property
     def dim(self) -> int:
@@ -203,47 +178,14 @@ def povm_channel(povm: Povm) -> KrausMap:
     n = len(povm)
     d = povm.dim
     ops = []
-    for a, m in enumerate(povm.effects):
-        spec = hermitian_eig(m)
-        lam = np.maximum(spec.eigenvalues, 0.0)
-        root = (spec.eigenvectors * np.sqrt(lam)) @ spec.eigenvectors.conj().T
+    for a, spec in enumerate(povm.spectra):
+        u = spec.eigenvectors
+        root = (u * np.sqrt(spec.eigenvalues)) @ u.conj().T
         for b in range(d):
             k = np.zeros((n, d), dtype=complex)
             k[a, :] = root[b, :]
             ops.append(k)
     return KrausMap(ops)
-
-
-def choi_matrix(phi: KrausMap) -> np.ndarray:
-    """Choi matrix on (input leg) (x) (output leg), input slowest."""
-    out = np.zeros((phi.d_in * phi.d_out,) * 2, dtype=complex)
-    for k in phi.kraus_ops:
-        w = k.T.reshape(-1)  # w[(i, a)] = K[a, i]
-        out += np.outer(w, w.conj())
-    return (out + out.conj().T) / 2
-
-
-@dataclass(frozen=True)
-class CptpVerdict:
-    """Outcome of the CPTP test: Choi positivity + completeness."""
-
-    is_cp: bool
-    is_tp: bool
-    choi_min_eig: float
-    completeness_defect: float
-
-    def __bool__(self):
-        return self.is_cp and self.is_tp
-
-
-def is_cptp(phi: KrausMap, tol: float = 1e-10) -> CptpVerdict:
-    """CP iff the Choi matrix has min eigenvalue >= -tol (automatic for an
-    actual Kraus list, but checked, not assumed); TP iff sum K^dag K = I
-    to tol."""
-    w = np.linalg.eigvalsh(choi_matrix(phi))
-    lo = float(w[0])
-    defect = phi.completeness_defect()
-    return CptpVerdict(lo >= -tol, defect <= tol, lo, defect)
 
 
 @dataclass(frozen=True)

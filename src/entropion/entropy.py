@@ -28,26 +28,27 @@ u = ln t, where every turnover has width O(1) whatever the conditioning:
 Rows in ker Q are dropped, so every q_k > 0, 1/(q_k + e^u p_k) <= 1/q_k
 and e^u / (1 + e^u)^2 <= e^{-|u|}; hence g(u) <= C e^{-|u|} with
 C = sum_k w_k / q_k.  Cutting the line at |u| = L drops at most
-2 C e^{-L}, so L = ln(C / tau) with tau = 1e-6 * abs_tol (1e-16 at the
-default) keeps the tails at the rounding floor.  The bound is close to
-tight on the left, where g(u) ~ C e^u, so the cut biases every value low
-by about tau.  The finite range u in [-L, L] is mapped onto the s in
-[0, 1] that ``adaptive_gl`` integrates by u = L (2s - 1).  L grows like the log of 1 / lambda_min(Q), and g is
-analytic in the strip |Im u| < pi, so the panel count needed grows by a
-bounded amount per decade of conditioning.
+2 C e^{-L}, so L = ln(C / tau) with tau = _TAIL_SHARE * _ABS_TOL = 1e-16
+keeps the tails at the rounding floor.  The bound is close to tight on
+the left, where g(u) ~ C e^u, so the cut biases every value low by about
+tau.  The finite range u in [-L, L] is mapped onto the s in [0, 1] that
+``adaptive_gl`` integrates by u = L (2s - 1) (``_log_scale``).  L grows
+like the log of 1 / lambda_min(Q), and g is analytic in the strip
+|Im u| < pi, so the panel count needed grows by a bounded amount per
+decade of conditioning.  ``scalar_log_identity`` integrates its two
+scalar integrals on the same map.
 
 Each route validates its operands on the decomposition it needs anyway
 (``matcore.psd_eigvalsh`` / ``psd_eig``), so a relative entropy costs two
 eigensolves and an entropy one.  One function, ``_support_split``, holds
 the support rule that decides +inf: P's weight on ker Q against
-``SUPPORT_MASS_TOL * max(1, Tr P)``.  All three routes and
-``support_defect`` read it, and no route calls another.
+``SUPPORT_MASS_TOL * max(1, Tr P)``.  All three routes read it, and no
+route calls another.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,7 +57,6 @@ from .matcore import (
     NonConvergence,
     Spectrum,
     as_density,
-    as_psd,
     partial_trace,
     psd_eig,
     psd_eigvalsh,
@@ -70,35 +70,15 @@ SUPPORT_MASS_TOL = 1e-10
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _GL_CHUNK = 4096  # nodes evaluated per batch, bounds memory at high panel counts
+# adaptive_gl: 10-node panels on [0, 1], _BASE_PANELS at first, doubled
+# until two successive estimates differ by at most _ABS_TOL.
+_ABS_TOL = 1e-10
+_BASE_PANELS = 8
+_MAX_REFINEMENTS = 30
 # The integral route cuts u = ln t at |u| = L where its tails sum to at
-# most 2 * _TAIL_SHARE * abs_tol.  L grows only by ln(1 / _TAIL_SHARE),
+# most 2 * _TAIL_SHARE * _ABS_TOL.  L grows only by ln(1 / _TAIL_SHARE),
 # so the budget can sit at the rounding floor.
 _TAIL_SHARE = 1e-6
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Adaptive Gauss-Legendre settings: 10-node panels on [0, 1], panel
-    count doubled until two successive estimates differ by at most abs_tol.
-
-    The integral route integrates over u = ln t in [-L, L], mapped onto
-    [0, 1] by u = L (2s - 1); abs_tol also sets L, through the tail bound
-    C e^{-L} = 1e-6 * abs_tol on each side (see the module docstring), so
-    a panel spans 2L / panels in u.
-    """
-
-    abs_tol: float = 1e-10
-    max_refinements: int = 30
-    base_panels: int = 8
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be positive")
-        if self.max_refinements < 1 or self.base_panels < 1:
-            raise ValueError("max_refinements and base_panels must be >= 1")
-
-
-_DEFAULT_QUAD = QuadratureConfig()
 
 
 def composite_gl(f: Callable[[np.ndarray], np.ndarray], panels: int) -> float:
@@ -116,23 +96,23 @@ def composite_gl(f: Callable[[np.ndarray], np.ndarray], panels: int) -> float:
     return total
 
 
-def adaptive_gl(f: Callable[[np.ndarray], np.ndarray], cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
+def adaptive_gl(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """Panel-doubling Gauss-Legendre on [0, 1] with an absolute stopping rule."""
-    panels = cfg.base_panels
+    panels = _BASE_PANELS
     prev = composite_gl(f, panels)
-    for _ in range(cfg.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         panels *= 2
         cur = composite_gl(f, panels)
-        if abs(cur - prev) <= cfg.abs_tol:
+        if abs(cur - prev) <= _ABS_TOL:
             return cur
         if not math.isfinite(cur):
             # it would never settle; doubling on would only run the panel
-            # count up to base_panels * 2^max_refinements
+            # count up to _BASE_PANELS * 2^_MAX_REFINEMENTS
             raise NonConvergence(f"quadrature estimate is {cur!r} at {panels} panels")
         prev = cur
     raise NonConvergence(
-        f"quadrature did not settle to {cfg.abs_tol:g} within "
-        f"{cfg.max_refinements} panel doublings"
+        f"quadrature did not settle to {_ABS_TOL:g} within "
+        f"{_MAX_REFINEMENTS} panel doublings"
     )
 
 
@@ -173,18 +153,6 @@ def _support_split(p: np.ndarray, q: Spectrum) -> _Support:
     return _Support(p_in_q, on_q, ker_mass, infinite)
 
 
-def support_defect(p, q) -> float:
-    """Weight of P carried by the kernel of Q (both PSD).
-
-    Zero exactly when supp(P) is contained in supp(Q); this is the +inf
-    detector for relative entropy.
-    """
-    p = as_psd(p)
-    q, spec_q = psd_eig(q)
-    _same_shape(p, q)
-    return max(_support_split(p, spec_q).ker_mass, 0.0)
-
-
 def _relent(p: np.ndarray, lam_p: np.ndarray, q: Spectrum) -> float:
     """The spectral route on validated operands: P with its eigenvalues and
     Q's spectrum, both clipped at zero."""
@@ -205,17 +173,34 @@ def relative_entropy(p, q) -> float:
     return _relent(p, lam_p, spec_q)
 
 
+def _half_width(bound: float) -> float:
+    """The cut L of u = ln t for an integrand bounded by bound * e^{-|u|}:
+    each tail beyond |u| = L holds at most _TAIL_SHARE * _ABS_TOL.  L >= 1
+    keeps the range nonempty when the bound is tiny."""
+    return math.log(max(bound / (_TAIL_SHARE * _ABS_TOL), math.e))
+
+
+def _log_scale(s: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
+    """Map s in [0, 1] onto u = L (2s - 1) in [-L, L] (Jacobian 2L).
+
+    Returns t = e^u and 2L e^u / (1 + e^u)^2, the factor that turns
+    (1 + t)^{-2} dt into ds, written in e^{-|u|} so it cannot overflow.
+    """
+    u = half * (2.0 * s - 1.0)
+    decay = np.exp(-np.abs(u))
+    return np.exp(u), 2.0 * half * decay / (1.0 + decay) ** 2
+
+
 class _IntegralData:
     """Shared spectral preparation for the integral and kernel routes.
 
     ``half_width`` is the cut L of the integral route's range u in [-L, L]
-    for a tail budget of 2 * _TAIL_SHARE * abs_tol (see the module
-    docstring).
+    (see the module docstring).
     """
 
     __slots__ = ("weights", "q_eigs", "p_eigs", "trace_correction", "violated", "half_width")
 
-    def __init__(self, p, q, abs_tol: float = _DEFAULT_QUAD.abs_tol):
+    def __init__(self, p, q):
         p, sp = psd_eig(p)
         q, sq = psd_eig(q)
         _same_shape(p, q)
@@ -231,36 +216,28 @@ class _IntegralData:
         self.q_eigs = np.repeat(sq.eigenvalues[split.on_q], lam_p.size)
         self.p_eigs = np.tile(lam_p, int(split.on_q.sum()))
         self.trace_correction = float(np.trace(p).real) - float(np.trace(q).real)
-        # g(u) <= C e^{-|u|}; L >= 1 keeps the range nonempty when C is tiny
-        bound = float(np.sum(self.weights / self.q_eigs))
-        self.half_width = math.log(max(bound / (_TAIL_SHARE * abs_tol), math.e))
+        # g(u) <= C e^{-|u|}
+        self.half_width = _half_width(float(np.sum(self.weights / self.q_eigs)))
 
     def integrand(self, s: np.ndarray) -> np.ndarray:
         """2L g(u) at u = L (2s - 1): the integral over s in [0, 1] is the
         resolvent integral over t = e^u in [e^{-L}, e^L]."""
-        half = self.half_width
-        u = half * (2.0 * s - 1.0)
-        decay = np.exp(-np.abs(u))
-        # Jacobian 2L times e^u / (1 + e^u)^2, written in e^{-|u|} so it
-        # cannot overflow
-        jac = 2.0 * half * decay / (1.0 + decay) ** 2
-        t = np.exp(u)
+        t, jac = _log_scale(s, self.half_width)
         terms = self.weights[:, None] / (self.q_eigs[:, None] + t[None, :] * self.p_eigs[:, None])
         return jac * terms.sum(axis=0)
 
 
-def relative_entropy_integral(p, q, cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
+def relative_entropy_integral(p, q) -> float:
     """H(P, Q) by adaptive quadrature of the resolvent quadratic form."""
-    data = _IntegralData(p, q, cfg.abs_tol)
+    data = _IntegralData(p, q)
     if data.violated:
         return math.inf
-    return data.trace_correction + adaptive_gl(data.integrand, cfg)
+    return data.trace_correction + adaptive_gl(data.integrand)
 
 
 def relative_entropy_integral_fixed(p, q, panels: int) -> float:
     """Single-pass version at a fixed panel count, for convergence studies:
-    ``panels`` Gauss-Legendre panels across u = ln t in [-L, L], with L
-    set by the default abs_tol."""
+    ``panels`` Gauss-Legendre panels across u = ln t in [-L, L]."""
     if panels < 1:
         raise ValueError("panel count must be >= 1")
     data = _IntegralData(p, q)
@@ -328,29 +305,29 @@ def relative_entropy_spectral_kernel(p, q) -> float:
     return data.trace_correction + total
 
 
-def scalar_log_identity(w: float, cfg: QuadratureConfig = _DEFAULT_QUAD) -> tuple[float, float, float]:
+def scalar_log_identity(w: float) -> tuple[float, float, float]:
     """The 1x1 sanity chain behind the integral route.
 
     Returns (-ln w, quadrature of int_0^inf [1/(w+t) - 1/(1+t)] dt,
     (1-w) + quadrature of int_0^inf (w-1)^2 / ((w+t)(1+t)^2) dt); all three
-    agree for w > 0.  Both integrals are taken under t = s/(1-s), which
-    maps the half-line onto [0, 1) and absorbs the (1+t)^{-2} weight
-    exactly, so both integrands become rational functions on [0, 1].
+    agree for w > 0.  Both integrals run on the integral route's map
+    u = ln t in [-L, L]: the second is that route on P = 1, Q = w, and the
+    first, (1-w)/((w+t)(1+t)) = (1-w)(1+t)/(w+t) * (1+t)^{-2}, is at most
+    |1-w| max(1, 1/w) e^{-|u|} in u, which sets its L.  So the cost grows
+    with |ln w| only through L, as the integral route's does with the
+    conditioning.
     """
     w = float(w)
     if not (w > 0.0) or not np.isfinite(w):
         raise ValueError(f"w must be positive and finite, got {w!r}")
     lhs = -math.log(w)
+    half = _half_width(abs(1.0 - w) * max(1.0, 1.0 / w))
 
     def g1(s: np.ndarray) -> np.ndarray:
-        return (1.0 - w) / (s + w * (1.0 - s))
+        t, jac = _log_scale(s, half)
+        return jac * (1.0 - w) * (1.0 + t) / (w + t)
 
-    def g2(s: np.ndarray) -> np.ndarray:
-        return (w - 1.0) ** 2 * (1.0 - s) / (w * (1.0 - s) + s)
-
-    rhs1 = adaptive_gl(g1, cfg)
-    rhs2 = (1.0 - w) + adaptive_gl(g2, cfg)
-    return lhs, rhs1, rhs2
+    return lhs, adaptive_gl(g1), relative_entropy_integral([[1.0]], [[w]])
 
 
 def conditional_entropy(rho_ab, dims, check_identity: bool = False) -> float:

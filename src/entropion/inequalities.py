@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import KrausMap, adjoint_channel, apply_channel, apply_linear, dephase, require_tp
+from .channels import KrausMap, adjoint_channel, apply_channel, apply_linear, require_tp
 from .entropy import (
     _entropy,
     _relent,
@@ -29,9 +29,10 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .matcore import (
+    _spectral_function,
     as_matrix,
     as_psd,
-    matrix_function,
+    hermitian_eig,
     partial_trace,
     partial_trace_pure,
     psd_eig,
@@ -209,8 +210,9 @@ def check_schwarz_quadratic(a_list: Sequence, p_list: Sequence, q_list: Sequence
     return total - combined
 
 
-def _strict_inverse(p) -> np.ndarray:
-    return matrix_function(p, lambda x: 1.0 / x)
+def _inverse(spec) -> np.ndarray:
+    """P^{-1} from P's spectrum; ValueError when P is singular."""
+    return _spectral_function(spec, lambda x: 1.0 / x)
 
 
 def _min_eig(m) -> float:
@@ -226,13 +228,15 @@ def check_operator_schwarz(a_list: Sequence, p_list: Sequence) -> float:
     if len(a_list) != len(p_list) or not a_list:
         raise ValueError("need equally many A and P entries")
     lhs = None
+    p_sum = None
     for a, p in zip(a_list, p_list):
         a = as_matrix(a)
-        term = a.conj().T @ _strict_inverse(p) @ a
+        p, spec = psd_eig(p)
+        term = a.conj().T @ _inverse(spec) @ a
         lhs = term if lhs is None else lhs + term
+        p_sum = p if p_sum is None else p_sum + p
     a_sum = sum(as_matrix(a) for a in a_list)
-    p_sum = sum(as_psd(p) for p in p_list)
-    rhs = a_sum.conj().T @ _strict_inverse(p_sum) @ a_sum
+    rhs = a_sum.conj().T @ _inverse(hermitian_eig(p_sum)) @ a_sum
     return _min_eig(lhs - rhs)
 
 
@@ -245,15 +249,16 @@ def check_cp_schwarz(phi: KrausMap, a, b, p) -> tuple[float, float]:
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    p = as_psd(p)
-    t1 = apply_linear(phi, a.conj().T @ _strict_inverse(p) @ a)
+    p, spec_p = psd_eig(p)
+    t1 = apply_linear(phi, a.conj().T @ _inverse(spec_p) @ a)
     fa = apply_linear(phi, a)
-    fp_inv = _strict_inverse(apply_channel(phi, p))
+    fp_inv = _inverse(hermitian_eig(apply_channel(phi, p)))
     m1 = _min_eig(t1 - fa.conj().T @ fp_inv @ fa)
 
     t2 = apply_linear(phi, a.conj().T @ a)
     g = apply_linear(phi, a.conj().T @ b)
-    h_inv = _strict_inverse(apply_channel(phi, (b.conj().T @ b + (b.conj().T @ b).conj().T) / 2))
+    bb = b.conj().T @ b
+    h_inv = _inverse(hermitian_eig(apply_channel(phi, (bb + bb.conj().T) / 2)))
     m2 = _min_eig(t2 - g @ h_inv @ g.conj().T)
     return m1, m2
 
@@ -289,31 +294,31 @@ class BlockContractionReport:
 
 
 def check_block_contraction(p, q, c, tol: float = 1e-9) -> BlockContractionReport:
-    p = as_psd(p)
-    q = as_psd(q)
+    p, spec_p = psd_eig(p)
+    q, spec_q = psd_eig(q)
     c = as_matrix(c)
     if c.shape != p.shape or p.shape != q.shape:
         raise ValueError("P, Q, C must share one square shape")
     block = np.block([[p, c], [c.conj().T, q]])
     block_min = _min_eig(block)
-    p_inv = _strict_inverse(p)
-    schur_min = _min_eig(q - c.conj().T @ p_inv @ c)
-    p_mhalf = matrix_function(p, lambda v: v ** -0.5)
-    q_mhalf = matrix_function(q, lambda v: v ** -0.5)
+    schur_min = _min_eig(q - c.conj().T @ _inverse(spec_p) @ c)
+    p_mhalf = _spectral_function(spec_p, lambda v: v ** -0.5)
+    q_mhalf = _spectral_function(spec_q, lambda v: v ** -0.5)
     x = p_mhalf @ c @ q_mhalf
     smax = float(np.linalg.svd(x, compute_uv=False)[0])
     return BlockContractionReport(block_min, schur_min, smax, float(tol))
 
 
-def check_monotonicity(rho, gamma, mode: str = "general", channel: KrausMap | None = None,
-                       dims=None) -> float:
-    """Data-processing margin H(rho, gamma) - H(Phi rho, Phi gamma).
+def check_monotonicity(rho, gamma, channel: KrausMap) -> float:
+    """Data-processing margin H(rho, gamma) - H(Phi rho, Phi gamma) for a
+    trace-preserving Kraus channel Phi (Lindblad-Uhlmann monotonicity).
 
-    mode "dephase" uses the standard-basis dephasing, "partial_trace"
-    keeps factor 0 of ``dims``, "general" applies the given trace
-    preserving Kraus channel.  Returns +inf (trial skipped) when the input
-    relative entropy is infinite, or on the off chance the output one is.
+    Dephasing and partial traces are channels like any other (see
+    `channels.trace_out_channel`).  Returns +inf (trial skipped) when the
+    input relative entropy is infinite, or on the off chance the output
+    one is.
     """
+    require_tp(channel)
     rho, lam_rho = psd_eigvalsh(rho)
     require_unit_trace(rho)
     gamma, spec_gamma = psd_eig(gamma)
@@ -322,20 +327,7 @@ def check_monotonicity(rho, gamma, mode: str = "general", channel: KrausMap | No
     h_in = _relent(rho, lam_rho, spec_gamma)
     if math.isinf(h_in):
         return math.inf
-    if mode == "dephase":
-        out = (dephase(rho), dephase(gamma))
-    elif mode == "partial_trace":
-        if dims is None:
-            raise ValueError("partial_trace mode needs dims")
-        out = (partial_trace(rho, dims, (0,)), partial_trace(gamma, dims, (0,)))
-    elif mode == "general":
-        if channel is None:
-            raise ValueError("general mode needs a channel")
-        require_tp(channel)
-        out = (apply_channel(channel, rho), apply_channel(channel, gamma))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    h_out = relative_entropy(*out)
+    h_out = relative_entropy(apply_channel(channel, rho), apply_channel(channel, gamma))
     if math.isinf(h_out):
         return math.inf
     return h_in - h_out
@@ -344,7 +336,6 @@ def check_monotonicity(rho, gamma, mode: str = "general", channel: KrausMap | No
 class SsaMargins(NamedTuple):
     primary: float
     alt: float
-    f_value: float
 
 
 def check_ssa(rho_abc, dims) -> SsaMargins:
@@ -352,8 +343,7 @@ def check_ssa(rho_abc, dims) -> SsaMargins:
 
     primary = S(AB) + S(BC) - S(ABC) - S(B);
     alt     = S(AB) + S(AC) - S(B) - S(C), the concave functional F with
-    the third factor in the purifying role (f_value is F itself, which is
-    numerically the same expression on the input state).
+    the third factor in the purifying role; it vanishes on pure states.
     """
     rho, lam = psd_eigvalsh(rho_abc)
     require_unit_trace(rho)
@@ -367,8 +357,8 @@ def check_ssa(rho_abc, dims) -> SsaMargins:
     s_b = von_neumann_entropy(partial_trace(rho, ds, (1,)))
     s_c = von_neumann_entropy(partial_trace(rho, ds, (2,)))
     primary = s_ab + s_bc - s_abc - s_b
-    f_value = s_ab + s_ac - s_b - s_c
-    return SsaMargins(float(primary), float(f_value), float(f_value))
+    alt = s_ab + s_ac - s_b - s_c
+    return SsaMargins(float(primary), float(alt))
 
 
 def check_concavity(mode: str, states: Sequence, weights, channel: KrausMap | None = None,

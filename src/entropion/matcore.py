@@ -15,7 +15,9 @@ Conventions used throughout the package:
   (``psd_eigvalsh`` when eigenvalues suffice, ``psd_eig`` when eigenvectors
   are needed too), never by a separate probe.  Public functions validate
   at the boundary; package-internal calls on matrices that are already
-  validated reuse that decomposition instead of validating again;
+  validated reuse that decomposition instead of validating again, and an
+  inverse or root of such a matrix comes from its spectrum through
+  ``_spectral_function``, the helper behind ``matrix_function``;
 * reductions of a pure state go through ``partial_trace_pure`` on the
   state vector, never through the projector ``|psi><psi|``.
 
@@ -83,6 +85,11 @@ def as_hermitian(m) -> np.ndarray:
     r, c = a.shape
     if r != c:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not math.isfinite(scale):
+        # every entry is finite but a modulus overflowed: check a / 4, which
+        # is exact and has finite moduli (a defect is reported at that
+        # scale), then scale the result back
+        return as_hermitian(a * 0.25) * 4.0
     h = a.conj().T
     defect = max_abs(a - h)
     if defect > HERMITICITY_TOL * max(1.0, scale):
@@ -90,22 +97,22 @@ def as_hermitian(m) -> np.ndarray:
     return (a + h) / 2
 
 
-def _clip_psd(w: np.ndarray, tol: float) -> np.ndarray:
+def _clip_psd(w: np.ndarray) -> np.ndarray:
     """PSD test (scale-aware) on ascending eigenvalues, then clip at zero."""
     lo = float(w[0])
-    if lo < -tol * max(1.0, float(w[-1])):
+    if lo < -PSD_TOL * max(1.0, float(w[-1])):
         raise ValueError(f"matrix is not PSD (min eigenvalue {lo:.3e})")
     return np.maximum(w, 0.0)
 
 
-def psd_eigvalsh(m, tol: float = PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
+def psd_eigvalsh(m) -> tuple[np.ndarray, np.ndarray]:
     """Validate positive semidefiniteness from one ``eigvalsh``.
 
     Returns the symmetrized matrix and its ascending eigenvalues, clipped
     at zero so that no caller sees a spuriously negative one.
     """
     a = as_hermitian(m)
-    return a, _clip_psd(np.linalg.eigvalsh(a), tol)
+    return a, _clip_psd(np.linalg.eigvalsh(a))
 
 
 def psd_eig(m) -> tuple[np.ndarray, Spectrum]:
@@ -116,12 +123,12 @@ def psd_eig(m) -> tuple[np.ndarray, Spectrum]:
     """
     a = as_hermitian(m)
     spec = _eigh(a)
-    return a, Spectrum(_clip_psd(spec.eigenvalues, PSD_TOL), spec.eigenvectors)
+    return a, Spectrum(_clip_psd(spec.eigenvalues), spec.eigenvectors)
 
 
-def as_psd(m, tol: float = PSD_TOL) -> np.ndarray:
-    """Validate positive semidefiniteness to tolerance (scale-aware)."""
-    return psd_eigvalsh(m, tol)[0]
+def as_psd(m) -> np.ndarray:
+    """Validate positive semidefiniteness to PSD_TOL (scale-aware)."""
+    return psd_eigvalsh(m)[0]
 
 
 def require_unit_trace(a: np.ndarray) -> np.ndarray:
@@ -170,26 +177,18 @@ def hermitian_eig(m) -> Spectrum:
     return _eigh(as_hermitian(m))
 
 
-def matrix_function(m, f: Callable[[float], float], on_kernel: str = "apply") -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix spectrally.
+def _spectral_function(spec: Spectrum, f: Callable[[float], float]) -> np.ndarray:
+    """f(A) from the spectrum of a Hermitian A.
 
-    Eigenvalues inside the zero band are snapped to exactly 0 first.
-    ``on_kernel="apply"`` passes those zeros to ``f`` like any other
-    eigenvalue; ``on_kernel="drop"`` excludes them, which turns ``f(x)=1/x``
-    into the pseudo-inverse and ``log`` into its support restriction.
-    Raises ValueError when ``f`` is undefined or non-finite on a (snapped)
-    eigenvalue.
+    Eigenvalues inside the zero band are snapped to exactly 0 and then
+    passed to ``f`` like any other.  Raises ValueError when ``f`` is
+    undefined or non-finite on a (snapped) eigenvalue, so ``1/x`` refuses a
+    singular matrix.
     """
-    if on_kernel not in ("apply", "drop"):
-        raise ValueError(f"on_kernel must be 'apply' or 'drop', got {on_kernel!r}")
-    spec = hermitian_eig(m)
     lam = spec.eigenvalues.copy()
-    band = zero_band(lam)
-    in_band = np.abs(lam) <= band
-    lam[in_band] = 0.0
-    keep = ~in_band if on_kernel == "drop" else np.ones(lam.size, dtype=bool)
-    vals = np.empty(int(keep.sum()))
-    for i, x in enumerate(lam[keep]):
+    lam[np.abs(lam) <= zero_band(lam)] = 0.0
+    vals = np.empty(lam.size)
+    for i, x in enumerate(lam):
         try:
             y = float(f(float(x)))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -197,9 +196,15 @@ def matrix_function(m, f: Callable[[float], float], on_kernel: str = "apply") ->
         if not np.isfinite(y):
             raise ValueError(f"f({x!r}) is not finite")
         vals[i] = y
-    u = spec.eigenvectors[:, keep]
+    u = spec.eigenvectors
     out = (u * vals) @ u.conj().T
     return (out + out.conj().T) / 2
+
+
+def matrix_function(m, f: Callable[[float], float]) -> np.ndarray:
+    """Apply a real scalar function to a Hermitian matrix spectrally
+    (see `_spectral_function` for the kernel policy)."""
+    return _spectral_function(hermitian_eig(m), f)
 
 
 def tensor(a, b) -> np.ndarray:

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .matcore import as_psd, matrix_function
+from .matcore import _spectral_function, psd_eig
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -238,8 +238,7 @@ def random_povm(d: int, n_effects: int, rng: RngState) -> list[np.ndarray]:
         g = random_matrix(d, d, rng)
         a = g @ g.conj().T
         raw.append((a + a.conj().T) / 2)
-    s = as_psd(sum(raw))
-    s_half_inv = matrix_function(s, lambda x: x ** -0.5)
+    s_half_inv = _spectral_function(psd_eig(sum(raw))[1], lambda x: x ** -0.5)
     out = []
     for a in raw:
         m = s_half_inv @ a @ s_half_inv

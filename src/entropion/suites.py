@@ -40,6 +40,7 @@ from .channels import (
     povm_channel,
     purify,
     tensor_channel,
+    trace_out_channel,
 )
 from .entropy import (
     _relent,
@@ -248,14 +249,15 @@ def _trial_block_contraction(rng: RngState, d: int):
 def _trial_monotonicity_dephase(rng: RngState, d: int):
     rho = _mixed_rank_density(rng, d)
     gamma = random_density(d, d, rng)
-    return check_monotonicity(rho, gamma, mode="dephase"), (rho, gamma)
+    dephasing = KrausMap([np.diag(e) for e in np.eye(d)])
+    return check_monotonicity(rho, gamma, dephasing), (rho, gamma)
 
 
 def _trial_monotonicity_ptrace(rng: RngState, d: int):
     big = d * d
     rho = _mixed_rank_density(rng, big)
     gamma = random_density(big, big, rng)
-    margin = check_monotonicity(rho, gamma, mode="partial_trace", dims=(d, d))
+    margin = check_monotonicity(rho, gamma, trace_out_channel((d, d), (0,)))
     return margin, (rho, gamma)
 
 
@@ -263,7 +265,7 @@ def _trial_monotonicity_general(rng: RngState, d: int):
     rho = _mixed_rank_density(rng, d)
     gamma = random_density(d, d, rng)
     phi = KrausMap(random_cptp(d, 2 + rng.integer(3), rng))
-    margin = check_monotonicity(rho, gamma, mode="general", channel=phi)
+    margin = check_monotonicity(rho, gamma, phi)
     return margin, (rho, gamma) + phi.kraus_ops
 
 
@@ -271,7 +273,7 @@ def _trial_monotonicity_unitary(rng: RngState, d: int):
     rho = _mixed_rank_density(rng, d)
     gamma = random_density(d, d, rng)
     phi = KrausMap([random_unitary(d, rng)])
-    margin = check_monotonicity(rho, gamma, mode="general", channel=phi)
+    margin = check_monotonicity(rho, gamma, phi)
     if math.isinf(margin):
         return math.inf, (rho, gamma)
     # unitaries preserve relative entropy: the margin must vanish

@@ -54,13 +54,13 @@ class SuperOpSpec:
         return self.left @ x + self.t * (x @ self.right)
 
 
-def solve_resolvent(spec: SuperOpSpec, x, kernel_mass_tol: float = KERNEL_MASS_TOL) -> np.ndarray:
+def solve_resolvent(spec: SuperOpSpec, x) -> np.ndarray:
     """Solve left Y + t Y right = X on the support of the map.
 
     Denominators within KERNEL_BAND of zero (relative to
     lambda_max(left) + t lambda_max(right)) are joint kernel: Y is set to
     zero there, pseudo-inverse style, provided X carries no more than
-    ``kernel_mass_tol`` relative weight on those modes.  Otherwise raises
+    KERNEL_MASS_TOL relative weight on those modes.  Otherwise raises
     KernelObstruction.
     """
     x = as_matrix(x)
@@ -76,7 +76,7 @@ def solve_resolvent(spec: SuperOpSpec, x, kernel_mass_tol: float = KERNEL_MASS_T
     kernel = denom <= KERNEL_BAND * scale if scale > 0.0 else np.ones_like(denom, dtype=bool)
     if kernel.any():
         mass = max_abs(xt[kernel])
-        if mass > kernel_mass_tol * max(1.0, max_abs(x)):
+        if mass > KERNEL_MASS_TOL * max(1.0, max_abs(x)):
             raise KernelObstruction(
                 f"operand has weight {mass:.3e} on the joint kernel of the map"
             )

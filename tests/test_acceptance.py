@@ -110,7 +110,7 @@ def test_c4_pure_states_zero_functional():
         v = random_matrix(8, 1, rng.child(i)).ravel()
         v = v / np.linalg.norm(v)
         m = check_ssa(np.outer(v, v.conj()), (2, 2, 2))
-        worst = max(worst, abs(m.f_value))
+        worst = max(worst, abs(m.alt))
     ok = worst <= 1e-9
     assert _verdict("C4 F(pure)=0", ok, f"worst |F|={worst:.3e}")
 

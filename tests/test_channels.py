@@ -12,11 +12,9 @@ from entropion import (
     apply_ancilla,
     apply_channel,
     apply_linear,
-    choi_matrix,
     dephase,
     dephase_via_z,
     identity_channel,
-    is_cptp,
     partial_trace,
     povm_channel,
     purify,
@@ -30,12 +28,13 @@ from entropion import (
     trace_out_channel,
     von_neumann_entropy,
 )
+from entropion.channels import require_tp
 
 
 def test_kraus_map_validation():
     k = KrausMap([np.eye(2)])
     assert k.d_in == 2 and k.d_out == 2
-    assert k.is_trace_preserving
+    require_tp(k)
     with pytest.raises(ValueError):
         KrausMap([])
     with pytest.raises(ValueError):
@@ -45,12 +44,13 @@ def test_kraus_map_validation():
     v[0, 0] = v[1, 1] = 1.0
     tall = KrausMap([v])
     assert tall.d_in == 2 and tall.d_out == 3
-    assert tall.is_trace_preserving
+    require_tp(tall)
 
 
 def test_completeness_defect():
     half = KrausMap([np.eye(2) / 2])
-    assert not half.is_trace_preserving
+    with pytest.raises(ValueError):
+        require_tp(half)
     # sum K^dag K = I/4, defect = |I/4 - I| max entry = 0.75
     assert half.completeness_defect() == pytest.approx(0.75, abs=1e-14)
 
@@ -115,12 +115,25 @@ def test_povm_validation():
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # negative effect
 
 
+def test_povm_channel_roots_come_from_the_validating_decomposition(monkeypatch):
+    effects = random_povm(3, 4, RngState(69))
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    povm_channel(Povm(effects))
+    assert calls == {"eigh": 4, "eigvalsh": 0}
+
+
 def test_povm_channel_outputs_exact_diagonal():
     rng = RngState(65)
     povm = Povm(random_povm(3, 4, rng.child(0)))
     phi = povm_channel(povm)
     assert phi.d_in == 3 and phi.d_out == 4
-    assert phi.is_trace_preserving
+    require_tp(phi)
     rho = random_density(3, 3, rng.child(1))
     out = apply_channel(phi, rho)
     # diagonal entries are the Born probabilities Tr(M_a rho)
@@ -128,50 +141,6 @@ def test_povm_channel_outputs_exact_diagonal():
     assert np.allclose(np.diag(out).real, probs, atol=1e-12)
     off = out - np.diag(np.diag(out))
     assert np.all(off == 0)  # exactly zero, not just small
-
-
-def test_choi_matrix_identity_channel():
-    # Choi of the identity on d=3: rank one, trace d
-    c = choi_matrix(identity_channel(3))
-    evs = np.linalg.eigvalsh(c)
-    assert evs[-1] == pytest.approx(3.0, abs=1e-12)
-    assert np.sum(evs > 1e-12) == 1
-    assert np.trace(c).real == pytest.approx(3.0, abs=1e-12)
-
-
-def test_choi_matrix_detects_non_cp():
-    # the transpose map is positive but not CP; its Choi is the swap with
-    # eigenvalue -1
-    d = 2
-    transpose_kraus = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            transpose_kraus.append(e)
-    # Build the swap Choi directly: sum_{ij} E_ij (x) E_ij^T is the Choi of
-    # the transpose when assembled as sum E_ij (x) E_ji
-    swap = np.zeros((4, 4), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e_ij = np.zeros((d, d), dtype=complex)
-            e_ij[i, j] = 1.0
-            swap += tensor(e_ij, e_ij.T)
-    assert np.linalg.eigvalsh(swap)[0] == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_is_cptp_verdicts():
-    rng = RngState(66)
-    phi = KrausMap(random_cptp(3, 3, rng.child(0)))
-    v = is_cptp(phi)
-    assert bool(v)
-    assert v.is_cp and v.is_tp
-    assert v.choi_min_eig > -1e-12
-    assert v.completeness_defect < 1e-12
-    # scaling a Kraus set breaks trace preservation but not positivity
-    scaled = KrausMap([0.5 * k for k in phi.kraus_ops])
-    v2 = is_cptp(scaled)
-    assert v2.is_cp and not v2.is_tp and not bool(v2)
 
 
 def test_tensor_channel_factorizes():
@@ -189,13 +158,21 @@ def test_tensor_channel_factorizes():
 
 def test_trace_out_channel_matches_partial_trace():
     rng = RngState(68)
-    rho = random_density(12, 12, rng)
-    dims = (2, 3, 2)
-    for keep in [(0,), (1,), (0, 2), (1, 2)]:
+    cases = [((2, 3, 2), (0,)), ((2, 3, 2), (1,)), ((2, 3, 2), (0, 2)),
+             ((2, 3, 2), (1, 2)), ((3, 3), (0,)), ((3, 3), (1,))]
+    for i, (dims, keep) in enumerate(cases):
+        rho = random_density(math.prod(dims), math.prod(dims), rng.child(i))
         phi = trace_out_channel(dims, keep)
-        assert is_cptp(phi).is_tp
+        require_tp(phi)
         out = apply_channel(phi, rho)
-        assert np.allclose(out, partial_trace(rho, dims, keep), atol=1e-12)
+        want = partial_trace(rho, dims, keep)
+        if len(dims) - len(keep) == 1:
+            # one traced factor: both add the same terms in the same order
+            assert np.array_equal(out, want)
+        else:
+            # partial_trace sums factor by factor, the channel sums the
+            # traced labels in one sequence
+            assert np.allclose(out, want, rtol=0.0, atol=1e-15)
 
 
 def test_ancilla_representation_roundtrip():

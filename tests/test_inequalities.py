@@ -17,13 +17,17 @@ from entropion import (
     check_pure_state_lemmas,
     check_schwarz_quadratic,
     check_ssa,
+    dephase,
     matrix_function,
+    partial_trace,
     random_cptp,
     random_density,
     random_matrix,
     random_simplex,
     random_unitary,
+    relative_entropy,
     tensor,
+    trace_out_channel,
 )
 
 
@@ -132,6 +136,41 @@ def test_cp_schwarz_random_channel():
         assert m2 > -1e-9
 
 
+def _count_eigensolves(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_schwarz_checks_decompose_each_operand_once(monkeypatch):
+    # each PSD operand is validated by the eigh its inverse or root is
+    # formed from; eigvalsh runs only for the reported smallest eigenvalues
+    rng = RngState(99)
+    a, b, c = (random_matrix(3, 3, rng.child(i)) for i in range(3))
+    p, q = _psd(3, rng.child(3), 0.1), _psd(3, rng.child(4), 0.1)
+    phi = KrausMap(random_cptp(3, 2, rng.child(5)))
+    calls = _count_eigensolves(monkeypatch)
+    runs = [
+        (lambda p: check_operator_schwarz([a, b], [p, q]), {"eigh": 3, "eigvalsh": 1}),
+        (lambda p: check_cp_schwarz(phi, a, b, p), {"eigh": 3, "eigvalsh": 2}),
+        (lambda p: check_block_contraction(p, q, c), {"eigh": 2, "eigvalsh": 2}),
+    ]
+    not_psd = p - 2.0 * np.eye(3) * np.linalg.norm(p)
+    singular = np.diag([1.0, 1.0, 0.0])
+    for run, want in runs:
+        calls.update(eigh=0, eigvalsh=0)
+        run(p)
+        assert calls == want
+        for bad in (not_psd, singular):
+            with pytest.raises(ValueError):
+                run(bad)
+
+
 def test_block_contraction_positive_case():
     # C = sqrt(P) X sqrt(Q) with ||X|| < 1 makes every criterion positive
     rng = RngState(89)
@@ -174,13 +213,21 @@ def test_block_contraction_boundary_is_indeterminate():
 
 
 def test_monotonicity_modes():
+    # dephasing, a partial trace and a random channel go down one path
     rng = RngState(91)
     rho = random_density(4, 4, rng.child(0))
     gamma = random_density(4, 4, rng.child(1))
-    assert check_monotonicity(rho, gamma, mode="dephase") > -1e-10
-    assert check_monotonicity(rho, gamma, mode="partial_trace", dims=(2, 2)) > -1e-10
+    dephasing = KrausMap([np.diag(e) for e in np.eye(4)])
+    trace_out = trace_out_channel((2, 2), (0,))
     phi = KrausMap(random_cptp(4, 3, rng.child(2)))
-    assert check_monotonicity(rho, gamma, mode="general", channel=phi) > -1e-10
+    for channel in (dephasing, trace_out, phi):
+        assert check_monotonicity(rho, gamma, channel) > -1e-10
+    # the projector and trace-out channels give the direct reductions' margins
+    h = relative_entropy(rho, gamma)
+    for channel, reduce in ((dephasing, dephase),
+                            (trace_out, lambda m: partial_trace(m, (2, 2), (0,)))):
+        want = h - relative_entropy(reduce(rho), reduce(gamma))
+        assert check_monotonicity(rho, gamma, channel) == want
 
 
 def test_monotonicity_unitary_is_equality():
@@ -188,7 +235,7 @@ def test_monotonicity_unitary_is_equality():
     rho = random_density(3, 3, rng.child(0))
     gamma = random_density(3, 3, rng.child(1))
     u = KrausMap([random_unitary(3, rng.child(2))])
-    assert check_monotonicity(rho, gamma, mode="general", channel=u) == pytest.approx(
+    assert check_monotonicity(rho, gamma, u) == pytest.approx(
         0, abs=1e-10
     )
 
@@ -196,22 +243,19 @@ def test_monotonicity_unitary_is_equality():
 def test_monotonicity_skips_infinite_inputs():
     rho = np.diag([0.5, 0.5])
     gamma = np.diag([1.0, 0.0])
-    assert check_monotonicity(rho, gamma, mode="dephase") == math.inf
+    dephasing = KrausMap([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    assert check_monotonicity(rho, gamma, dephasing) == math.inf
 
 
 def test_monotonicity_argument_errors():
     rng = RngState(93)
     rho = random_density(2, 2, rng.child(0))
     gamma = random_density(2, 2, rng.child(1))
-    with pytest.raises(ValueError):
-        check_monotonicity(rho, gamma, mode="partial_trace")  # dims missing
-    with pytest.raises(ValueError):
-        check_monotonicity(rho, gamma, mode="general")  # channel missing
-    with pytest.raises(ValueError):
-        check_monotonicity(rho, gamma, mode="squash")
     leaky = KrausMap([np.eye(2) * 0.5])
+    with pytest.raises(ValueError, match="not trace preserving"):
+        check_monotonicity(rho, gamma, leaky)
     with pytest.raises(ValueError):
-        check_monotonicity(rho, gamma, mode="general", channel=leaky)
+        check_monotonicity(rho, gamma, KrausMap([np.eye(3)]))  # wrong input dimension
 
 
 def test_ssa_margins_random_and_product():
@@ -221,7 +265,6 @@ def test_ssa_margins_random_and_product():
         m = check_ssa(rho, (2, 2, 2))
         assert m.primary > -1e-10
         assert m.alt > -1e-10
-        assert m.alt == m.f_value
     # a fully product state saturates SSA
     a = random_density(2, 2, rng.child(100))
     b = random_density(2, 2, rng.child(101))
