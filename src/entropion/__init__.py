@@ -43,7 +43,6 @@ from .holevo import (
     chi,
     chi_via_qc,
     flagged_state,
-    measure_ensemble,
     yuen_ozawa_gap,
 )
 from .inequalities import (
@@ -56,7 +55,6 @@ from .inequalities import (
     TrialError,
     check_adjoint_contraction,
     check_block_contraction,
-    check_concavity,
     check_cp_schwarz,
     check_joint_convexity,
     check_monotonicity,

@@ -206,9 +206,9 @@ class AncillaRep:
 def ancilla_representation(phi: KrausMap) -> AncillaRep:
     """Extend the isometry V = sum_j K_j (x) |j>_anc to a unitary.
 
-    Columns of V occupy the slots |i> (x) |0>; the remaining columns are
-    filled by Gram-Schmidt over the standard basis in index order, so the
-    completion is deterministic.
+    Columns of V occupy the slots |i> (x) |0>; the remaining slots take,
+    in index order, the orthonormal complement of V's range from a
+    complete QR factorization, so the completion is deterministic.
     """
     if phi.d_in != phi.d_out:
         raise ValueError("ancilla representation needs a square channel")
@@ -220,29 +220,10 @@ def ancilla_representation(phi: KrausMap) -> AncillaRep:
     for j, k in enumerate(phi.kraus_ops):
         # row (a, j) of the isometry is row a of K_j
         iso[j::r, :] = k
-    u = np.zeros((big, big), dtype=complex)
-    cols = []
-    for i in range(d):
-        u[:, i * r] = iso[:, i]
-        cols.append(iso[:, i])
-    free_slots = [j for j in range(big) if j % r != 0]
-    filled = 0
-    for cand in range(big):
-        if filled == len(free_slots):
-            break
-        v = np.zeros(big, dtype=complex)
-        v[cand] = 1.0
-        for _pass in range(2):
-            for c in cols:
-                v = v - c * np.vdot(c, v)
-        n = float(np.linalg.norm(v))
-        if n > 1e-7:
-            v = v / n
-            u[:, free_slots[filled]] = v
-            cols.append(v)
-            filled += 1
-    if filled != len(free_slots):
-        raise ArithmeticError("failed to complete the dilation unitary")
+    u = np.empty((big, big), dtype=complex)
+    on_ancilla_zero = np.arange(big) % r == 0
+    u[:, on_ancilla_zero] = iso
+    u[:, ~on_ancilla_zero] = np.linalg.qr(iso, mode="complete")[0][:, d:]
     defect = max_abs(u.conj().T @ u - np.eye(big))
     if defect > 1e-10:
         raise ArithmeticError(f"dilation unitary defect {defect:.3e}")

@@ -7,13 +7,11 @@ For an ensemble {(pi_j, rho_j)} with average rho_av = sum_j pi_j rho_j:
         = H(gamma_QC, gamma_Q (x) gamma_C)                 (flagged-state identity)
 
 where gamma_QC = sum_j pi_j rho_j (x) |j><j| flags each member on a
-classical register (quantum leg slowest).  Measuring through a POVM can
-only lower chi; the checks here quantify that as margins.
+classical register (quantum leg slowest).  `check_holevo_bound` gives
+the drop of chi under any trace-preserving channel as one margin.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -23,6 +21,7 @@ from .channels import (
     apply_channel,
     identity_channel,
     povm_channel,
+    require_tp,
     tensor_channel,
 )
 from .entropy import _entropy, _relent, relative_entropy, von_neumann_entropy
@@ -73,31 +72,14 @@ class Ensemble:
         return Ensemble(self.weights, [apply_channel(phi, r) for r in self.states])
 
 
-def _shannon(probs: np.ndarray) -> float:
-    p = probs[probs > 0.0]
-    return float(-np.dot(p, np.log(p)))
-
-
-def _exactly_diagonal(m: np.ndarray) -> bool:
-    return not np.any(m - np.diag(np.diag(m)))
-
-
 def chi(ensemble: Ensemble) -> float:
     """Holevo quantity S(rho_av) - sum_j pi_j S(rho_j), >= 0.
 
-    When every member is exactly diagonal (e.g. the output of a recorded
-    measurement) this reduces to mutual information of the joint
-    distribution and is computed by the Shannon formula directly.
+    The member entropies read the spectra the ensemble already holds, so
+    only the average is decomposed.
     """
-    avg = ensemble.average()
-    if all(_exactly_diagonal(r) for r in ensemble.states):
-        members = sum(
-            w * _shannon(np.maximum(np.diag(r).real, 0.0))
-            for w, r in zip(ensemble.weights, ensemble.states)
-        )
-        return _shannon(np.maximum(np.diag(avg).real, 0.0)) - float(members)
     members = float(np.dot(ensemble.weights, [_entropy(lam) for lam in ensemble.spectra]))
-    return von_neumann_entropy(avg) - members
+    return von_neumann_entropy(ensemble.average()) - members
 
 
 def yuen_ozawa_gap(ensemble: Ensemble) -> float:
@@ -130,16 +112,18 @@ def chi_via_qc(ensemble: Ensemble) -> float:
     return relative_entropy(gamma_qc, product)
 
 
-def measure_ensemble(ensemble: Ensemble, povm: Povm) -> Ensemble:
-    """Push every member through the measure-and-record channel of the
-    POVM; outputs are exactly diagonal on the outcome register."""
-    return ensemble.map(povm_channel(povm))
+def check_holevo_bound(ensemble: Ensemble, channel: KrausMap) -> float:
+    """chi(E) - chi(Phi E) = f(rho_av) - sum_j pi_j f(rho_j) >= 0 with
+    f = S - S o Phi, for a trace-preserving channel Phi: monotonicity of
+    relative entropy, term by term in the mixture identity.
 
-
-def check_holevo_bound(ensemble: Ensemble, povm: Povm) -> float:
-    """chi(ensemble) - chi(measured ensemble) >= 0: the classical mutual
-    information extracted by any POVM is bounded by chi."""
-    return chi(ensemble) - chi(measure_ensemble(ensemble, povm))
+    With the record channel of a POVM (`channels.povm_channel`) this is
+    the Holevo bound: no measurement extracts more than chi.  With a
+    partial trace Tr_B (`channels.trace_out_channel`) it is concavity of
+    S(B|A) = S(AB) - S(A); with any other channel, concavity of f.
+    """
+    require_tp(channel)
+    return chi(ensemble) - chi(ensemble.map(channel))
 
 
 def check_partial_measurement_chain(ensemble: Ensemble, dims, povm_a: Povm,

@@ -8,6 +8,9 @@ so a correct inequality yields margin >= -tol and equalities show up as
 margins near zero.  Agreement checks (two expressions that must coincide)
 are reported as negated gaps, -|lhs - rhs|, so the same pass rule applies.
 Checks never generate randomness; instances come in from outside.
+
+Both concavity claims (of S(B|A), and of S - S o Phi) are one Holevo
+margin under a channel: `holevo.check_holevo_bound`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .entropy import (
     _relent,
     _same_shape,
     _support_split,
-    conditional_entropy,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -47,7 +49,7 @@ SIMPLEX_TOL = 1e-12
 WEIGHT_CLAMP = 1e-12
 
 
-def _simplex_weights(weights, clamp: bool = False) -> np.ndarray:
+def _simplex_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty 1-d sequence")
@@ -55,13 +57,11 @@ def _simplex_weights(weights, clamp: bool = False) -> np.ndarray:
         raise ValueError("weights must be nonnegative")
     if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
         raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
-    if clamp:
-        w = np.where(w < WEIGHT_CLAMP, 0.0, w)
-        s = w.sum()
-        if s <= 0.0:
-            raise ValueError("all weights clamped to zero")
-        w = w / s
-    return w
+    w = np.where(w < WEIGHT_CLAMP, 0.0, w)
+    s = w.sum()
+    if s <= 0.0:
+        raise ValueError("all weights clamped to zero")
+    return w / s
 
 
 class Failure(NamedTuple):
@@ -133,7 +133,7 @@ class ConvexityInstance:
     __slots__ = ("weights", "pairs", "spectra")
 
     def __init__(self, weights, pairs):
-        self.weights = _simplex_weights(weights, clamp=True)
+        self.weights = _simplex_weights(weights)
         ps, spectra = [], []
         for p, q in pairs:
             p, lam_p = psd_eigvalsh(p)
@@ -359,34 +359,6 @@ def check_ssa(rho_abc, dims) -> SsaMargins:
     primary = s_ab + s_bc - s_abc - s_b
     alt = s_ab + s_ac - s_b - s_c
     return SsaMargins(float(primary), float(alt))
-
-
-def check_concavity(mode: str, states: Sequence, weights, channel: KrausMap | None = None,
-                    dims=None) -> float:
-    """Concavity margin f(sum w rho) - sum w f(rho) for
-    f = conditional entropy (mode "conditional_entropy", needs dims) or
-    f = S(rho) - S(Phi rho) (mode "entropy_diff", needs a TP channel)."""
-    w = _simplex_weights(weights)
-    # the entropies below validate each state (PSD, unit trace) on the
-    # decomposition they need, so no probe decomposes it here first
-    rhos = [as_matrix(r) for r in states]
-    if len(rhos) != w.size:
-        raise ValueError("one state per weight")
-    if any(r.shape != rhos[0].shape for r in rhos):
-        raise ValueError("states must share one shape")
-    if mode == "conditional_entropy":
-        if dims is None:
-            raise ValueError("conditional_entropy mode needs dims")
-        f = lambda r: conditional_entropy(r, dims)
-    elif mode == "entropy_diff":
-        if channel is None:
-            raise ValueError("entropy_diff mode needs a channel")
-        require_tp(channel)
-        f = lambda r: von_neumann_entropy(r) - von_neumann_entropy(apply_channel(channel, r))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    avg = sum(wi * ri for wi, ri in zip(w, rhos))
-    return float(f(avg) - sum(wi * f(ri) for wi, ri in zip(w, rhos)))
 
 
 def check_pure_state_lemmas(psi, dims) -> float:

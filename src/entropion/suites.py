@@ -58,7 +58,6 @@ from .holevo import (
     chi,
     chi_via_qc,
     flagged_state,
-    measure_ensemble,
     yuen_ozawa_gap,
 )
 from .inequalities import (
@@ -68,7 +67,6 @@ from .inequalities import (
     TrialError,
     check_adjoint_contraction,
     check_block_contraction,
-    check_concavity,
     check_cp_schwarz,
     check_joint_convexity,
     check_monotonicity,
@@ -85,7 +83,6 @@ from .matcore import (
     partial_trace,
     partial_trace_pure,
     psd_eig,
-    psd_eigvalsh,
     tensor,
 )
 from .randgen import (
@@ -299,7 +296,7 @@ def _trial_concavity_condent(rng: RngState, d: int):
     n = 2 + rng.integer(3)
     weights = random_simplex(n, rng)
     states = [_mixed_rank_density(rng, big) for _ in range(n)]
-    margin = check_concavity("conditional_entropy", states, weights, dims=(d, d))
+    margin = check_holevo_bound(Ensemble(weights, states), trace_out_channel((d, d), (0,)))
     return margin, (weights,) + tuple(states)
 
 
@@ -308,7 +305,7 @@ def _trial_concavity_channel(rng: RngState, d: int):
     weights = random_simplex(n, rng)
     states = [_mixed_rank_density(rng, d) for _ in range(n)]
     phi = KrausMap(random_cptp(d, 2 + rng.integer(3), rng))
-    margin = check_concavity("entropy_diff", states, weights, channel=phi)
+    margin = check_holevo_bound(Ensemble(weights, states), phi)
     return margin, (weights,) + tuple(states) + phi.kraus_ops
 
 
@@ -352,7 +349,7 @@ def _trial_holevo_identities(rng: RngState, d: int):
 def _trial_holevo_bound(rng: RngState, d: int):
     ens = _random_ensemble(rng, d, 2 + rng.integer(3))
     povm = Povm(random_povm(d, 2 + rng.integer(d), rng))
-    margin = check_holevo_bound(ens, povm)
+    margin = check_holevo_bound(ens, povm_channel(povm))
     return margin, (ens.weights,) + ens.states + povm.effects
 
 
@@ -369,17 +366,17 @@ def _trial_holevo_routes(rng: RngState, d: int):
     ens = _random_ensemble(rng, d, 2 + rng.integer(3))
     povm = Povm(random_povm(d, 2 + rng.integer(d), rng))
     phi = povm_channel(povm)
+    out = ens.map(phi)
     avg = ens.average()
-    avg_out = apply_channel(phi, avg)
     # route one: member-by-member data processing, with each average
-    # decomposed once and each member read through the spectrum that
-    # validated it
+    # decomposed once and each member and image read through the
+    # spectrum that validated it
     spec_avg = psd_eig(avg)[1]
-    spec_out = psd_eig(avg_out)[1]
+    spec_out = psd_eig(apply_channel(phi, avg))[1]
     per_member = math.inf
-    for r, lam_r in zip(ens.states, ens.spectra):
+    for r, lam_r, r_out, lam_out in zip(ens.states, ens.spectra, out.states, out.spectra):
         h_in = _relent(r, lam_r, spec_avg)
-        h_out = _relent(*psd_eigvalsh(apply_channel(phi, r)), spec_out)
+        h_out = _relent(r_out, lam_out, spec_out)
         per_member = min(per_member, h_in - h_out)
     # route two: data processing on the flagged state
     n = len(ens)
@@ -389,8 +386,8 @@ def _trial_holevo_routes(rng: RngState, d: int):
     qc_margin = relative_entropy(gamma, product) - relative_entropy(
         apply_channel(big_phi, gamma), apply_channel(big_phi, product)
     )
-    # route three: concavity of rho -> S(rho) - S(Phi rho)
-    conc_margin = check_concavity("entropy_diff", list(ens.states), ens.weights, channel=phi)
+    # route three: chi(E) - chi(Phi E), concavity of rho -> S(rho) - S(Phi rho)
+    conc_margin = chi(ens) - chi(out)
     margin = min(per_member, qc_margin, conc_margin)
     return margin, (ens.weights,) + ens.states + povm.effects
 
@@ -443,7 +440,7 @@ def _trial_purification(rng: RngState, d: int):
 def _trial_condent_identity(rng: RngState, d: int):
     big = d * d
     rho = _mixed_rank_density(rng, big)
-    value = conditional_entropy(rho, (d, d), check_identity=True)
+    value = conditional_entropy(rho, (d, d))
     rho_a = partial_trace(rho, (d, d), (0,))
     rhs = math.log(d) - relative_entropy(rho, tensor(rho_a, np.eye(d) / d))
     return -abs(value - rhs), (rho,)

@@ -14,6 +14,7 @@ from entropion import (
     composite_gl,
     conditional_entropy,
     kernel_k,
+    partial_trace,
     random_density,
     random_matrix,
     random_unit_vector,
@@ -339,13 +340,20 @@ def test_bures_distance_decomposes_each_operand_once(monkeypatch):
     assert calls == {"eigh": 1, "eigvalsh": 2}
 
 
+def _condent_via_relent(rho, d_a, d_b):
+    """ln d_B - H(rho_AB, rho_A (x) I/d_B), the relative-entropy form of S(B|A)."""
+    rho_a = partial_trace(rho, (d_a, d_b), keep=(0,))
+    return math.log(d_b) - relative_entropy(rho, tensor(rho_a, np.eye(d_b) / d_b))
+
+
 def test_conditional_entropy_product_state():
     rng = RngState(52)
     a = random_density(2, 2, rng.child(0))
     b = random_density(3, 3, rng.child(1))
     # S(AB) - S(A) collapses to S(B) on product states
-    val = conditional_entropy(tensor(a, b), (2, 3), check_identity=True)
+    val = conditional_entropy(tensor(a, b), (2, 3))
     assert val == pytest.approx(von_neumann_entropy(b), abs=1e-10)
+    assert val == pytest.approx(_condent_via_relent(tensor(a, b), 2, 3), abs=1e-9)
 
 
 def test_conditional_entropy_pure_entangled_is_negative():
@@ -353,15 +361,18 @@ def test_conditional_entropy_pure_entangled_is_negative():
     psi = np.zeros(4)
     psi[0] = psi[3] = 1 / math.sqrt(2)
     rho = np.outer(psi, psi)
-    val = conditional_entropy(rho, (2, 2), check_identity=True)
+    val = conditional_entropy(rho, (2, 2))
     assert val == pytest.approx(-math.log(2), abs=1e-10)
+    assert val == pytest.approx(_condent_via_relent(rho, 2, 2), abs=1e-9)
 
 
 def test_relative_entropy_via_conditional_identity():
-    # S(A|B) = ln d_B - H(rho_AB, rho_A (x) I/d_B), exercised on random input
+    # S(B|A) = ln d_B - H(rho_AB, rho_A (x) I/d_B), exercised on random input
     rng = RngState(53)
     rho = random_density(6, 6, rng)
-    conditional_entropy(rho, (2, 3), check_identity=True)  # raises on mismatch
+    assert conditional_entropy(rho, (2, 3)) == pytest.approx(
+        _condent_via_relent(rho, 2, 3), abs=1e-9
+    )
 
 
 def test_validation_reads_the_one_decomposition(monkeypatch):

@@ -5,18 +5,21 @@ import pytest
 
 from entropion import (
     ConvexityInstance,
+    Ensemble,
     KrausMap,
     RngState,
     check_adjoint_contraction,
     check_block_contraction,
-    check_concavity,
     check_cp_schwarz,
+    check_holevo_bound,
     check_joint_convexity,
     check_monotonicity,
     check_operator_schwarz,
     check_pure_state_lemmas,
     check_schwarz_quadratic,
     check_ssa,
+    chi,
+    conditional_entropy,
     dephase,
     matrix_function,
     partial_trace,
@@ -274,15 +277,15 @@ def test_ssa_margins_random_and_product():
 
 
 def test_concavity_conditional_entropy():
+    # concavity of S(B|A) is the Holevo margin under Tr_B
     rng = RngState(95)
     states = [random_density(4, 4, rng.child(i)) for i in range(3)]
     w = random_simplex(3, rng.child(50))
-    assert check_concavity("conditional_entropy", states, w, dims=(2, 2)) > -1e-10
+    trace_b = trace_out_channel((2, 2), (0,))
+    assert check_holevo_bound(Ensemble(w, states), trace_b) > -1e-10
     # equal states make it an equality
     same = [states[0]] * 3
-    assert check_concavity("conditional_entropy", same, w, dims=(2, 2)) == pytest.approx(
-        0, abs=1e-11
-    )
+    assert check_holevo_bound(Ensemble(w, same), trace_b) == pytest.approx(0, abs=1e-11)
 
 
 def test_concavity_entropy_diff():
@@ -290,16 +293,29 @@ def test_concavity_entropy_diff():
     states = [random_density(3, 3, rng.child(i)) for i in range(3)]
     w = random_simplex(3, rng.child(50))
     phi = KrausMap(random_cptp(3, 2, rng.child(60)))
-    assert check_concavity("entropy_diff", states, w, channel=phi) > -1e-10
-    with pytest.raises(ValueError):
-        check_concavity("entropy_diff", states, w)  # channel missing
-    with pytest.raises(ValueError):
-        check_concavity("nope", states, w)
+    assert check_holevo_bound(Ensemble(w, states), phi) > -1e-10
+    with pytest.raises(ValueError, match="not trace preserving"):
+        check_holevo_bound(Ensemble(w, states), KrausMap([1.1 * k for k in phi.kraus_ops]))
+
+
+def test_concavity_gap_matches_conditional_entropy():
+    # chi(E) - chi(Tr_B E) = S(B|A)(sum w rho) - sum w S(B|A)(rho)
+    rng = RngState(99)
+    for d in (2, 3):
+        states = [random_density(d * d, 1 + i, rng.child(10 * d + i)) for i in range(3)]
+        w = random_simplex(3, rng.child(10 * d + 5))
+        ens = Ensemble(w, states)
+        direct = conditional_entropy(ens.average(), (d, d)) - sum(
+            wi * conditional_entropy(r, (d, d)) for wi, r in zip(w, states)
+        )
+        via_chi = chi(ens) - chi(ens.map(trace_out_channel((d, d), (0,))))
+        assert check_holevo_bound(ens, trace_out_channel((d, d), (0,))) == via_chi
+        assert via_chi == pytest.approx(direct, abs=1e-13)
 
 
 def test_concavity_validates_through_its_entropies(monkeypatch):
-    # each state is validated by the entropies that decompose it: two
-    # eigensolves for the average and two per state, no probe before them
+    # each state and each image is validated by the eigenvalues its entropy
+    # needs, and each average is decomposed once: 3 + 3 + 2 eigensolves
     rng = RngState(98)
     states = [random_density(4, 4, rng.child(i)) for i in range(3)]
     w = random_simplex(3, rng.child(50))
@@ -311,18 +327,17 @@ def test_concavity_validates_through_its_entropies(monkeypatch):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    for kwargs in ({"mode": "conditional_entropy", "dims": (2, 2)},
-                   {"mode": "entropy_diff", "channel": phi}):
+    for channel in (trace_out_channel((2, 2), (0,)), phi):
         calls.update(eigh=0, eigvalsh=0)
-        check_concavity(states=states, weights=w, **kwargs)
-        assert (calls["eigh"], calls["eigvalsh"]) == (0, 8), kwargs
+        check_holevo_bound(Ensemble(w, states), channel)
+        assert (calls["eigh"], calls["eigvalsh"]) == (0, 8)
         not_psd = states[:2] + [states[2] - 0.5 * np.eye(4)]
         not_unit = states[:2] + [2.0 * states[2]]
         for bad in (not_psd, not_unit):
             with pytest.raises(ValueError):
-                check_concavity(states=bad, weights=w, **kwargs)
+                check_holevo_bound(Ensemble(w, bad), channel)
     with pytest.raises(ValueError):
-        check_concavity("entropy_diff", states[:2] + [np.eye(2) / 2], w, channel=phi)
+        check_holevo_bound(Ensemble(w, states[:2] + [np.eye(2) / 2]), phi)
 
 
 def test_pure_state_reductions_share_spectrum():

@@ -243,21 +243,24 @@ def test_other_trial_exceptions_still_propagate(monkeypatch):
 
 def test_holevo_routes_decomposes_each_matrix_once(monkeypatch):
     # the ensemble average and its channel image are decomposed once per
-    # trial, not once per member
-    seen = {}
-    solver = np.linalg.eigh
+    # trial, not once per member; each member and each image is read from
+    # the eigvalsh that validated it: 2n calls, one per average in the chi
+    # margin, and two in the flagged-state relative entropies
+    seen = {"eigh": [], "eigvalsh": []}
+    for name in seen:
+        def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            seen[_name].append(np.ascontiguousarray(a).tobytes())
+            return _solver(a, *args, **kwargs)
 
-    def counted(a, *args, **kwargs):
-        key = np.ascontiguousarray(a).tobytes()
-        seen[key] = seen.get(key, 0) + 1
-        return solver(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     for d in (2, 3):
         for i in range(4):
-            seen.clear()
-            suites_mod._trial_holevo_routes(RngState(42).child(i), d)
-            assert max(seen.values()) == 1
+            for calls in seen.values():
+                calls.clear()
+            _, payload = suites_mod._trial_holevo_routes(RngState(42).child(i), d)
+            for calls in seen.values():
+                assert len(set(calls)) == len(calls)
+            assert len(seen["eigvalsh"]) == 2 * len(payload[0]) + 4
 
 
 def test_ssa_trial_memory_stays_small():
