@@ -179,10 +179,11 @@ def _cmd_verify(args) -> int:
     ]
     for r in reports:
         status = "pass" if r.passed else "FAIL"
+        kernel = f" kernel={r.skipped_kernel}" if r.skipped_kernel else ""
         errors = f" errors={len(r.errors)}" if r.errors else ""
         print(
             f"{r.suite}: {status} worst_margin={_fmt_float(r.worst_margin)} "
-            f"skipped={r.skipped_infinite}{errors} ({r.runtime_ms:.0f} ms)",
+            f"skipped={r.skipped_infinite}{kernel}{errors} ({r.runtime_ms:.0f} ms)",
             file=sys.stderr,
         )
     if args.format == "json":

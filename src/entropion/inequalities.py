@@ -91,11 +91,13 @@ class CheckReport:
     failures: tuple[Failure, ...] = field(default_factory=tuple)
     runtime_ms: float = 0.0
     errors: tuple[TrialError, ...] = field(default_factory=tuple)
+    skipped_kernel: int = 0  # trials refused by a KernelObstruction
 
     @property
     def passed(self) -> bool:
         # a suite whose every trial was skipped checked nothing
-        return not self.failures and not self.errors and self.skipped_infinite < self.trials
+        skipped = self.skipped_infinite + self.skipped_kernel
+        return not self.failures and not self.errors and skipped < self.trials
 
     def to_json_dict(self) -> dict:
         out = {
@@ -111,8 +113,11 @@ class CheckReport:
                 for f in self.failures
             ],
         }
+        # only reports with kernel skips or errors carry these keys, so the
+        # rest keep their bytes
+        if self.skipped_kernel:
+            out["skipped_kernel"] = self.skipped_kernel
         if self.errors:
-            # only reports with errors carry the key, so the rest keep their bytes
             out["errors"] = [
                 {"trial": e.trial, "error": e.error, "message": e.message}
                 for e in self.errors

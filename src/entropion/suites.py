@@ -1,22 +1,25 @@
 """Randomized verification suites.
 
-Every suite draws its instances from the deterministic child stream
-``RngState(seed).child(trial_index)``, so trials are reproducible in
-isolation and the run order (or any parallel execution) cannot change the
-report.  A trial reduces to one float margin; the pass rule is uniform:
+Each suite is a table entry ``Suite(draw, check, local_dims)``.
+``draw(rng, d)`` builds one trial's instance, a tuple of arrays, lists of
+same-shape arrays and floats, from the deterministic child stream
+``RngState(seed).child(trial_index)``; ``check(*instance)`` reduces it to
+one float margin.  So trials are reproducible in isolation, the run order
+(or any parallel execution) cannot change the report, and a replayed
+instance can be checked on its own.  The pass rule is uniform:
 
     margin >= -tol        inequality holds / expressions agree
     margin = +inf         trial skipped (an infinite entropy showed up)
+    KernelObstruction     trial skipped, counted apart as a kernel skip
     margin = NaN          failure
     trial raises          failure, recorded as an error against the trial
                           (NonConvergence, ValueError, ArithmeticError)
 
-Agreement margins are negated gaps, -|lhs - rhs|.  The per-suite meaning
-of the --dims values: suites over multipartite states (ssa,
-monotonicity_ptrace, concavity_condent, pure_states, holevo_chain,
-condent_identity) read each entry as the local factor dimension; all
-others read it as the full matrix dimension.  Trial i uses
-dims[i % len(dims)].
+Agreement margins are negated gaps, -|lhs - rhs|.  A suite with
+``Suite.local_dims`` set builds multipartite states and reads each --dims
+entry as the local factor dimension; its check reads the factors back from
+the instance's shapes.  All others read it as the full matrix dimension.
+Trial i uses dims[i % len(dims)].
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -97,16 +100,29 @@ from .randgen import (
 )
 from .superop import SuperOpSpec, solve_resolvent, superop_matrix
 
-Payload = tuple
-TrialFn = Callable[[RngState, int], tuple[float, Payload]]
+
+class Suite(NamedTuple):
+    """One randomized claim: ``draw(rng, d)`` builds an instance and
+    ``check(*instance)`` returns its margin."""
+
+    draw: Callable[[RngState, int], tuple]
+    check: Callable[..., float]
+    local_dims: bool = False
+
+    def __call__(self, rng: RngState, d: int) -> tuple[float, tuple]:
+        instance = self.draw(rng, d)
+        return self.check(*instance), instance
 
 
-def _digest(payload: Payload) -> str:
+def _digest(instance: tuple) -> str:
     h = hashlib.sha256()
-    for a in payload:
-        arr = np.ascontiguousarray(np.asarray(a, dtype=complex))
-        h.update(arr.tobytes())
+    for a in instance:
+        h.update(np.asarray(a, dtype=complex).tobytes())  # C order, copied if needed
     return h.hexdigest()[:12]
+
+
+def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    return matrix_function(m, lambda x: math.sqrt(max(x, 0.0)))
 
 
 def _scaled_psd(rng: RngState, d: int, rank: int | None = None) -> np.ndarray:
@@ -128,7 +144,7 @@ def _conditioned_psd(rng: RngState, d: int) -> np.ndarray:
 def _compatible_pair(rng: RngState, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(P, Q) with Q singular and supp(P) inside supp(Q)."""
     q = _scaled_psd(rng, d, rank=max(1, d - 1))
-    root = matrix_function(q, lambda x: math.sqrt(max(x, 0.0)))
+    root = _sqrt_psd(q)
     g = random_matrix(d, d, rng)
     p = root @ (g @ g.conj().T) @ root
     p = (p + p.conj().T) / 2
@@ -147,139 +163,122 @@ def _mixed_rank_density(rng: RngState, d: int) -> np.ndarray:
     return random_density(d, 1 + rng.integer(d), rng)
 
 
-# --------------------------------------------------------------------------
-# trial functions
+def _state_pair(rng: RngState, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, gamma): a density of random rank and a full-rank one."""
+    return _mixed_rank_density(rng, d), random_density(d, d, rng)
 
 
-def _trial_resolvent_oracle(rng: RngState, d: int):
+def _ensemble(rng: RngState, d: int, spread: int = 3) -> tuple[np.ndarray, list]:
+    """Weights and states of a 2 .. spread + 1 member ensemble."""
+    n = 2 + rng.integer(spread)
+    return random_simplex(n, rng), [_mixed_rank_density(rng, d) for _ in range(n)]
+
+
+def _ensemble_povm(rng: RngState, d: int) -> tuple[np.ndarray, list, list]:
+    return (*_ensemble(rng, d), random_povm(d, 2 + rng.integer(d), rng))
+
+
+def _bipartite(m: np.ndarray) -> tuple[int, int]:
+    d = math.isqrt(m.shape[0])
+    return d, d
+
+
+def _draw_resolvent(rng: RngState, d: int):
     q = _scaled_psd(rng, d)
     p = _scaled_psd(rng, d)
     t = 0.1 + 2.0 * rng.uniform()
-    x = random_matrix(d, d, rng)
+    return q, p, random_matrix(d, d, rng), t
+
+
+def _check_resolvent(q, p, x, t) -> float:
     spec = SuperOpSpec(q, p, t)
-    y = solve_resolvent(spec, x)
-    dense = superop_matrix(spec)
-    y_oracle = np.linalg.solve(dense, x.reshape(-1)).reshape(d, d)
-    return -max_abs(y - y_oracle), (q, p, x, np.array([t]))
+    y_oracle = np.linalg.solve(superop_matrix(spec), x.reshape(-1)).reshape(x.shape)
+    return -max_abs(solve_resolvent(spec, x) - y_oracle)
 
 
-def _trial_relent_routes(rng: RngState, d: int):
-    p, q = _psd_pair(rng, d)
+def _check_relent_routes(p, q) -> float:
     h1 = relative_entropy(p, q)
     h2 = relative_entropy_integral(p, q)
     h3 = relative_entropy_spectral_kernel(p, q)
     if any(math.isinf(h) for h in (h1, h2, h3)):
-        return math.inf, (p, q)
-    spread = max(abs(h1 - h2), abs(h1 - h3), abs(h2 - h3))
-    return -spread, (p, q)
+        return math.inf
+    return -max(abs(h1 - h2), abs(h1 - h3), abs(h2 - h3))
 
 
-def _trial_scalar_identity(rng: RngState, d: int):
-    w = 10.0 ** (-2.0 + 4.0 * rng.uniform())
+def _check_scalar_identity(w) -> float:
     lhs, rhs1, rhs2 = scalar_log_identity(w)
-    return -max(abs(lhs - rhs1), abs(lhs - rhs2)), (np.array([w]),)
+    return -max(abs(lhs - rhs1), abs(lhs - rhs2))
 
 
-def _trial_joint_convexity(rng: RngState, d: int):
+def _draw_joint_convexity(rng: RngState, d: int):
     n = 2 + rng.integer(3)
-    weights = random_simplex(n, rng)
-    pairs = [_psd_pair(rng, d) for _ in range(n)]
+    return random_simplex(n, rng), [_psd_pair(rng, d) for _ in range(n)]
+
+
+def _check_joint_convexity(weights, pairs) -> float:
     res = check_joint_convexity(ConvexityInstance(weights, pairs))
     if math.isinf(res.margin):
-        return math.inf, (weights,)
-    margin = min(res.margin, res.subadditive_margin, -res.scaling_gap)
-    payload = (weights,) + tuple(m for pair in pairs for m in pair)
-    return margin, payload
+        return math.inf
+    return min(res.margin, res.subadditive_margin, -res.scaling_gap)
 
 
 _SCHWARZ_TS = (0.0, 0.5, 1.0, 10.0)
 
 
-def _trial_schwarz_quadratic(rng: RngState, d: int):
+def _draw_schwarz_quadratic(rng: RngState, d: int):
     n = 2 + rng.integer(3)
     t = _SCHWARZ_TS[rng.integer(len(_SCHWARZ_TS))]
     a_list = [random_matrix(d, d, rng) for _ in range(n)]
     p_list = [_scaled_psd(rng, d) for _ in range(n)]
     q_list = [_scaled_psd(rng, d) for _ in range(n)]
-    margin = check_schwarz_quadratic(a_list, p_list, q_list, t)
-    return margin, tuple(a_list) + tuple(p_list) + tuple(q_list) + (np.array([t]),)
+    return a_list, p_list, q_list, t
 
 
-def _trial_operator_schwarz(rng: RngState, d: int):
+def _draw_operator_schwarz(rng: RngState, d: int):
     n = 2 + rng.integer(3)
     a_list = [random_matrix(d, d, rng) for _ in range(n)]
-    p_list = [_conditioned_psd(rng, d) for _ in range(n)]
-    return check_operator_schwarz(a_list, p_list), tuple(a_list) + tuple(p_list)
+    return a_list, [_conditioned_psd(rng, d) for _ in range(n)]
 
 
-def _trial_cp_schwarz(rng: RngState, d: int):
-    phi = KrausMap(random_cptp(d, 1 + rng.integer(4), rng))
-    a = random_matrix(d, d, rng)
-    b = random_matrix(d, d, rng)
-    p = _conditioned_psd(rng, d)
-    m1, m2 = check_cp_schwarz(phi, a, b, p)
-    return min(m1, m2), phi.kraus_ops + (a, b, p)
+def _draw_cp_schwarz(rng: RngState, d: int):
+    kraus = random_cptp(d, 1 + rng.integer(4), rng)
+    return kraus, random_matrix(d, d, rng), random_matrix(d, d, rng), _conditioned_psd(rng, d)
 
 
-def _trial_block_contraction(rng: RngState, d: int):
+def _draw_block_contraction(rng: RngState, d: int):
     p = _conditioned_psd(rng, d)
     q = _conditioned_psd(rng, d)
     g = random_matrix(d, d, rng)
     # aim decisively inside or outside the contraction ball
     target = 0.3 + 0.65 * rng.uniform() if rng.integer(2) else 1.05 + 0.65 * rng.uniform()
     smax = float(np.linalg.svd(g, compute_uv=False)[0])
-    x = g * (target / smax)
-    root_p = matrix_function(p, lambda v: math.sqrt(max(v, 0.0)))
-    root_q = matrix_function(q, lambda v: math.sqrt(max(v, 0.0)))
-    c = root_p @ x @ root_q
+    return p, q, _sqrt_psd(p) @ (g * (target / smax)) @ _sqrt_psd(q)
+
+
+def _check_block_contraction(p, q, c) -> float:
     rep = check_block_contraction(p, q, c, tol=1e-9)
     scores = (abs(rep.block_min_eig), abs(rep.schur_min_eig), abs(rep.max_singular_value - 1.0))
     if rep.indeterminate:
-        margin = 0.0
-    elif rep.consistent:
-        margin = min(scores)
-    else:
-        margin = -max(scores)
-    return margin, (p, q, c)
+        return 0.0
+    return min(scores) if rep.consistent else -max(scores)
 
 
-def _trial_monotonicity_dephase(rng: RngState, d: int):
-    rho = _mixed_rank_density(rng, d)
-    gamma = random_density(d, d, rng)
-    dephasing = KrausMap([np.diag(e) for e in np.eye(d)])
-    return check_monotonicity(rho, gamma, dephasing), (rho, gamma)
+def _check_monotonicity_dephase(rho, gamma) -> float:
+    dephasing = KrausMap([np.diag(e) for e in np.eye(len(rho))])
+    return check_monotonicity(rho, gamma, dephasing)
 
 
-def _trial_monotonicity_ptrace(rng: RngState, d: int):
-    big = d * d
-    rho = _mixed_rank_density(rng, big)
-    gamma = random_density(big, big, rng)
-    margin = check_monotonicity(rho, gamma, trace_out_channel((d, d), (0,)))
-    return margin, (rho, gamma)
-
-
-def _trial_monotonicity_general(rng: RngState, d: int):
-    rho = _mixed_rank_density(rng, d)
-    gamma = random_density(d, d, rng)
-    phi = KrausMap(random_cptp(d, 2 + rng.integer(3), rng))
-    margin = check_monotonicity(rho, gamma, phi)
-    return margin, (rho, gamma) + phi.kraus_ops
-
-
-def _trial_monotonicity_unitary(rng: RngState, d: int):
-    rho = _mixed_rank_density(rng, d)
-    gamma = random_density(d, d, rng)
-    phi = KrausMap([random_unitary(d, rng)])
-    margin = check_monotonicity(rho, gamma, phi)
-    if math.isinf(margin):
-        return math.inf, (rho, gamma)
+def _check_monotonicity_unitary(rho, gamma, u) -> float:
+    margin = check_monotonicity(rho, gamma, KrausMap([u]))
     # unitaries preserve relative entropy: the margin must vanish
-    return -abs(margin), (rho, gamma) + phi.kraus_ops
+    return math.inf if math.isinf(margin) else -abs(margin)
 
 
-def _trial_ssa(rng: RngState, d: int):
-    big = d ** 3
-    rho = random_density(big, 1 + rng.integer(big), rng)
+def _check_ssa(rho) -> float:
+    big = len(rho)
+    d = round(big ** (1 / 3))
+    if d ** 3 != big:
+        raise ValueError(f"ssa needs a dimension d^3, got {big}")
     margins = check_ssa(rho, (d, d, d))
     # the alternative functional on ABD, with the purifying factor D in the
     # third role, from psi's own marginals: S(AB) + S(AD) - S(B) - S(D)
@@ -288,84 +287,51 @@ def _trial_ssa(rng: RngState, d: int):
     s_ab, s_ad, s_b, s_d = (von_neumann_entropy(partial_trace_pure(psi, dims, keep))
                             for keep in ((0, 1), (0, 3), (1,), (3,)))
     equiv_gap = abs(s_ab + s_ad - s_b - s_d - margins.primary)
-    return min(margins.primary, margins.alt, -equiv_gap), (rho,)
+    return min(margins.primary, margins.alt, -equiv_gap)
 
 
-def _trial_concavity_condent(rng: RngState, d: int):
-    big = d * d
-    n = 2 + rng.integer(3)
-    weights = random_simplex(n, rng)
-    states = [_mixed_rank_density(rng, big) for _ in range(n)]
-    margin = check_holevo_bound(Ensemble(weights, states), trace_out_channel((d, d), (0,)))
-    return margin, (weights,) + tuple(states)
-
-
-def _trial_concavity_channel(rng: RngState, d: int):
-    n = 2 + rng.integer(3)
-    weights = random_simplex(n, rng)
-    states = [_mixed_rank_density(rng, d) for _ in range(n)]
-    phi = KrausMap(random_cptp(d, 2 + rng.integer(3), rng))
-    margin = check_holevo_bound(Ensemble(weights, states), phi)
-    return margin, (weights,) + tuple(states) + phi.kraus_ops
-
-
-def _trial_pure_states(rng: RngState, d: int):
-    d_b = d + rng.integer(3)
-    psi = random_unit_vector(d * d_b, rng)
-    dist = check_pure_state_lemmas(psi, (d, d_b))
-    s_a = von_neumann_entropy(partial_trace_pure(psi, (d, d_b), (0,)))
-    s_b = von_neumann_entropy(partial_trace_pure(psi, (d, d_b), (1,)))
-    return -max(dist, abs(s_a - s_b)), (psi.reshape(-1, 1),)
+def _check_pure_states(psi) -> float:
+    # d_B = d_A + k with k < 3, so d_A d_B < (d_A + 1)^2 and isqrt gives d_A
+    d = math.isqrt(psi.size)
+    dims = (d, psi.size // d)
+    dist = check_pure_state_lemmas(psi, dims)
+    s_a = von_neumann_entropy(partial_trace_pure(psi, dims, (0,)))
+    s_b = von_neumann_entropy(partial_trace_pure(psi, dims, (1,)))
+    return -max(dist, abs(s_a - s_b))
 
 
 _ADJOINT_TS = (0.5, 1.0, 2.0)
 
 
-def _trial_adjoint_quadratic(rng: RngState, d: int):
-    phi = KrausMap(random_cptp(d, 1 + rng.integer(3), rng))
+def _draw_adjoint_quadratic(rng: RngState, d: int):
+    kraus = random_cptp(d, 1 + rng.integer(3), rng)
     p = _scaled_psd(rng, d)
     q = _scaled_psd(rng, d)
     a = random_matrix(d, d, rng)
-    t = _ADJOINT_TS[rng.integer(len(_ADJOINT_TS))]
-    margin = check_adjoint_contraction(phi, p, q, a, t)
-    return margin, phi.kraus_ops + (p, q, a, np.array([t]))
+    return kraus, p, q, a, _ADJOINT_TS[rng.integer(len(_ADJOINT_TS))]
 
 
-def _random_ensemble(rng: RngState, d: int, n: int) -> Ensemble:
-    weights = random_simplex(n, rng)
-    states = [_mixed_rank_density(rng, d) for _ in range(n)]
-    return Ensemble(weights, states)
-
-
-def _trial_holevo_identities(rng: RngState, d: int):
-    ens = _random_ensemble(rng, d, 2 + rng.integer(3))
+def _check_holevo_identities(weights, states) -> float:
+    ens = Ensemble(weights, states)
     val = chi(ens)
-    yo = yuen_ozawa_gap(ens)
-    qc = abs(chi_via_qc(ens) - val)
-    margin = min(val, -yo, -qc)
-    return margin, (ens.weights,) + ens.states
+    return min(val, -yuen_ozawa_gap(ens), -abs(chi_via_qc(ens) - val))
 
 
-def _trial_holevo_bound(rng: RngState, d: int):
-    ens = _random_ensemble(rng, d, 2 + rng.integer(3))
-    povm = Povm(random_povm(d, 2 + rng.integer(d), rng))
-    margin = check_holevo_bound(ens, povm_channel(povm))
-    return margin, (ens.weights,) + ens.states + povm.effects
+def _draw_holevo_chain(rng: RngState, d: int):
+    weights, states = _ensemble(rng, d * d, 2)
+    effects_a = random_povm(d, 2 + rng.integer(2), rng)
+    return weights, states, effects_a, random_povm(d, 2 + rng.integer(2), rng)
 
 
-def _trial_holevo_chain(rng: RngState, d: int):
-    big = d * d
-    ens = _random_ensemble(rng, big, 2 + rng.integer(2))
-    povm_a = Povm(random_povm(d, 2 + rng.integer(2), rng))
-    povm_b = Povm(random_povm(d, 2 + rng.integer(2), rng))
-    m1, m2 = check_partial_measurement_chain(ens, (d, d), povm_a, povm_b)
-    return min(m1, m2), (ens.weights,) + ens.states + povm_a.effects + povm_b.effects
+def _check_holevo_chain(weights, states, effects_a, effects_b) -> float:
+    ens = Ensemble(weights, states)
+    dims = _bipartite(states[0])
+    return min(check_partial_measurement_chain(ens, dims, Povm(effects_a), Povm(effects_b)))
 
 
-def _trial_holevo_routes(rng: RngState, d: int):
-    ens = _random_ensemble(rng, d, 2 + rng.integer(3))
-    povm = Povm(random_povm(d, 2 + rng.integer(d), rng))
-    phi = povm_channel(povm)
+def _check_holevo_routes(weights, states, effects) -> float:
+    ens = Ensemble(weights, states)
+    phi = povm_channel(Povm(effects))
     out = ens.map(phi)
     avg = ens.average()
     # route one: member-by-member data processing, with each average
@@ -379,116 +345,122 @@ def _trial_holevo_routes(rng: RngState, d: int):
         h_out = _relent(r_out, lam_out, spec_out)
         per_member = min(per_member, h_in - h_out)
     # route two: data processing on the flagged state
-    n = len(ens)
     gamma = flagged_state(ens)
     product = tensor(avg, np.diag(ens.weights))
-    big_phi = tensor_channel(phi, identity_channel(n))
+    big_phi = tensor_channel(phi, identity_channel(len(ens)))
     qc_margin = relative_entropy(gamma, product) - relative_entropy(
         apply_channel(big_phi, gamma), apply_channel(big_phi, product)
     )
     # route three: chi(E) - chi(Phi E), concavity of rho -> S(rho) - S(Phi rho)
     conc_margin = chi(ens) - chi(out)
-    margin = min(per_member, qc_margin, conc_margin)
-    return margin, (ens.weights,) + ens.states + povm.effects
+    return min(per_member, qc_margin, conc_margin)
 
 
-def _trial_klein(rng: RngState, d: int):
-    p, q = _psd_pair(rng, d)
-    h = relative_entropy(p, q)
-    if math.isinf(h):
-        return math.inf, (p, q)
-    lower = float(np.trace(p).real - np.trace(q).real)
-    return h - lower, (p, q)
+def _check_klein(p, q) -> float:
+    # an infinite H stays +inf: a skip
+    return relative_entropy(p, q) - float(np.trace(p).real - np.trace(q).real)
 
 
 _HOMOGENEITY_XS = (0.1, 0.5, 2.0, 10.0)
 
 
-def _trial_homogeneity(rng: RngState, d: int):
-    p = _scaled_psd(rng, d)
-    q = _scaled_psd(rng, d)
+def _check_homogeneity(p, q) -> float:
     h = relative_entropy(p, q)
-    gap = max(abs(relative_entropy(x * p, x * q) - x * h) for x in _HOMOGENEITY_XS)
-    return -gap, (p, q)
+    return -max(abs(relative_entropy(x * p, x * q) - x * h) for x in _HOMOGENEITY_XS)
 
 
-def _trial_dephase_z(rng: RngState, d: int):
-    x = random_matrix(d, d, rng)
-    return -max_abs(dephase(x) - dephase_via_z(x)), (x,)
+def _draw_ancilla(rng: RngState, d: int):
+    kraus = random_cptp(d, 1 + rng.integer(3), rng)
+    return kraus, _mixed_rank_density(rng, d)
 
 
-def _trial_ancilla(rng: RngState, d: int):
-    phi = KrausMap(random_cptp(d, 1 + rng.integer(3), rng))
+def _check_ancilla(kraus, rho) -> float:
+    phi = KrausMap(kraus)
     rep = ancilla_representation(phi)
-    rho = _mixed_rank_density(rng, d)
     joint = apply_ancilla(rep, rho)
-    reduced = partial_trace(joint, (d, rep.anc_dim), (0,))
+    reduced = partial_trace(joint, (len(rho), rep.anc_dim), (0,))
     err = max_abs(reduced - apply_channel(phi, rho))
     entropy_gap = abs(von_neumann_entropy(joint) - von_neumann_entropy(rho))
-    return -max(err, entropy_gap), phi.kraus_ops + (rho,)
+    return -max(err, entropy_gap)
 
 
-def _trial_purification(rng: RngState, d: int):
-    rho = _mixed_rank_density(rng, d)
+def _check_purification(rho) -> float:
     psi = purify(rho)
-    m = psi.size // d
-    err = max_abs(partial_trace_pure(psi, (d, m), (0,)) - rho)
-    spectra_gap = check_pure_state_lemmas(psi, (d, m))
-    return -max(err, spectra_gap), (rho,)
+    dims = (len(rho), psi.size // len(rho))
+    err = max_abs(partial_trace_pure(psi, dims, (0,)) - rho)
+    return -max(err, check_pure_state_lemmas(psi, dims))
 
 
-def _trial_condent_identity(rng: RngState, d: int):
-    big = d * d
-    rho = _mixed_rank_density(rng, big)
+def _check_condent_identity(rho) -> float:
+    d = math.isqrt(len(rho))
     value = conditional_entropy(rho, (d, d))
     rho_a = partial_trace(rho, (d, d), (0,))
     rhs = math.log(d) - relative_entropy(rho, tensor(rho_a, np.eye(d) / d))
-    return -abs(value - rhs), (rho,)
+    return -abs(value - rhs)
 
 
-SUITES: dict[str, TrialFn] = {
-    "resolvent_oracle": _trial_resolvent_oracle,
-    "relent_routes": _trial_relent_routes,
-    "scalar_identity": _trial_scalar_identity,
-    "joint_convexity": _trial_joint_convexity,
-    "schwarz_quadratic": _trial_schwarz_quadratic,
-    "operator_schwarz": _trial_operator_schwarz,
-    "cp_schwarz": _trial_cp_schwarz,
-    "block_contraction": _trial_block_contraction,
-    "monotonicity_dephase": _trial_monotonicity_dephase,
-    "monotonicity_ptrace": _trial_monotonicity_ptrace,
-    "monotonicity_general": _trial_monotonicity_general,
-    "monotonicity_unitary": _trial_monotonicity_unitary,
-    "ssa": _trial_ssa,
-    "concavity_condent": _trial_concavity_condent,
-    "concavity_channel": _trial_concavity_channel,
-    "pure_states": _trial_pure_states,
-    "adjoint_quadratic": _trial_adjoint_quadratic,
-    "holevo_identities": _trial_holevo_identities,
-    "holevo_bound": _trial_holevo_bound,
-    "holevo_chain": _trial_holevo_chain,
-    "holevo_routes": _trial_holevo_routes,
-    "klein": _trial_klein,
-    "homogeneity": _trial_homogeneity,
-    "dephase_z": _trial_dephase_z,
-    "ancilla": _trial_ancilla,
-    "purification": _trial_purification,
-    "condent_identity": _trial_condent_identity,
+SUITES: dict[str, Suite] = {
+    "resolvent_oracle": Suite(_draw_resolvent, _check_resolvent),
+    "relent_routes": Suite(_psd_pair, _check_relent_routes),
+    "scalar_identity": Suite(lambda rng, d: (10.0 ** (-2.0 + 4.0 * rng.uniform()),),
+                             _check_scalar_identity),
+    "joint_convexity": Suite(_draw_joint_convexity, _check_joint_convexity),
+    "schwarz_quadratic": Suite(_draw_schwarz_quadratic, check_schwarz_quadratic),
+    "operator_schwarz": Suite(_draw_operator_schwarz, check_operator_schwarz),
+    "cp_schwarz": Suite(_draw_cp_schwarz,
+                        lambda kraus, a, b, p: min(check_cp_schwarz(KrausMap(kraus), a, b, p))),
+    "block_contraction": Suite(_draw_block_contraction, _check_block_contraction),
+    "monotonicity_dephase": Suite(_state_pair, _check_monotonicity_dephase),
+    "monotonicity_ptrace": Suite(
+        lambda rng, d: _state_pair(rng, d * d),
+        lambda rho, gamma: check_monotonicity(rho, gamma,
+                                              trace_out_channel(_bipartite(rho), (0,))),
+        local_dims=True,
+    ),
+    "monotonicity_general": Suite(
+        lambda rng, d: (*_state_pair(rng, d), random_cptp(d, 2 + rng.integer(3), rng)),
+        lambda rho, gamma, kraus: check_monotonicity(rho, gamma, KrausMap(kraus)),
+    ),
+    "monotonicity_unitary": Suite(lambda rng, d: (*_state_pair(rng, d), random_unitary(d, rng)),
+                                  _check_monotonicity_unitary),
+    "ssa": Suite(lambda rng, d: (random_density(d ** 3, 1 + rng.integer(d ** 3), rng),),
+                 _check_ssa, local_dims=True),
+    "concavity_condent": Suite(
+        lambda rng, d: _ensemble(rng, d * d),
+        lambda weights, states: check_holevo_bound(
+            Ensemble(weights, states), trace_out_channel(_bipartite(states[0]), (0,))
+        ),
+        local_dims=True,
+    ),
+    "concavity_channel": Suite(
+        lambda rng, d: (*_ensemble(rng, d), random_cptp(d, 2 + rng.integer(3), rng)),
+        lambda weights, states, kraus: check_holevo_bound(Ensemble(weights, states),
+                                                          KrausMap(kraus)),
+    ),
+    "pure_states": Suite(lambda rng, d: (random_unit_vector(d * (d + rng.integer(3)), rng),),
+                         _check_pure_states, local_dims=True),
+    "adjoint_quadratic": Suite(
+        _draw_adjoint_quadratic,
+        lambda kraus, p, q, a, t: check_adjoint_contraction(KrausMap(kraus), p, q, a, t),
+    ),
+    "holevo_identities": Suite(_ensemble, _check_holevo_identities),
+    "holevo_bound": Suite(
+        _ensemble_povm,
+        lambda weights, states, effects: check_holevo_bound(Ensemble(weights, states),
+                                                            povm_channel(Povm(effects))),
+    ),
+    "holevo_chain": Suite(_draw_holevo_chain, _check_holevo_chain, local_dims=True),
+    "holevo_routes": Suite(_ensemble_povm, _check_holevo_routes),
+    "klein": Suite(_psd_pair, _check_klein),
+    "homogeneity": Suite(lambda rng, d: (_scaled_psd(rng, d), _scaled_psd(rng, d)),
+                         _check_homogeneity),
+    "dephase_z": Suite(lambda rng, d: (random_matrix(d, d, rng),),
+                       lambda x: -max_abs(dephase(x) - dephase_via_z(x))),
+    "ancilla": Suite(_draw_ancilla, _check_ancilla),
+    "purification": Suite(lambda rng, d: (_mixed_rank_density(rng, d),), _check_purification),
+    "condent_identity": Suite(lambda rng, d: (_mixed_rank_density(rng, d * d),),
+                              _check_condent_identity, local_dims=True),
 }
-
-# Suites whose trials build multipartite states read each --dims entry as a
-# local factor dimension (total dimension grows as its square or cube); the
-# rest read it as the full matrix dimension.
-LOCAL_DIM_SUITES = frozenset(
-    {
-        "ssa",
-        "monotonicity_ptrace",
-        "concavity_condent",
-        "pure_states",
-        "holevo_chain",
-        "condent_identity",
-    }
-)
 
 
 def suite_names() -> list[str]:
@@ -499,7 +471,7 @@ def run_suite(name: str, dims=(2, 3), trials: int = 100, seed: int = 42,
               tol: float = 1e-9) -> CheckReport:
     """Run one named suite and aggregate margins into a CheckReport."""
     try:
-        fn = SUITES[name]
+        suite = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}") from None
     dim_list = [int(d) for d in dims]
@@ -512,16 +484,14 @@ def run_suite(name: str, dims=(2, 3), trials: int = 100, seed: int = 42,
     root = RngState(seed)
     start = time.perf_counter()
     worst = math.inf
-    skipped = 0
+    skipped = kernel = 0
     failures: list[Failure] = []
     errors: list[TrialError] = []
     for i in range(trials):
-        rng = root.child(i)
-        d = dim_list[i % len(dim_list)]
         try:
-            margin, payload = fn(rng, d)
+            margin, instance = suite(root.child(i), dim_list[i % len(dim_list)])
         except KernelObstruction:
-            skipped += 1
+            kernel += 1
             continue
         except (NonConvergence, ValueError, ArithmeticError) as exc:
             # one trial's error fails the suite but does not end the run
@@ -534,7 +504,7 @@ def run_suite(name: str, dims=(2, 3), trials: int = 100, seed: int = 42,
         # a NaN margin is a failure, and the worst margin stays NaN after it
         worst = margin if math.isnan(margin) else min(worst, margin)
         if math.isnan(margin) or margin < -tol:
-            failures.append(Failure(i, margin, _digest(payload)))
+            failures.append(Failure(i, margin, _digest(instance)))
     runtime_ms = (time.perf_counter() - start) * 1e3
     return CheckReport(
         suite=name,
@@ -543,6 +513,7 @@ def run_suite(name: str, dims=(2, 3), trials: int = 100, seed: int = 42,
         tol=float(tol),
         worst_margin=worst,
         skipped_infinite=skipped,
+        skipped_kernel=kernel,
         failures=tuple(failures),
         runtime_ms=runtime_ms,
         errors=tuple(errors),

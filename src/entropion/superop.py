@@ -47,12 +47,6 @@ class SuperOpSpec:
     def dim(self) -> int:
         return self.left.shape[0]
 
-    def apply(self, x) -> np.ndarray:
-        x = as_matrix(x)
-        if x.shape != self.left.shape:
-            raise ValueError(f"operand shape {x.shape} != {self.left.shape}")
-        return self.left @ x + self.t * (x @ self.right)
-
 
 def solve_resolvent(spec: SuperOpSpec, x) -> np.ndarray:
     """Solve left Y + t Y right = X on the support of the map.

@@ -130,6 +130,23 @@ def test_failures_recorded_below_tolerance():
         int(f.digest, 16)  # hex string
 
 
+def test_failures_replay_from_their_digest():
+    # a failure's digest names the instance that draw rebuilds from the
+    # trial's own stream, and check alone reproduces the margin
+    suite = suites_mod.SUITES["relent_routes"]
+    rep = run_suite("relent_routes", dims=(3,), trials=10, seed=13, tol=0.0)
+    assert rep.failures
+    for f in rep.failures:
+        instance = suite.draw(RngState(13).child(f.trial), 3)
+        assert suites_mod._digest(instance) == f.digest
+        assert suite.check(*instance) == f.margin
+    # the suites that read --dims as a local factor dimension (README)
+    assert {n for n, s in suites_mod.SUITES.items() if s.local_dims} == {
+        "ssa", "monotonicity_ptrace", "concavity_condent", "pure_states",
+        "holevo_chain", "condent_identity",
+    }
+
+
 def test_runner_accounting_with_synthetic_trial(monkeypatch):
     # exercise the skip and failure bookkeeping without relying on rare draws
     history = iter([math.inf, -0.5, 0.25, math.inf, -0.125])
@@ -174,6 +191,20 @@ def test_all_skipped_suite_does_not_pass(monkeypatch, tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "--suites", "fake", "--trials", "3", "--out", str(out)]) == 2
 
+    # infinite-entropy and kernel skips add up
+    history = iter([math.inf, None, math.inf])
+
+    def mixed_skips(rng, d):
+        margin = next(history)
+        if margin is None:
+            raise KernelObstruction("weight on the kernel")
+        return margin, (np.eye(2),)
+
+    monkeypatch.setitem(suites_mod.SUITES, "fake", mixed_skips)
+    rep = run_suite("fake", dims=(2,), trials=3, seed=0, tol=1e-9)
+    assert (rep.skipped_infinite, rep.skipped_kernel) == (2, 1)
+    assert not rep.passed
+
 
 def _raising_trial(rng, d):
     # the first draw of each trial's own stream picks how it ends
@@ -189,7 +220,7 @@ def _raising_trial(rng, d):
     return 0.0, (np.eye(2),)
 
 
-def test_trial_errors_are_recorded_and_the_run_goes_on(monkeypatch, tmp_path):
+def test_trial_errors_are_recorded_and_the_run_goes_on(monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(suites_mod.SUITES, "fake", _raising_trial)
     outcomes = [RngState(0).child(i).integer(5) for i in range(40)]
     assert set(outcomes) == {0, 1, 2, 3, 4}
@@ -198,11 +229,13 @@ def test_trial_errors_are_recorded_and_the_run_goes_on(monkeypatch, tmp_path):
     assert [(e.trial, e.error) for e in rep.errors] == [
         (i, names[o]) for i, o in enumerate(outcomes) if o in names
     ]
-    # a kernel obstruction stays a skip, not an error
-    assert rep.skipped_infinite == outcomes.count(3)
+    # a kernel obstruction is a skip of its own kind, not an error
+    assert rep.skipped_kernel == outcomes.count(3)
+    assert rep.skipped_infinite == 0
     assert rep.failures == ()
     assert rep.worst_margin == 0.0
     assert not rep.passed
+    assert rep.to_json_dict()["skipped_kernel"] == outcomes.count(3)
     errors = rep.to_json_dict()["errors"]
     assert errors[0] == {"trial": outcomes.index(0), "error": "NonConvergence",
                          "message": "quadrature did not settle"}
@@ -212,6 +245,7 @@ def test_trial_errors_are_recorded_and_the_run_goes_on(monkeypatch, tmp_path):
     rc = main(["verify", "--suites", "fake,klein", "--trials", "40", "--seed", "0",
                "--out", str(out)])
     assert rc == 2
+    assert f"skipped=0 kernel={outcomes.count(3)} errors=" in capsys.readouterr().err
     text = out.read_text()
     assert '"suite": "fake"' in text and '"suite": "klein"' in text
     assert '"error": "ZeroDivisionError"' in text
@@ -220,6 +254,7 @@ def test_trial_errors_are_recorded_and_the_run_goes_on(monkeypatch, tmp_path):
                  "--format", "csv", "--out", str(csv_out)]) == 2
     row = csv_out.read_text().splitlines()[1].split(",")
     assert row[4] == "false" and int(row[7]) == len(rep.errors)
+    assert row[6] == "0"  # the CSV column counts infinite-entropy skips only
 
 
 def test_report_without_errors_has_no_errors_key():
@@ -257,10 +292,10 @@ def test_holevo_routes_decomposes_each_matrix_once(monkeypatch):
         for i in range(4):
             for calls in seen.values():
                 calls.clear()
-            _, payload = suites_mod._trial_holevo_routes(RngState(42).child(i), d)
+            _, (weights, _, _) = suites_mod.SUITES["holevo_routes"](RngState(42).child(i), d)
             for calls in seen.values():
                 assert len(set(calls)) == len(calls)
-            assert len(seen["eigvalsh"]) == 2 * len(payload[0]) + 4
+            assert len(seen["eigvalsh"]) == 2 * len(weights) + 4
 
 
 def test_ssa_trial_memory_stays_small():
@@ -271,7 +306,7 @@ def test_ssa_trial_memory_stays_small():
     seed = next(s for s in range(1 << 16) if RngState(s).child(0).integer(big) == big - 1)
     tracemalloc.start()
     try:
-        margin, _ = suites_mod._trial_ssa(RngState(seed).child(0), d)
+        margin, _ = suites_mod.SUITES["ssa"](RngState(seed).child(0), d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -282,6 +317,6 @@ def test_ssa_trial_memory_stays_small():
 def test_every_suite_passes_briefly():
     # a smoke pass over the entire registry at small trial counts
     for name in suite_names():
-        dims = (2,) if name in suites_mod.LOCAL_DIM_SUITES else (2, 3)
+        dims = (2,) if suites_mod.SUITES[name].local_dims else (2, 3)
         rep = run_suite(name, dims=dims, trials=8, seed=42, tol=1e-8)
         assert rep.passed, f"{name}: worst={rep.worst_margin}"

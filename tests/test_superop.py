@@ -64,7 +64,7 @@ def test_resolvent_matches_dense_solve():
         dense = np.linalg.solve(superop_matrix(spec), x.reshape(-1)).reshape(d, d)
         assert np.allclose(y, dense, atol=1e-9)
         # residual check: (L + t R) y == x
-        assert np.allclose(spec.apply(y), x, atol=1e-9)
+        assert np.allclose(l @ y + t * (y @ r), x, atol=1e-9)
 
 
 def test_resolvent_self_adjoint_superoperator():
@@ -75,8 +75,9 @@ def test_resolvent_self_adjoint_superoperator():
     spec = SuperOpSpec(q, p, 2.0)
     x = random_matrix(3, 3, rng.child(2))
     y = random_matrix(3, 3, rng.child(3))
-    lhs = np.sum(np.conj(y) * spec.apply(x))
-    rhs = np.sum(np.conj(spec.apply(y)) * x)
+    m = superop_matrix(spec)
+    lhs = np.vdot(y.reshape(-1), m @ x.reshape(-1))
+    rhs = np.vdot(m @ y.reshape(-1), x.reshape(-1))
     assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
