@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
+    Spectrum,
     _keep_factors,
     as_hermitian,
     as_matrix,
@@ -243,10 +244,16 @@ def purify(rho) -> np.ndarray:
 
     The ancilla dimension is the rank of rho (eigenvalues above the zero
     band), and the ancilla basis enumerates those eigenvalues in ascending
-    order; psi.size // d recovers the ancilla dimension.
+    order; psi.size // d recovers the ancilla dimension.  One ``eigh``
+    validates rho; `_purify` is the kernel on its spectrum.
     """
     rho, spec = psd_eig(rho)
     require_unit_trace(rho)
+    return _purify(spec)
+
+
+def _purify(spec: Spectrum) -> np.ndarray:
+    """`purify` from a validated density matrix's spectrum, clipped at zero."""
     lam = spec.eigenvalues
     sel = lam > zero_band(lam)
     lam = lam[sel]

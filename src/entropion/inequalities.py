@@ -349,44 +349,44 @@ def check_ssa(rho_abc, dims) -> SsaMargins:
     primary = S(AB) + S(BC) - S(ABC) - S(B);
     alt     = S(AB) + S(AC) - S(B) - S(C), the concave functional F with
     the third factor in the purifying role; it vanishes on pure states.
+    One ``eigvalsh`` validates the state; `_ssa` is the kernel.
     """
     rho, lam = psd_eigvalsh(rho_abc)
     require_unit_trace(rho)
     ds = [int(d) for d in dims]
     if len(ds) != 3:
         raise ValueError(f"dims must list three factors, got {dims!r}")
-    s_abc = _entropy(lam)
-    s_ab = von_neumann_entropy(partial_trace(rho, ds, (0, 1)))
-    s_bc = von_neumann_entropy(partial_trace(rho, ds, (1, 2)))
-    s_ac = von_neumann_entropy(partial_trace(rho, ds, (0, 2)))
-    s_b = von_neumann_entropy(partial_trace(rho, ds, (1,)))
-    s_c = von_neumann_entropy(partial_trace(rho, ds, (2,)))
-    primary = s_ab + s_bc - s_abc - s_b
-    alt = s_ab + s_ac - s_b - s_c
-    return SsaMargins(float(primary), float(alt))
+    return _ssa(rho, lam, ds)
+
+
+def _ssa(rho: np.ndarray, lam: np.ndarray, ds: Sequence[int]) -> SsaMargins:
+    """`check_ssa` on a validated density matrix and its clipped eigenvalues."""
+    s_ab, s_bc, s_ac, s_b, s_c = (von_neumann_entropy(partial_trace(rho, ds, keep))
+                                  for keep in ((0, 1), (1, 2), (0, 2), (1,), (2,)))
+    return SsaMargins(float(s_ab + s_bc - _entropy(lam) - s_b), float(s_ab + s_ac - s_b - s_c))
 
 
 def check_pure_state_lemmas(psi, dims) -> float:
     """Both reductions of a bipartite pure state share one nonzero
     spectrum; returns the max deviation between the sorted spectra
     (padded with zeros to a common length)."""
+    return _pure_state_lemmas(psi, dims)[0]
+
+
+def _pure_state_lemmas(psi, dims) -> tuple[float, list[np.ndarray]]:
+    """The gap and the two nonzero spectra, descending, one ``eigvalsh`` each."""
     v = np.asarray(psi, dtype=complex).ravel()
     n = float(np.linalg.norm(v))
     if abs(n - 1.0) > 1e-12:
         raise ValueError(f"state vector must be normalized, got norm {n!r}")
     if len(dims) != 2:
         raise ValueError(f"dims must list two factors, got {dims!r}")
-    spectra = []
-    for keep in ((0,), (1,)):
-        red = partial_trace_pure(v, dims, keep)
-        lam = np.linalg.eigvalsh(red)
-        lam = np.maximum(lam, 0.0)
-        spectra.append(np.sort(lam[lam > zero_band(lam)])[::-1])
-    a, b = spectra
+    lams = [np.maximum(np.linalg.eigvalsh(partial_trace_pure(v, dims, keep)), 0.0)
+            for keep in ((0,), (1,))]
+    a, b = spectra = [lam[lam > zero_band(lam)][::-1] for lam in lams]  # eigvalsh ascends
     k = max(a.size, b.size)
-    a = np.pad(a, (0, k - a.size))
-    b = np.pad(b, (0, k - b.size))
-    return float(np.max(np.abs(a - b))) if k else 0.0
+    gap = np.abs(np.pad(a, (0, k - a.size)) - np.pad(b, (0, k - b.size)))
+    return (float(gap.max()) if k else 0.0), spectra
 
 
 def check_adjoint_contraction(phi: KrausMap, p, q, a, t: float = 1.0) -> float:

@@ -34,6 +34,7 @@ import numpy as np
 from .channels import (
     KrausMap,
     Povm,
+    _purify,
     ancilla_representation,
     apply_ancilla,
     apply_channel,
@@ -46,6 +47,7 @@ from .channels import (
     trace_out_channel,
 )
 from .entropy import (
+    _entropy,
     _relent,
     conditional_entropy,
     relative_entropy,
@@ -68,6 +70,8 @@ from .inequalities import (
     ConvexityInstance,
     Failure,
     TrialError,
+    _pure_state_lemmas,
+    _ssa,
     check_adjoint_contraction,
     check_block_contraction,
     check_cp_schwarz,
@@ -76,7 +80,6 @@ from .inequalities import (
     check_operator_schwarz,
     check_pure_state_lemmas,
     check_schwarz_quadratic,
-    check_ssa,
 )
 from .matcore import (
     KernelObstruction,
@@ -86,6 +89,7 @@ from .matcore import (
     partial_trace,
     partial_trace_pure,
     psd_eig,
+    require_unit_trace,
     tensor,
 )
 from .randgen import (
@@ -279,13 +283,14 @@ def _check_ssa(rho) -> float:
     d = round(big ** (1 / 3))
     if d ** 3 != big:
         raise ValueError(f"ssa needs a dimension d^3, got {big}")
-    margins = check_ssa(rho, (d, d, d))
-    # the alternative functional on ABD, with the purifying factor D in the
-    # third role, from psi's own marginals: S(AB) + S(AD) - S(B) - S(D)
-    psi = purify(rho)
+    rho, spec = psd_eig(rho)  # one eigh serves the kernels _ssa and _purify
+    margins = _ssa(require_unit_trace(rho), spec.eigenvalues, (d, d, d))
+    # the functional on ABD, purifying D in the third role: S(AB) + S(AD) - S(B) - S(D).
+    # psi is pure, so S(AD) = S(BC) (Schmidt), read from the d^2 x d^2 BC marginal
+    psi = _purify(spec)
     dims = (d, d, d, psi.size // big)
     s_ab, s_ad, s_b, s_d = (von_neumann_entropy(partial_trace_pure(psi, dims, keep))
-                            for keep in ((0, 1), (0, 3), (1,), (3,)))
+                            for keep in ((0, 1), (1, 2), (1,), (3,)))
     equiv_gap = abs(s_ab + s_ad - s_b - s_d - margins.primary)
     return min(margins.primary, margins.alt, -equiv_gap)
 
@@ -294,10 +299,8 @@ def _check_pure_states(psi) -> float:
     # d_B = d_A + k with k < 3, so d_A d_B < (d_A + 1)^2 and isqrt gives d_A
     d = math.isqrt(psi.size)
     dims = (d, psi.size // d)
-    dist = check_pure_state_lemmas(psi, dims)
-    s_a = von_neumann_entropy(partial_trace_pure(psi, dims, (0,)))
-    s_b = von_neumann_entropy(partial_trace_pure(psi, dims, (1,)))
-    return -max(dist, abs(s_a - s_b))
+    dist, (lam_a, lam_b) = _pure_state_lemmas(psi, dims)
+    return -max(dist, abs(_entropy(lam_a) - _entropy(lam_b)))
 
 
 _ADJOINT_TS = (0.5, 1.0, 2.0)

@@ -7,7 +7,9 @@ import pytest
 from entropion import NonConvergence, RngState, run_suite, suite_names
 from entropion import suites as suites_mod
 from entropion.cli import dumps_17g, main
-from entropion.matcore import KernelObstruction
+from entropion.entropy import von_neumann_entropy
+from entropion.matcore import KernelObstruction, Spectrum, partial_trace_pure
+from entropion.randgen import random_unit_vector
 
 EXPECTED_SUITES = [
     "adjoint_quadratic",
@@ -276,18 +278,30 @@ def test_other_trial_exceptions_still_propagate(monkeypatch):
         run_suite("fake", dims=(2,), trials=2, seed=0)
 
 
+def _record_solves(monkeypatch) -> dict[str, list[tuple[tuple[int, ...], bytes]]]:
+    # the shape and bytes of every matrix passed to eigh and eigvalsh
+    seen = {"eigh": [], "eigvalsh": []}
+    for name in seen:
+        def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            seen[_name].append((np.shape(a), np.ascontiguousarray(a).tobytes()))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return seen
+
+
+def _full_rank_ssa_seed(d: int) -> int:
+    # the first seed whose trial 0 draws an ssa state of full rank d^3
+    big = d ** 3
+    return next(s for s in range(1 << 16) if RngState(s).child(0).integer(big) == big - 1)
+
+
 def test_holevo_routes_decomposes_each_matrix_once(monkeypatch):
     # the ensemble average and its channel image are decomposed once per
     # trial, not once per member; each member and each image is read from
     # the eigvalsh that validated it: 2n calls, one per average in the chi
     # margin, and two in the flagged-state relative entropies
-    seen = {"eigh": [], "eigvalsh": []}
-    for name in seen:
-        def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            seen[_name].append(np.ascontiguousarray(a).tobytes())
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    seen = _record_solves(monkeypatch)
     for d in (2, 3):
         for i in range(4):
             for calls in seen.values():
@@ -298,12 +312,53 @@ def test_holevo_routes_decomposes_each_matrix_once(monkeypatch):
             assert len(seen["eigvalsh"]) == 2 * len(weights) + 4
 
 
+def test_ssa_and_pure_states_trials_decompose_nothing_twice(monkeypatch):
+    # a full-rank ssa trial at local d = 4: one eigh of rho (64 x 64) serves
+    # both the SSA margins and the purification, and S(AD) of the 4096-dim
+    # purification is read from the 16 x 16 BC marginal, not the 256 x 256
+    # AD one, so no solve is larger than rho and no matrix is solved twice
+    seen = _record_solves(monkeypatch)
+    suites_mod.SUITES["ssa"](RngState(_full_rank_ssa_seed(4)).child(0), 4)
+    solved = seen["eigh"] + seen["eigvalsh"]
+    assert max(max(shape) for shape, _ in solved) == 64
+    assert len(set(solved)) == len(solved)
+    assert (len(seen["eigh"]), len(seen["eigvalsh"])) == (1, 9)
+    # pure_states reads both entropies from the spectra its lemma check took
+    for calls in seen.values():
+        calls.clear()
+    suites_mod.SUITES["pure_states"](RngState(42).child(0), 3)
+    assert (len(seen["eigh"]), len(seen["eigvalsh"])) == (0, 2)
+
+
+def test_ssa_sees_a_bad_purification(monkeypatch):
+    # S(AD) = S(BC) on a pure state: the identity the ssa check reads S(AD) by
+    rng = RngState(3)
+    for d in (2, 3):
+        for rank in (1, d, d ** 3):
+            psi = random_unit_vector(d ** 3 * rank, rng)
+            dims = (d, d, d, rank)
+            s_ad, s_bc = (von_neumann_entropy(partial_trace_pure(psi, dims, keep))
+                          for keep in ((0, 3), (1, 2)))
+            assert abs(s_ad - s_bc) < 1e-13
+    # a purification of (1 - eps) rho + eps I / d^3 in place of rho's must fail
+    purify_spectrum = suites_mod._purify
+
+    def mixed(spec):
+        lam = (1 - 1e-6) * spec.eigenvalues + 1e-6 / len(spec.eigenvalues)
+        return purify_spectrum(Spectrum(lam, spec.eigenvectors))
+
+    monkeypatch.setattr(suites_mod, "_purify", mixed)
+    for d in (2, 3, 4):
+        for i in range(3):
+            margin, _ = suites_mod.SUITES["ssa"](RngState(11).child(i), d)
+            assert margin < -1e-9, (d, i, margin)
+
+
 def test_ssa_trial_memory_stays_small():
     # one full-rank trial at local d = 4 purifies onto 4096 dimensions; the
     # projector on them alone would be a 4096 x 4096 complex matrix (268 MB)
     d = 4
-    big = d ** 3
-    seed = next(s for s in range(1 << 16) if RngState(s).child(0).integer(big) == big - 1)
+    seed = _full_rank_ssa_seed(d)
     tracemalloc.start()
     try:
         margin, _ = suites_mod.SUITES["ssa"](RngState(seed).child(0), d)
