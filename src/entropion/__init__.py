@@ -24,7 +24,6 @@ from .channels import (
     trace_out_channel,
 )
 from .entropy import (
-    adaptive_gl,
     bures_distance,
     composite_gl,
     conditional_entropy,

@@ -8,7 +8,7 @@ package never does.)
 The three routes:
 
 * ``relative_entropy``         - spectral: Tr P ln P - Tr P ln Q;
-* ``relative_entropy_integral``- adaptive quadrature of the representation
+* ``relative_entropy_integral``- trapezoid quadrature of the representation
       H(P, Q) = Tr(P - Q)
                + int_0^inf Tr[(Q-P) (L_Q + t R_P)^{-1} (Q-P)] (1+t)^{-2} dt
   where L/R are left/right multiplication;
@@ -25,18 +25,23 @@ u = ln t, where every turnover has width O(1) whatever the conditioning:
 
     g(u) = sum_k w_k / (q_k + e^u p_k) * e^u / (1 + e^u)^2.
 
-Rows in ker Q are dropped, so every q_k > 0, 1/(q_k + e^u p_k) <= 1/q_k
-and e^u / (1 + e^u)^2 <= e^{-|u|}; hence g(u) <= C e^{-|u|} with
-C = sum_k w_k / q_k.  Cutting the line at |u| = L drops at most
-2 C e^{-L}, so L = ln(C / tau) with tau = _TAIL_SHARE * _ABS_TOL = 1e-16
-keeps the tails at the rounding floor.  The bound is close to tight on
-the left, where g(u) ~ C e^u, so the cut biases every value low by about
-tau.  The finite range u in [-L, L] is mapped onto the s in [0, 1] that
-``adaptive_gl`` integrates by u = L (2s - 1) (``_log_scale``).  L grows
-like the log of 1 / lambda_min(Q), and g is analytic in the strip
-|Im u| < pi, so the panel count needed grows by a bounded amount per
-decade of conditioning.  ``scalar_log_identity`` integrates its two
-scalar integrals on the same map.
+Rows in ker Q are dropped, so every q_k > 0 and g(u) <= C e^{-|u|} with
+C = sum_k w_k / q_k.  The route is one trapezoid pass, step h, over
+u_j = j h for |j| <= n = ceil(L / h), with L = ln(C / tau), tau = 1e-16:
+the nodes left out hold at most h sum_{j>n} C e^{-jh} <= tau a side, and
+as g ~ C e^u on the left, the cut biases every value low by about tau.
+g is analytic in |Im u| < pi.  For |Im u| <= pi/2, Re e^u >= 0 gives
+|q_k + e^u p_k| >= q_k and |1 + e^u|^2 >= (1 + e^x)^2 / 2, so the integral
+of |g(x + iy)| over x is at most M = 2C, and the sum over the whole line
+misses the integral by at most 2M / (e^{pi^2 / h} - 1) (Trefethen and
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+56(3), 2014, Thm 5.1).  The step h = pi^2 / (L + ln 4) makes that
+4C / (4C / tau - 1), about tau.  A pass costs 2n + 1 ~ 2 L (L + ln 4) / pi^2
+nodes, and L grows like ln(1 / lambda_min(Q)).  ``scalar_log_identity``'s
+first integrand, (1-w)(1+t)/(w+t) (1+t)^{-2}, has the same bound with
+C = |1-w| max(1, 1/w), as |1 + t| / |w + t| <= max(1, 1/w) for Re t >= 0.
+``relative_entropy_integral_fixed`` and the ``convergence`` command study
+composite Gauss-Legendre panels on the same integrand, u = L (2s - 1).
 
 Each route validates its operands on the decomposition it needs anyway
 (``matcore.psd_eigvalsh`` / ``psd_eig``), so a relative entropy costs two
@@ -54,7 +59,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .matcore import (
-    NonConvergence,
     Spectrum,
     as_density,
     partial_trace,
@@ -68,16 +72,9 @@ from .matcore import (
 SUPPORT_MASS_TOL = 1e-10
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_GL_CHUNK = 4096  # nodes evaluated per batch, bounds memory at high panel counts
-# adaptive_gl: 10-node panels on [0, 1], _BASE_PANELS at first, doubled
-# until two successive estimates differ by at most _ABS_TOL.
-_ABS_TOL = 1e-10
-_BASE_PANELS = 8
-_MAX_REFINEMENTS = 30
-# The integral route cuts u = ln t at |u| = L where its tails sum to at
-# most 2 * _TAIL_SHARE * _ABS_TOL.  L grows only by ln(1 / _TAIL_SHARE),
-# so the budget can sit at the rounding floor.
-_TAIL_SHARE = 1e-6
+_NODE_CHUNK = 4096  # quadrature nodes evaluated per batch, bounds memory
+# Each tail of u = ln t beyond the integral route's cut holds at most _TAU.
+_TAU = 1e-16
 
 
 def composite_gl(f: Callable[[np.ndarray], np.ndarray], panels: int) -> float:
@@ -85,7 +82,7 @@ def composite_gl(f: Callable[[np.ndarray], np.ndarray], panels: int) -> float:
     h = 1.0 / panels
     total = 0.0
     nodes01 = (_GL_NODES + 1.0) * 0.5  # panel-local nodes in (0, 1)
-    per_chunk = max(1, _GL_CHUNK // nodes01.size)
+    per_chunk = max(1, _NODE_CHUNK // nodes01.size)
     for start in range(0, panels, per_chunk):
         stop = min(start + per_chunk, panels)
         lefts = np.arange(start, stop) * h
@@ -95,24 +92,17 @@ def composite_gl(f: Callable[[np.ndarray], np.ndarray], panels: int) -> float:
     return total
 
 
-def adaptive_gl(f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Panel-doubling Gauss-Legendre on [0, 1] with an absolute stopping rule."""
-    panels = _BASE_PANELS
-    prev = composite_gl(f, panels)
-    for _ in range(_MAX_REFINEMENTS):
-        panels *= 2
-        cur = composite_gl(f, panels)
-        if abs(cur - prev) <= _ABS_TOL:
-            return cur
-        if not math.isfinite(cur):
-            # it would never settle; doubling on would only run the panel
-            # count up to _BASE_PANELS * 2^_MAX_REFINEMENTS
-            raise NonConvergence(f"quadrature estimate is {cur!r} at {panels} panels")
-        prev = cur
-    raise NonConvergence(
-        f"quadrature did not settle to {_ABS_TOL:g} within "
-        f"{_MAX_REFINEMENTS} panel doublings"
-    )
+def _trapezoid(g: Callable[[np.ndarray, float], np.ndarray], half: float) -> float:
+    """Trapezoid rule on the line, cut at |u| = L = ``half``: the sum of
+    g(u_j, h) over u_j = j h, |j| <= ceil(L / h), with h = pi^2 / (L + ln 4).
+    ``g(u, jac)`` returns its integrand at the nodes u times jac."""
+    h = math.pi ** 2 / (half + math.log(4.0))
+    n = math.ceil(half / h)
+    total = 0.0
+    for start in range(-n, n + 1, _NODE_CHUNK):
+        u = np.arange(start, min(start + _NODE_CHUNK, n + 1)) * h
+        total += float(np.sum(g(u, h)))
+    return total
 
 
 def _entropy(lam: np.ndarray) -> float:
@@ -174,20 +164,16 @@ def relative_entropy(p, q) -> float:
 
 def _half_width(bound: float) -> float:
     """The cut L of u = ln t for an integrand bounded by bound * e^{-|u|}:
-    each tail beyond |u| = L holds at most _TAIL_SHARE * _ABS_TOL.  L >= 1
-    keeps the range nonempty when the bound is tiny."""
-    return math.log(max(bound / (_TAIL_SHARE * _ABS_TOL), math.e))
+    each tail beyond |u| = L holds at most _TAU.  L >= 1 keeps the range
+    nonempty when the bound is tiny."""
+    return math.log(max(bound / _TAU, math.e))
 
 
-def _log_scale(s: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
-    """Map s in [0, 1] onto u = L (2s - 1) in [-L, L] (Jacobian 2L).
-
-    Returns t = e^u and 2L e^u / (1 + e^u)^2, the factor that turns
-    (1 + t)^{-2} dt into ds, written in e^{-|u|} so it cannot overflow.
-    """
-    u = half * (2.0 * s - 1.0)
+def _log_measure(u: np.ndarray, jac: float) -> tuple[np.ndarray, np.ndarray]:
+    """t = e^u and jac e^u / (1 + e^u)^2, the factor that turns
+    (1 + t)^{-2} dt into du, written in e^{-|u|} so it cannot overflow."""
     decay = np.exp(-np.abs(u))
-    return np.exp(u), 2.0 * half * decay / (1.0 + decay) ** 2
+    return np.exp(u), jac * decay / (1.0 + decay) ** 2
 
 
 class _IntegralData:
@@ -218,20 +204,20 @@ class _IntegralData:
         # g(u) <= C e^{-|u|}
         self.half_width = _half_width(float(np.sum(self.weights / self.q_eigs)))
 
-    def integrand(self, s: np.ndarray) -> np.ndarray:
-        """2L g(u) at u = L (2s - 1): the integral over s in [0, 1] is the
-        resolvent integral over t = e^u in [e^{-L}, e^L]."""
-        t, jac = _log_scale(s, self.half_width)
+    def integrand(self, u: np.ndarray, jac: float) -> np.ndarray:
+        """jac g(u): over the line in u it integrates to the resolvent
+        integral over t = e^u."""
+        t, measure = _log_measure(u, jac)
         terms = self.weights[:, None] / (self.q_eigs[:, None] + t[None, :] * self.p_eigs[:, None])
-        return jac * terms.sum(axis=0)
+        return measure * terms.sum(axis=0)
 
 
 def relative_entropy_integral(p, q) -> float:
-    """H(P, Q) by adaptive quadrature of the resolvent quadratic form."""
+    """H(P, Q) by one trapezoid pass over the resolvent quadratic form."""
     data = _IntegralData(p, q)
     if data.violated:
         return math.inf
-    return data.trace_correction + adaptive_gl(data.integrand)
+    return data.trace_correction + _trapezoid(data.integrand, data.half_width)
 
 
 def relative_entropy_integral_fixed(p, q, panels: int) -> float:
@@ -242,7 +228,9 @@ def relative_entropy_integral_fixed(p, q, panels: int) -> float:
     data = _IntegralData(p, q)
     if data.violated:
         return math.inf
-    return data.trace_correction + composite_gl(data.integrand, panels)
+    half = data.half_width  # s in [0, 1] maps onto u = L (2s - 1), Jacobian 2L
+    return data.trace_correction + composite_gl(
+        lambda s: data.integrand(half * (2.0 * s - 1.0), 2.0 * half), panels)
 
 
 # --------------------------------------------------------------------------
@@ -283,8 +271,12 @@ def _kernel_k_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         delta = diff[mid] / a[mid]
         out[mid] = (0.5 - delta / 6.0 + delta ** 2 / 12.0 - delta ** 3 / 20.0 + delta ** 4 / 30.0) / a[mid]
     if far.any():
+        # ln(b/a) as +-log1p(|b - a| / min(a, b)): log(b / a) rounds b / a
+        # first, which costs ~1e-6 relative in k just above the series
+        # switch, and log1p((b - a) / a) loses everything once b << a
         d = diff[far]
-        out[far] = b[far] * np.log(b[far] / a[far]) / (d * d) - 1.0 / d
+        ln_ratio = np.sign(d) * np.log1p(np.abs(d) / np.minimum(a[far], b[far]))
+        out[far] = b[far] * ln_ratio / (d * d) - 1.0 / d
     return out
 
 
@@ -309,12 +301,10 @@ def scalar_log_identity(w: float) -> tuple[float, float, float]:
 
     Returns (-ln w, quadrature of int_0^inf [1/(w+t) - 1/(1+t)] dt,
     (1-w) + quadrature of int_0^inf (w-1)^2 / ((w+t)(1+t)^2) dt); all three
-    agree for w > 0.  Both integrals run on the integral route's map
-    u = ln t in [-L, L]: the second is that route on P = 1, Q = w, and the
-    first, (1-w)/((w+t)(1+t)) = (1-w)(1+t)/(w+t) * (1+t)^{-2}, is at most
-    |1-w| max(1, 1/w) e^{-|u|} in u, which sets its L.  So the cost grows
-    with |ln w| only through L, as the integral route's does with the
-    conditioning.
+    agree for w > 0.  Both integrals run on the integral route's trapezoid
+    in u = ln t: the second is that route on P = 1, Q = w, and the first,
+    (1-w)/((w+t)(1+t)), has the bound in the module docstring, so the cost
+    grows with |ln w| only through L.
     """
     w = float(w)
     if not (w > 0.0) or not np.isfinite(w):
@@ -322,11 +312,11 @@ def scalar_log_identity(w: float) -> tuple[float, float, float]:
     lhs = -math.log(w)
     half = _half_width(abs(1.0 - w) * max(1.0, 1.0 / w))
 
-    def g1(s: np.ndarray) -> np.ndarray:
-        t, jac = _log_scale(s, half)
-        return jac * (1.0 - w) * (1.0 + t) / (w + t)
+    def g1(u: np.ndarray, jac: float) -> np.ndarray:
+        t, measure = _log_measure(u, jac)
+        return measure * (1.0 - w) * (1.0 + t) / (w + t)
 
-    return lhs, adaptive_gl(g1), relative_entropy_integral([[1.0]], [[w]])
+    return lhs, _trapezoid(g1, half), relative_entropy_integral([[1.0]], [[w]])
 
 
 def conditional_entropy(rho_ab, dims) -> float:

@@ -6,10 +6,8 @@ import pytest
 
 from entropion import entropy as entropy_mod
 from entropion import (
-    NonConvergence,
     RngState,
     SuperOpSpec,
-    adaptive_gl,
     bures_distance,
     composite_gl,
     conditional_entropy,
@@ -200,29 +198,24 @@ def test_kernel_k_continuity_across_switches():
             )
 
 
+def test_kernel_k_just_above_the_series_switch():
+    # log(b / a) rounded b / a first and cost ~1e-6 relative here; the
+    # reference is the series sum_n (-delta)^n / ((n + 1)(n + 2)) / a
+    a = 1e-3
+    for delta in (1.2e-5, -1.2e-5, 3e-5):
+        b = a * (1.0 + delta)
+        exact = (b - a) / a  # b - a is exact, so this is delta as stored
+        ref = math.fsum((-exact) ** n / ((n + 1) * (n + 2)) for n in range(12)) / a
+        assert kernel_k(a, b) == pytest.approx(ref, rel=1e-10, abs=0.0)
+    # far below a, ln(b / a) must not be read off log1p((b - a) / a) = log1p(-1)
+    assert kernel_k(1.0, 1e-20) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_quadrature_polynomial_exactness():
     # 10-node Gauss-Legendre integrates degree-19 polynomials exactly
     val = composite_gl(lambda s: 20.0 * s ** 19, 1)
     assert val == pytest.approx(1.0, abs=1e-13)
     assert composite_gl(lambda s: np.ones_like(s), 7) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_adaptive_gl_converges_and_reports_failure(monkeypatch):
-    val = adaptive_gl(np.exp)
-    assert val == pytest.approx(math.e - 1, abs=1e-12)
-    # a wildly oscillatory integrand cannot settle within one doubling
-    monkeypatch.setattr(entropy_mod, "_ABS_TOL", 1e-15)
-    monkeypatch.setattr(entropy_mod, "_MAX_REFINEMENTS", 1)
-    monkeypatch.setattr(entropy_mod, "_BASE_PANELS", 1)
-    with pytest.raises(NonConvergence):
-        adaptive_gl(lambda s: np.sin(5000.0 * s))
-
-
-def test_adaptive_gl_stops_on_a_non_finite_estimate(monkeypatch):
-    panels = _count_panels(monkeypatch)
-    with pytest.raises(NonConvergence):
-        adaptive_gl(lambda s: np.full_like(s, np.nan))
-    assert panels == [8, 16]
 
 
 def test_fixed_panel_route_converges():
@@ -236,36 +229,86 @@ def test_fixed_panel_route_converges():
     assert errs[-1] < 1e-12
 
 
-def _count_panels(monkeypatch):
-    panels = []
-    gl = entropy_mod.composite_gl
+def _count_nodes(monkeypatch):
+    """Records (L, nodes evaluated) for each trapezoid pass."""
+    passes = []
+    trapezoid = entropy_mod._trapezoid
 
-    def counted(f, n):
-        panels.append(n)
-        return gl(f, n)
+    def counted(g, half):
+        nodes = []
 
-    monkeypatch.setattr(entropy_mod, "composite_gl", counted)
-    return panels
+        def counted_g(u, jac):
+            nodes.append(u.size)
+            return g(u, jac)
+
+        total = trapezoid(counted_g, half)
+        passes.append((half, sum(nodes)))
+        return total
+
+    monkeypatch.setattr(entropy_mod, "_trapezoid", counted)
+    return passes
 
 
 def test_integral_route_time_is_bounded_in_conditioning(monkeypatch):
     # p = diag(1-e, e), q = diag(e, 1-e): the terms turn over at t = e^2
     # and 1/e^2, far outside any fixed grid in t
-    panels = _count_panels(monkeypatch)
+    passes = _count_nodes(monkeypatch)
     used = {}
     for k in range(2, 13):
         eps = 10.0 ** -k
         p = np.diag([1.0 - eps, eps])
         q = np.diag([eps, 1.0 - eps])
-        del panels[:]
+        del passes[:]
         start = time.perf_counter()
         h = relative_entropy_integral(p, q)
         assert time.perf_counter() - start < 1.0
         assert h == pytest.approx(relative_entropy(p, q), abs=1e-8)
-        used[k] = sum(panels)
-    # the range in u = ln t widens by ln 10 per decade, which costs at most
-    # one more doubling of the 8 base panels over ten decades
-    assert used[12] <= used[2] + 64
+        assert len(passes) == 1
+        used[k] = passes[0]
+    # C = (1 - 2 eps)^2 (1/eps + 1/(1 - eps)), so the cut L = ln(C / tau)
+    # widens by ln 10 per decade, plus ln (1 - 2 eps)^-2 = 0.04 at eps =
+    # 1e-2; a pass costs 2 ceil(L (L + ln 4) / pi^2) + 1 nodes
+    (l_2, nodes_2), (l_12, nodes_12) = used[2], used[12]
+    l_max = l_2 + 10 * math.log(10.0) + 0.05
+    assert l_12 <= l_max
+    growth = 2 * (l_max * (l_max + math.log(4.0)) - l_2 * (l_2 + math.log(4.0))) / math.pi ** 2
+    assert 0 < nodes_12 <= nodes_2 + growth + 2
+
+
+def _trapezoid_bound(c: float, half: float) -> float:
+    """The a priori error of one trapezoid pass at cut L = half on an
+    integrand with tail constant C: discretisation plus both cut tails."""
+    h = math.pi ** 2 / (half + math.log(4.0))
+    return 4.0 * c / math.expm1(math.pi ** 2 / h) + 2.0 * entropy_mod._TAU
+
+
+def _with_floor(d: int, floor: float, rng: RngState) -> np.ndarray:
+    """PSD with eigenvalues floor, 1 and d - 2 log-uniform between them,
+    in a random eigenbasis."""
+    u = random_unitary(d, rng)
+    lam = np.array([floor, 1.0] + [floor ** rng.uniform() for _ in range(d - 2)])
+    m = (u * lam) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def test_integral_route_meets_its_a_priori_bound():
+    def check(p, q):
+        data = entropy_mod._IntegralData(p, q)
+        c = float(np.sum(data.weights / data.q_eigs))
+        h = relative_entropy(p, q)
+        gap = abs(relative_entropy_integral(p, q) - h)
+        assert gap <= _trapezoid_bound(c, data.half_width) + 1e-14 * max(1.0, h), (p, q, gap)
+
+    # the 1x1 pair where panel doubling stopped 1.27e-9 short
+    check(np.eye(1), np.array([[4.204897886709956]]))
+    for k in range(1, 9):
+        eps = 10.0 ** -k
+        check(np.diag([1.0 - eps, eps]), np.diag([eps, 1.0 - eps]))
+    rng = RngState(16)
+    for d in range(2, 9):
+        for k in range(1, 9):
+            draw = rng.child(10 * d + k)
+            check(*(_with_floor(d, 10.0 ** -k, draw.child(i)) for i in range(2)))
 
 
 def test_integral_route_equal_operands():
@@ -301,6 +344,17 @@ def test_scalar_log_identity_fixed_points():
         assert lhs == pytest.approx(-math.log(w), abs=1e-14)
         assert rhs1 == pytest.approx(lhs, abs=1e-10)
         assert rhs2 == pytest.approx(lhs, abs=1e-10)
+
+
+def test_scalar_log_identity_at_the_doubling_failure():
+    # panel doubling took two agreeing under-resolved estimates here and
+    # missed -ln w by 1.27e-9; both trapezoid passes sit at rounding level
+    w = 4.204897886709956
+    lhs, rhs1, rhs2 = scalar_log_identity(w)
+    assert abs(rhs1 - lhs) <= 1e-13
+    assert abs(rhs2 - lhs) <= 1e-13
+    c1 = abs(1.0 - w) * max(1.0, 1.0 / w)
+    assert abs(rhs1 - lhs) <= _trapezoid_bound(c1, entropy_mod._half_width(c1)) + 1e-14
 
 
 def test_scalar_log_identity_time_is_bounded_in_w():
