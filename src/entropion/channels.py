@@ -1,10 +1,12 @@
 """Quantum channels in Kraus form, with dilation and purification.
 
-A channel is a finite list of Kraus operators K_j of common shape
-(d_out, d_in), so it is completely positive by construction; trace
-preservation means sum_j K_j^dag K_j = I to 1e-10, and `require_tp` is the
-one check of it.  Dephasing, partial traces and measurements are channels
-like any other (see `trace_out_channel` and `povm_channel`).
+A channel is one complex array K of shape (r, d_out, d_in): its r Kraus
+operators, stacked, so it is completely positive by construction.  As a
+(r*d_out, d_in) matrix, K is the Stinespring isometry V = sum_j |j> (x) K_j
+(Watrous, *The Theory of Quantum Information*, 2018, sec. 2.2); each
+operation below is one array operation on it, and trace preservation,
+V^dag V = I to 1e-10, is checked by `require_tp` alone.  Dephasing, partial
+traces and measurements are channels (`trace_out_channel`, `povm_channel`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .matcore import (
     Spectrum,
+    _factor_dims,
     _keep_factors,
     as_hermitian,
     as_matrix,
@@ -32,28 +35,34 @@ POVM_TOL = 1e-10
 
 
 class KrausMap:
-    """Completely positive map given by its Kraus operators."""
+    """Completely positive map; ``kraus_ops`` stacks its Kraus operators."""
 
     __slots__ = ("kraus_ops", "d_in", "d_out")
 
     def __init__(self, kraus_ops):
-        ops = tuple(as_matrix(k) for k in kraus_ops)
-        if not ops:
+        try:
+            ops = np.asarray(kraus_ops, dtype=complex)
+        except ValueError:
+            shapes = list(dict.fromkeys(map(np.shape, kraus_ops)))
+            if len(shapes) < 2:
+                raise
+            raise ValueError(f"Kraus shapes differ: {shapes[0]} vs {shapes[1]}") from None
+        if ops.shape[:1] == (0,):
             raise ValueError("need at least one Kraus operator")
-        shape = ops[0].shape
-        for k in ops[1:]:
-            if k.shape != shape:
-                raise ValueError(f"Kraus shapes differ: {shape} vs {k.shape}")
+        if ops.ndim != 3:
+            raise ValueError(f"expected a 2-d matrix, got shape {ops.shape[1:]}")
+        if not np.isfinite(ops).all():
+            raise ValueError("matrix entries must be finite")
         self.kraus_ops = ops
-        self.d_out, self.d_in = shape
+        _, self.d_out, self.d_in = ops.shape
 
     def __len__(self):
         return len(self.kraus_ops)
 
     def completeness_defect(self) -> float:
-        """max-norm distance of sum K^dag K from the identity."""
-        s = sum(k.conj().T @ k for k in self.kraus_ops)
-        return max_abs(s - np.eye(self.d_in))
+        """max-norm distance of V^dag V = sum K^dag K from the identity."""
+        v = self.kraus_ops.reshape(-1, self.d_in)
+        return max_abs(v.conj().T @ v - np.eye(self.d_in))
 
 
 def require_tp(phi: KrausMap) -> KrausMap:
@@ -69,10 +78,8 @@ def apply_linear(phi: KrausMap, x) -> np.ndarray:
     x = as_matrix(x)
     if x.shape != (phi.d_in, phi.d_in):
         raise ValueError(f"operand shape {x.shape} != ({phi.d_in}, {phi.d_in})")
-    out = np.zeros((phi.d_out, phi.d_out), dtype=complex)
-    for k in phi.kraus_ops:
-        out += k @ x @ k.conj().T
-    return out
+    k = phi.kraus_ops
+    return (k @ x @ k.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply_channel(phi: KrausMap, rho) -> np.ndarray:
@@ -84,7 +91,7 @@ def apply_channel(phi: KrausMap, rho) -> np.ndarray:
 
 def adjoint_channel(phi: KrausMap) -> KrausMap:
     """Heisenberg-picture adjoint {K_j^dag}; unital when phi is TP."""
-    return KrausMap([k.conj().T for k in phi.kraus_ops])
+    return KrausMap(phi.kraus_ops.conj().transpose(0, 2, 1))
 
 
 def identity_channel(d: int) -> KrausMap:
@@ -92,8 +99,11 @@ def identity_channel(d: int) -> KrausMap:
 
 
 def tensor_channel(phi: KrausMap, psi: KrausMap) -> KrausMap:
-    """Product channel with Kraus list {K_i (x) L_j}, i-major order."""
-    return KrausMap([np.kron(k, l) for k in phi.kraus_ops for l in psi.kraus_ops])
+    """Product channel with Kraus operators K_i (x) L_j, i-major order."""
+    # broadcast to (i, j, row_K, row_L, col_K, col_L): np.kron's bits, not einsum's
+    k, l = phi.kraus_ops, psi.kraus_ops
+    prod = k[:, None, :, None, :, None] * l[:, None, :, None, :]
+    return KrausMap(prod.reshape(len(k) * len(l), phi.d_out * psi.d_out, -1))
 
 
 def trace_out_channel(dims, keep) -> KrausMap:
@@ -101,16 +111,16 @@ def trace_out_channel(dims, keep) -> KrausMap:
 
     Kraus operators are indexed row-major by the basis labels of the traced
     factors; kept factors remain in their original order, matching
-    ``matcore.partial_trace``.  Each operator is a block of rows of the
-    identity, read off with the kept axes first.
+    ``matcore.partial_trace``, and ``dims`` and ``keep`` are checked as
+    there.  Each operator is a block of rows of the identity, read off with
+    the traced axes first.
     """
-    ds = [int(d) for d in dims]
+    ds = _factor_dims(dims)
     keep_set = _keep_factors(keep, len(ds))
     traced = [i for i in range(len(ds)) if i not in keep_set]
     n = math.prod(ds)
-    rows = np.eye(n).reshape(ds + [n]).transpose(keep_set + traced + [len(ds)])
-    rows = rows.reshape(math.prod(ds[i] for i in keep_set), -1, n)
-    return KrausMap([rows[:, j, :] for j in range(rows.shape[1])])
+    rows = np.eye(n).reshape(ds + [n]).transpose(traced + keep_set + [len(ds)])
+    return KrausMap(rows.reshape(-1, math.prod(ds[i] for i in keep_set), n))
 
 
 def dephase(x) -> np.ndarray:
@@ -176,17 +186,13 @@ def povm_channel(povm: Povm) -> KrausMap:
     Kraus operators |a><b| sqrt(M_a), one per (effect a, basis row b),
     a-major; output dimension is the number of effects.
     """
-    n = len(povm)
-    d = povm.dim
-    ops = []
+    n, d = len(povm), povm.dim
+    ops = np.zeros((n, d, n, d), dtype=complex)
     for a, spec in enumerate(povm.spectra):
         u = spec.eigenvectors
-        root = (u * np.sqrt(spec.eigenvalues)) @ u.conj().T
-        for b in range(d):
-            k = np.zeros((n, d), dtype=complex)
-            k[a, :] = root[b, :]
-            ops.append(k)
-    return KrausMap(ops)
+        # operator (a, b) holds row b of sqrt(M_a) in its output row a
+        ops[a, :, a, :] = (u * np.sqrt(spec.eigenvalues)) @ u.conj().T
+    return KrausMap(ops.reshape(n * d, n, d))
 
 
 @dataclass(frozen=True)
@@ -214,13 +220,10 @@ def ancilla_representation(phi: KrausMap) -> AncillaRep:
     if phi.d_in != phi.d_out:
         raise ValueError("ancilla representation needs a square channel")
     require_tp(phi)
-    d = phi.d_in
-    r = len(phi.kraus_ops)
+    d, r = phi.d_in, len(phi)
     big = d * r
-    iso = np.zeros((big, d), dtype=complex)
-    for j, k in enumerate(phi.kraus_ops):
-        # row (a, j) of the isometry is row a of K_j
-        iso[j::r, :] = k
+    # row (a, j) of the isometry is row a of K_j
+    iso = phi.kraus_ops.transpose(1, 0, 2).reshape(big, d)
     u = np.empty((big, big), dtype=complex)
     on_ancilla_zero = np.arange(big) % r == 0
     u[:, on_ancilla_zero] = iso

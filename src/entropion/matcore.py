@@ -212,14 +212,11 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def _factor_dims(dims: Sequence[int], total: int) -> list[int]:
+def _factor_dims(dims: Sequence[int], total: int | None = None) -> list[int]:
     ds = [int(d) for d in dims]
     if not ds or any(d < 1 for d in ds):
         raise ValueError(f"factor dimensions must be positive, got {dims!r}")
-    prod = 1
-    for d in ds:
-        prod *= d
-    if prod != total:
+    if total is not None and math.prod(ds) != total:
         raise ValueError(f"factor dimensions {ds} do not multiply to {total}")
     return ds
 

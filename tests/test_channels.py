@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ def test_kraus_map_validation():
     tall = KrausMap([v])
     assert tall.d_in == 2 and tall.d_out == 3
     require_tp(tall)
+    with pytest.raises(ValueError, match="finite"):
+        KrausMap([np.eye(2), np.diag([1.0, np.nan])])
+    # a stacked (r, d_out, d_in) array is the same channel as its list
+    ops = random_cptp(2, 3, RngState(66))
+    listed, stacked = KrausMap(ops), KrausMap(np.array(ops))
+    assert (stacked.d_in, stacked.d_out, len(stacked)) == (listed.d_in, listed.d_out, len(listed))
+    assert np.array_equal(stacked.kraus_ops, listed.kraus_ops)
+    # a 2-d array is one matrix, not a stack; a 4-d array stacks 3-d blocks
+    for bad in (np.eye(2), np.zeros((2, 2, 2, 2))):
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            KrausMap(bad)
 
 
 def test_completeness_defect():
@@ -156,6 +168,17 @@ def test_tensor_channel_factorizes():
     assert np.allclose(out, expected, atol=1e-12)
 
 
+def test_tensor_channel_stack_is_the_kron_list():
+    rng = RngState(74)
+    phi = KrausMap(random_cptp(3, 2, rng.child(0)))
+    psi = KrausMap(random_cptp(2, 3, rng.child(1)))
+    joint = tensor_channel(phi, psi)
+    krons = [np.kron(k, l) for k in phi.kraus_ops for l in psi.kraus_ops]
+    assert joint.kraus_ops.shape == (6, 6, 6)
+    # the broadcast product multiplies the same pairs as np.kron, bit for bit
+    assert np.array_equal(joint.kraus_ops, krons)
+
+
 def test_trace_out_channel_matches_partial_trace():
     rng = RngState(68)
     cases = [((2, 3, 2), (0,)), ((2, 3, 2), (1,)), ((2, 3, 2), (0, 2)),
@@ -173,6 +196,28 @@ def test_trace_out_channel_matches_partial_trace():
             # partial_trace sums factor by factor, the channel sums the
             # traced labels in one sequence
             assert np.allclose(out, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dims, keep", [((), ()), ((0, 2), (0,)), ((2, -1), (0,))])
+@pytest.mark.parametrize("reduce", [lambda dims, keep: partial_trace(np.eye(2), dims, keep),
+                                    trace_out_channel], ids=["partial_trace", "trace_out_channel"])
+def test_trace_out_channel_refuses_what_partial_trace_refuses(reduce, dims, keep):
+    with pytest.raises(ValueError, match="factor dimensions must be positive"):
+        reduce(dims, keep)
+
+
+def test_trace_out_channel_memory_stays_small():
+    # tracing out one factor of 16 x 16: the Kraus stack is 16 x 16 x 256
+    # complex (1 MB); a transfer matrix would need 256 x 65536 (268 MB)
+    rho = random_density(256, 4, RngState(75))
+    tracemalloc.start()
+    try:
+        out = apply_channel(trace_out_channel((16, 16), (0,)), rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert np.allclose(out, partial_trace(rho, (16, 16), (0,)), rtol=0.0, atol=1e-15)
 
 
 def test_ancilla_representation_roundtrip():

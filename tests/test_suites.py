@@ -325,6 +325,22 @@ def test_holevo_routes_decomposes_each_matrix_once(monkeypatch):
             assert len(seen["eigvalsh"]) == 2 * len(weights) + 4
 
 
+def test_holevo_chain_forms_no_kronecker_products(monkeypatch):
+    # the product channels M_A (x) M_B are built from their Kraus stacks in
+    # one broadcast product, never one np.kron per pair of operators
+    calls = []
+    kron = np.kron
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(np, "kron", counted)
+    rep = run_suite("holevo_chain", trials=4)
+    assert rep.passed
+    assert len(calls) == 0
+
+
 def test_ssa_and_pure_states_trials_decompose_nothing_twice(monkeypatch):
     # a full-rank ssa trial at local d = 4: one eigh of rho (64 x 64) serves
     # both the SSA margins and the purification, and S(AD) of the 4096-dim
