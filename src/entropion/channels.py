@@ -35,7 +35,7 @@ POVM_TOL = 1e-10
 
 
 class KrausMap:
-    """Completely positive map; ``kraus_ops`` stacks its Kraus operators."""
+    """Completely positive map; ``kraus_ops`` stacks its Kraus operators as (r, d_out, d_in)."""
 
     __slots__ = ("kraus_ops", "d_in", "d_out")
 
