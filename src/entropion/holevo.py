@@ -94,14 +94,12 @@ def yuen_ozawa_gap(ensemble: Ensemble) -> float:
 
 
 def flagged_state(ensemble: Ensemble) -> np.ndarray:
-    """gamma_QC = sum_j pi_j rho_j (x) |j><j|, quantum leg slowest."""
-    n = len(ensemble)
-    out = None
+    """gamma_QC = sum_j pi_j rho_j (x) |j><j|, quantum leg slowest: entry
+    (a n + j, b n + k) is pi_j rho_j[a, b] if j = k, else zero."""
+    n, d = len(ensemble), ensemble.dim
+    out = np.zeros((d * n, d * n), dtype=complex)
     for j, (w, r) in enumerate(zip(ensemble.weights, ensemble.states)):
-        flag = np.zeros((n, n))
-        flag[j, j] = 1.0
-        term = w * tensor(r, flag)
-        out = term if out is None else out + term
+        out[j::n, j::n] = w * r
     return out
 
 

@@ -17,15 +17,21 @@ construction, which makes every trial independent of trial order.
 
 ``RngState``'s methods are the reference stream.  ``random_matrix`` draws a
 whole matrix at once and gives the same bits as ``complex_normal()`` called
-entry by entry: it advances the state for all 2n words in one loop of local
-variables, then applies the output multiply, the shift to 53 bits and the
-power-of-two scalings to numpy ``uint64``/``float64`` arrays, where they are
-exact.  ``log``, ``cos`` and ``sin`` stay on ``math``, applied per element,
-because numpy's ``log`` differs from ``math.log`` in the last bit for some
-inputs; ``sqrt`` and the products may run in numpy because IEEE-754 rounds
-them correctly either way.  Draws under ``_BULK_MIN_ENTRIES`` entries, where
-numpy's fixed cost per call dominates, run the same arithmetic in one scalar
-loop.
+entry by entry.  The xorshift step is linear over GF(2) (Vigna, ACM TOMS
+42(4), 2016): it is a 64x64 bit matrix A, and state i + h is A^h applied to
+state i.  So the 2n states come from jump-ahead (Haramoto et al., INFORMS J.
+Computing 20(3), 2008): the first ``_LEAD`` are stepped in Python, then each
+numpy pass applies A^h to the h states made so far, doubling them.  A^h is
+applied as eight 256-entry tables, one per input byte, XORed together.  The
+output multiply, the shift to 53 bits and the power-of-two scalings then
+run on numpy ``uint64``/``float64`` arrays, where they are exact.  ``log``,
+``cos`` and ``sin`` stay on ``math``, applied per element: numpy's ``log``
+differs from ``math.log`` in the last bit for some inputs, and numpy's
+``cos``/``sin`` may take a SIMD path that depends on the CPU, so the stream
+would depend on the machine.  ``sqrt`` and the products may run in numpy
+because IEEE-754 rounds them correctly either way.  Draws under
+``_BULK_MIN_ENTRIES`` entries, where numpy's fixed cost per call dominates,
+run the same arithmetic in one scalar loop.
 """
 
 from __future__ import annotations
@@ -107,19 +113,71 @@ class RngState:
         return complex(x, y) * math.sqrt(0.5)
 
 
-def _advance(rng: RngState, count: int) -> list[int]:
-    """The next ``count`` xorshift states of ``rng``, unscrambled.
-
-    One loop over local variables; ``rng`` ends where ``count`` calls of
-    ``next_u64`` would leave it."""
-    s = rng._state
-    states = [0] * count
+def _walk(s: int, count: int) -> list[int]:
+    """The ``count`` xorshift states after ``s``, stepped one by one."""
+    out = [0] * count
     for i in range(count):
         s ^= s >> 12
         s ^= (s << 25) & _MASK64
         s ^= s >> 27
-        states[i] = s
-    rng._state = s
+        out[i] = s
+    return out
+
+
+def _jump(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The map with byte tables ``tables`` applied to each word of ``x``:
+    one lookup per byte, XORed together."""
+    b = x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T.copy()
+    out = tables[0][b[0]]
+    for i in range(1, 8):
+        out ^= tables[i][b[i]]
+    return out
+
+
+# _JUMPS[i] holds the byte tables (16 KB) of A^(_LEAD * 2^i), A the xorshift
+# step.  One jump costs about as much as _LEAD steps in Python (10-20 us on a
+# 2-vCPU x86 machine), so runs shorter than _LEAD are stepped.
+_LEAD = 64
+_JUMPS: list[np.ndarray] = []
+
+
+def _jump_tables(i: int) -> np.ndarray:
+    """``_JUMPS[i]``, built on first use.  Row b of a map's tables holds its
+    images of ``v << 8b`` for v < 256.  A's come from its images of the 64
+    unit words, and each square from applying the tables to themselves."""
+    while len(_JUMPS) <= i:
+        if _JUMPS:
+            t, squarings = _JUMPS[-1], 1
+        else:
+            cols = np.array([_walk(1 << bit, 1)[0] for bit in range(64)], dtype=np.uint64)
+            t = np.zeros((8, 256), dtype=np.uint64)
+            for j in range(8):  # v in [2^j, 2^(j+1)): v - 2^j, plus bit 8b + j
+                t[:, 1 << j : 2 << j] = t[:, : 1 << j] ^ cols[j::8, None]
+            squarings = _LEAD.bit_length() - 1
+        for _ in range(squarings):
+            t = _jump(t, t.ravel()).reshape(8, 256)
+        t.flags.writeable = False  # shared by every caller in the process
+        _JUMPS.append(t)
+    return _JUMPS[i]
+
+
+def _states(rng: RngState, count: int) -> np.ndarray:
+    """The next ``count`` xorshift states of ``rng``, unscrambled, as uint64.
+
+    The first ``_LEAD`` are stepped one by one.  Then, with h states made,
+    state j + h is A^h applied to state j, so each jump makes up to h more;
+    a last run shorter than ``_LEAD`` is stepped.  ``rng`` ends where
+    ``count`` calls of ``next_u64`` would leave it."""
+    states = np.empty(count, dtype=np.uint64)
+    h = min(count, _LEAD)
+    states[:h] = _walk(rng._state, h)
+    i = 0
+    while count - h >= _LEAD:  # h = _LEAD * 2^i
+        m = min(h, count - h)
+        states[h : h + m] = _jump(_jump_tables(i), states[:m])
+        h, i = h + m, i + 1
+    states[h:] = _walk(int(states[h - 1]), count - h)
+    rng._state = int(states[-1])
     rng.position += count
     return states
 
@@ -154,14 +212,15 @@ def random_matrix(d_rows: int, d_cols: int, rng: RngState) -> np.ndarray:
         return out
     # The scramble and the power-of-two scalings are exact in uint64/float64,
     # and numpy rounds sqrt and products as math does.  np.log can differ
-    # from math.log in the last bit, so log, cos and sin stay on math.
-    words = np.array(_advance(rng, 2 * n), dtype=np.uint64)
+    # from math.log in the last bit and np.cos/np.sin dispatch by CPU, so
+    # log, cos and sin stay on math.
+    words = _states(rng, 2 * n)
     top = ((words * np.uint64(_XORSHIFT_MULT)) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
     u = top[0::2] + 2.0 ** -53  # uniform_pos(), (k + 1) * 2^-53 exactly
     theta = (2.0 * math.pi * top[1::2]).tolist()  # uniform() of the odd words
-    r = np.sqrt(-2.0 * np.array(list(map(math.log, u.tolist()))))
-    x = r * np.array(list(map(math.cos, theta)))
-    y = r * np.array(list(map(math.sin, theta)))
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u.tolist()), float, n))
+    x = r * np.fromiter(map(math.cos, theta), float, n)
+    y = r * np.fromiter(map(math.sin, theta), float, n)
     # complex(x, y) * h as CPython forms it, h promoted to complex(h, 0.0);
     # the zero terms decide the sign of a zero part
     out = np.empty(n, dtype=complex)

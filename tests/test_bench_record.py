@@ -1,0 +1,83 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+SPECS = [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "op_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def _runs(parent: dict, change: dict) -> list[dict]:
+    """Synthetic pairs: metric name -> one value per pair on each side."""
+    pairs = len(next(iter(parent.values())))
+    return [{side: {"metrics": {k: v[i] for k, v in values.items()}}
+             for side, values in (("parent", parent), ("change", change))}
+            for i in range(pairs)]
+
+
+def _summary(parent_ops, change_ops):
+    # op_ms_p50 mirrors ops_per_s, so both directions are exercised
+    runs = _runs({"ops_per_s": parent_ops, "op_ms_p50": [1000 / v for v in parent_ops]},
+                 {"ops_per_s": change_ops, "op_ms_p50": [1000 / v for v in change_ops]})
+    return bench_record.summarize(runs, SPECS)
+
+
+def test_a_clean_gain_is_resolved_and_not_worse():
+    out = _summary([100, 101, 99, 100, 102, 98, 100, 101, 99, 100],
+                   [150, 151, 149, 150, 152, 148, 150, 151, 149, 150])
+    for m in out.values():
+        assert m["change_wins"] == 10 and m["gain_resolved"]
+        assert m["change_beats_every_parent_run"] and not m["spread_exceeds_bound"]
+        assert m["not_worse"] == "yes"
+
+
+def test_a_small_loss_inside_the_bound_is_not_worse():
+    out = _summary([100, 101, 99, 100, 102, 98, 100, 101, 99, 100],
+                   [95, 96, 94, 95, 97, 93, 95, 96, 94, 95])
+    for m in out.values():
+        assert m["within_bound"] and not m["gain_resolved"]
+        assert m["not_worse"] == "yes"
+
+
+def test_a_loss_beyond_the_bound_is_worse():
+    out = _summary([100, 101, 99, 100, 102, 98, 100, 101, 99, 100],
+                   [60, 61, 59, 60, 62, 58, 60, 61, 59, 60])
+    for m in out.values():
+        assert not m["within_bound"]
+        assert m["not_worse"] == "no"
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    # medians equal, but either side's quartiles span more than 25 % of it
+    wide = [60, 140, 70, 130, 80, 120, 100, 100, 90, 110]
+    out = _summary([100] * 10, wide)
+    for m in out.values():
+        assert m["spread"]["parent"] == 0.0
+        assert m["spread"]["change"] > 0.25 and m["spread_exceeds_bound"]
+        assert m["not_worse"] == "unresolved"
+    out = _summary(wide, [100] * 10)
+    assert out["ops_per_s"]["not_worse"] == "unresolved"
+
+
+def test_every_change_run_beating_every_parent_run_settles_a_wide_spread():
+    out = _summary([50, 100, 60, 90, 70, 80, 75, 85, 65, 95],
+                   [150, 300, 160, 290, 170, 280, 175, 285, 165, 295])
+    for m in out.values():
+        assert m["spread_exceeds_bound"] and m["change_beats_every_parent_run"]
+        assert m["not_worse"] == "yes"
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_spread_is_quartile_range_over_median(better):
+    spec = [{"name": "m", "unit": "s", "better": better, "bound": 0.25}]
+    runs = _runs({"m": [1.0, 2.0, 3.0, 4.0, 5.0]}, {"m": [2.0] * 5})
+    m = bench_record.summarize(runs, spec)["m"]
+    assert m["spread"] == {"parent": pytest.approx(2.0 / 3.0), "change": 0.0}
+    assert m["parent_iqr"] == pytest.approx(2.0)

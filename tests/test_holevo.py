@@ -84,6 +84,20 @@ def test_flagged_state_structure():
     assert np.allclose(partial_trace(gamma, (2, 3), keep=(1,)), np.diag(w), atol=1e-12)
 
 
+def test_flagged_state_equals_the_kron_sum():
+    # every entry of gamma_QC gets at most one nonzero term, so writing the
+    # weighted blocks in place gives the sum of Kronecker products exactly
+    rng = RngState(108)
+    for i in range(200):
+        r = rng.child(i)
+        d, n = 1 + r.integer(4), 1 + r.integer(5)
+        ens = Ensemble(*_ensemble(d, n, 1 + r.integer(d), r))
+        flags = np.eye(n)
+        kron_sum = sum(w * tensor(rho, np.diag(flags[j]))
+                       for j, (w, rho) in enumerate(zip(ens.weights, ens.states)))
+        assert np.array_equal(flagged_state(ens), kron_sum), (d, n)
+
+
 def test_chi_via_qc_identity():
     rng = RngState(106)
     w, states = _ensemble(3, 3, 3, rng)

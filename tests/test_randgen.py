@@ -13,7 +13,16 @@ from entropion import (
     random_unit_vector,
     random_unitary,
 )
-from entropion.randgen import _BULK_MIN_ENTRIES, _MASK64, _XORSHIFT_MULT, _splitmix64
+from entropion.randgen import (
+    _BULK_MIN_ENTRIES,
+    _LEAD,
+    _MASK64,
+    _XORSHIFT_MULT,
+    _jump,
+    _jump_tables,
+    _splitmix64,
+    _states,
+)
 
 
 # Golden values pin the generator bit-for-bit.  If any of these move, every
@@ -126,6 +135,37 @@ def test_random_matrix_matches_scalar_stream():
         for _ in range(k % 3):  # start at odd and even stream positions
             a.next_u64(), b.next_u64()
         _assert_draw_matches_stream(shapes[k % len(shapes)], a, b)
+
+
+def test_jump_ahead_words_match_next_u64():
+    # the lead alone, the first jump, and every doubling's edges
+    counts = [_LEAD - 1, _LEAD, _LEAD + 1, 6272]
+    counts += [(1 << k) + e for k in range(7, 14) for e in (-1, 0, 1)]
+    for seed in (1, 7, 123456789):
+        ref = RngState(seed)
+        outputs, states = [], []
+        for _ in range(max(counts)):
+            outputs.append(ref.next_u64())
+            states.append(ref._state)
+        for count in counts:
+            rng = RngState(seed)
+            words = _states(rng, count) * np.uint64(_XORSHIFT_MULT)
+            assert words.tolist() == outputs[:count], (seed, count)
+            assert (rng._state, rng.position) == (states[count - 1], count)
+
+
+def test_jump_tables_equal_repeated_steps():
+    words = np.random.default_rng(5).integers(0, 1 << 64, 100, dtype=np.uint64).tolist()
+    for i in range(5):  # A^64 ... A^1024
+        jumped = _jump(_jump_tables(i), np.array(words, dtype=np.uint64)).tolist()
+        stepped = []
+        for s in words:
+            for _ in range(_LEAD << i):
+                s ^= s >> 12
+                s ^= (s << 25) & _MASK64
+                s ^= s >> 27
+            stepped.append(s)
+        assert jumped == stepped, i
 
 
 def _state_before(word: int) -> int:

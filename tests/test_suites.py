@@ -341,6 +341,32 @@ def test_holevo_chain_forms_no_kronecker_products(monkeypatch):
     assert len(calls) == 0
 
 
+def test_flagged_state_forms_no_kronecker_products(monkeypatch):
+    # gamma_QC is block diagonal: its blocks are written in place, never
+    # built as one np.kron per member
+    calls = {"inside": 0, "flagged": 0}
+    kron, flagged_state = np.kron, suites_mod.flagged_state
+    inside = []
+
+    def counted(*args, **kwargs):
+        calls["inside"] += bool(inside)
+        return kron(*args, **kwargs)
+
+    def traced(ens):
+        calls["flagged"] += 1
+        inside.append(1)
+        try:
+            return flagged_state(ens)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np, "kron", counted)
+    monkeypatch.setattr(suites_mod, "flagged_state", traced)
+    rep = run_suite("holevo_routes", trials=4)
+    assert rep.passed
+    assert calls == {"inside": 0, "flagged": 4}
+
+
 def test_ssa_and_pure_states_trials_decompose_nothing_twice(monkeypatch):
     # a full-rank ssa trial at local d = 4: one eigh of rho (64 x 64) serves
     # both the SSA margins and the purification, and S(AD) of the 4096-dim

@@ -16,7 +16,12 @@ side's median and quartiles, the pairs the change won (ties count for
 neither), the parent's interquartile range, whether the change's median
 stays within the bound of ``BENCHMARK.json`` and whether a gain is
 resolved (wins in at least nine tenths of the pairs and a median gap
-wider than the parent's interquartile range).  The file is rewritten
+wider than the parent's interquartile range).  Each metric also gets a
+``not_worse`` status: ``yes`` if every change run beats every parent run;
+else ``no`` if the change's median is worse than the parent's by more
+than the bound; else ``unresolved`` if either side's interquartile range
+over its median exceeds the bound (the runs spread too widely to tell);
+else ``yes``.  The file is rewritten
 after every run, so an interrupted recording keeps the runs it made.
 """
 
@@ -73,6 +78,15 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         if not lower:
             worse_by = -worse_by
         parent_iqr = p["q3"] - p["q1"]
+        spread = {side: (q["q3"] - q["q1"]) / q["median"] for side, q in (("parent", p), ("change", c))}
+        too_wide = max(spread.values()) > spec["bound"]
+        beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+        if beats_all:
+            not_worse = "yes"
+        elif worse_by > spec["bound"]:
+            not_worse = "no"
+        else:
+            not_worse = "unresolved" if too_wide else "yes"
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -84,6 +98,10 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "parent_iqr": parent_iqr,
             "bound": spec["bound"],
             "within_bound": worse_by <= spec["bound"],
+            "spread": spread,
+            "spread_exceeds_bound": too_wide,
+            "change_beats_every_parent_run": beats_all,
+            "not_worse": not_worse,
             "gain_resolved": (wins >= 0.9 * len(runs)
                               and worse_by < 0
                               and abs(c["median"] - p["median"]) > parent_iqr),
@@ -161,6 +179,8 @@ def main(argv=None) -> int:
                 for side in SIDES
             }
             save()
+        for name, metric in entry["summary"].items():
+            print(f"{workload} {name}: not_worse {metric['not_worse']}", file=sys.stderr)
         for side in SIDES:
             entry["traced"][side] = run_once(roots[side], workload, SEED, TRACE_SECONDS, 1)
             save()
