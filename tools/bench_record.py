@@ -21,8 +21,8 @@ wider than the parent's interquartile range).  Each metric also gets a
 else ``no`` if the change's median is worse than the parent's by more
 than the bound; else ``unresolved`` if either side's interquartile range
 over its median exceeds the bound (the runs spread too widely to tell);
-else ``yes``.  The file is rewritten
-after every run, so an interrupted recording keeps the runs it made.
+else ``yes``.  The file is rewritten after every run, so an interrupted
+recording keeps the runs it made.
 """
 
 from __future__ import annotations
