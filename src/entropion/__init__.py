@@ -25,12 +25,11 @@ from .channels import (
 )
 from .entropy import (
     bures_distance,
-    composite_gl,
     conditional_entropy,
     kernel_k,
     relative_entropy,
     relative_entropy_integral,
-    relative_entropy_integral_fixed,
+    relative_entropy_integral_steps,
     relative_entropy_spectral_kernel,
     scalar_log_identity,
     von_neumann_entropy,

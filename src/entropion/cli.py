@@ -9,9 +9,10 @@ Three subcommands:
                     whose trials were all skipped.
 * ``compute``     - evaluate one quantity (entropy | relent | chi | bures)
                     on matrix/ensemble JSON files, print JSON to stdout.
-* ``convergence`` - panel count vs absolute error of the quadrature route
-                    against the closed-form value, as ``panels,abs_error``
-                    CSV rows.
+* ``convergence`` - trapezoid step vs absolute error of the quadrature
+                    route against the closed-form value, as
+                    ``step,abs_error`` CSV rows, halving down to the step
+                    the route runs.
 
 Every float is serialized with 17 significant digits so runs are
 reproducible byte for byte; infinities and NaN are rendered as the strings
@@ -33,7 +34,7 @@ import sys
 from .entropy import (
     bures_distance,
     relative_entropy,
-    relative_entropy_integral_fixed,
+    relative_entropy_integral_steps,
     relative_entropy_spectral_kernel,
     von_neumann_entropy,
 )
@@ -227,14 +228,9 @@ def _cmd_convergence(args) -> int:
     reference = relative_entropy_spectral_kernel(p, q)
     if math.isinf(reference):
         raise ValueError("relative entropy is infinite for this pair; no convergence study")
-    if args.max_panels < 1:
-        raise UsageError("--max-panels must be >= 1")
-    rows = ["panels,abs_error"]
-    panels = 1
-    while panels <= args.max_panels:
-        approx = relative_entropy_integral_fixed(p, q, panels)
-        rows.append(f"{panels},{_fmt_float(abs(approx - reference))}")
-        panels *= 2
+    rows = ["step,abs_error"]
+    for step, approx in relative_entropy_integral_steps(p, q):
+        rows.append(f"{_fmt_float(step)},{_fmt_float(abs(approx - reference))}")
     _write_out(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -270,10 +266,9 @@ def _build_parser() -> _Parser:
     c.set_defaults(func=_cmd_compute)
 
     g = sub.add_parser("convergence",
-                       help="quadrature panels vs absolute error against the closed form")
+                       help="quadrature step vs absolute error against the closed form")
     g.add_argument("p_file")
     g.add_argument("q_file")
-    g.add_argument("--max-panels", type=int, default=64)
     g.add_argument("--out", default="-", help="output path, '-' for stdout")
     g.set_defaults(func=_cmd_convergence)
     return parser

@@ -40,8 +40,9 @@ Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
 nodes, and L grows like ln(1 / lambda_min(Q)).  ``scalar_log_identity``'s
 first integrand, (1-w)(1+t)/(w+t) (1+t)^{-2}, has the same bound with
 C = |1-w| max(1, 1/w), as |1 + t| / |w + t| <= max(1, 1/w) for Re t >= 0.
-``relative_entropy_integral_fixed`` and the ``convergence`` command study
-composite Gauss-Legendre panels on the same integrand, u = L (2s - 1).
+``relative_entropy_integral_steps`` and the ``convergence`` command study
+the same pass at steps h 2^k: each tail stays below tau at any step, so
+the error follows 4C / (e^{pi^2 / step} - 1), squaring as the step halves.
 
 Each route validates its operands on the decomposition it needs anyway
 (``matcore.psd_eigvalsh`` / ``psd_eig``), so a relative entropy costs two
@@ -71,32 +72,20 @@ from .matcore import (
 # Relative mass of P allowed on ker(Q) before H(P, Q) is declared +inf.
 SUPPORT_MASS_TOL = 1e-10
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _NODE_CHUNK = 4096  # quadrature nodes evaluated per batch, bounds memory
 # Each tail of u = ln t beyond the integral route's cut holds at most _TAU.
 _TAU = 1e-16
 
 
-def composite_gl(f: Callable[[np.ndarray], np.ndarray], panels: int) -> float:
-    """Composite 10-node Gauss-Legendre integral of f over [0, 1]."""
-    h = 1.0 / panels
-    total = 0.0
-    nodes01 = (_GL_NODES + 1.0) * 0.5  # panel-local nodes in (0, 1)
-    per_chunk = max(1, _NODE_CHUNK // nodes01.size)
-    for start in range(0, panels, per_chunk):
-        stop = min(start + per_chunk, panels)
-        lefts = np.arange(start, stop) * h
-        s = (lefts[:, None] + nodes01[None, :] * h).ravel()
-        w = np.tile(_GL_WEIGHTS * (h * 0.5), stop - start)
-        total += float(np.dot(w, np.asarray(f(s), dtype=float)))
-    return total
+def _step(half: float) -> float:
+    """The trapezoid step h = pi^2 / (L + ln 4) for the cut L = ``half``."""
+    return math.pi ** 2 / (half + math.log(4.0))
 
 
-def _trapezoid(g: Callable[[np.ndarray, float], np.ndarray], half: float) -> float:
+def _trapezoid(g: Callable[[np.ndarray, float], np.ndarray], half: float, h: float) -> float:
     """Trapezoid rule on the line, cut at |u| = L = ``half``: the sum of
-    g(u_j, h) over u_j = j h, |j| <= ceil(L / h), with h = pi^2 / (L + ln 4).
-    ``g(u, jac)`` returns its integrand at the nodes u times jac."""
-    h = math.pi ** 2 / (half + math.log(4.0))
+    g(u_j, h) over u_j = j h, |j| <= ceil(L / h).  ``g(u, jac)`` returns
+    its integrand at the nodes u times jac."""
     n = math.ceil(half / h)
     total = 0.0
     for start in range(-n, n + 1, _NODE_CHUNK):
@@ -217,20 +206,25 @@ def relative_entropy_integral(p, q) -> float:
     data = _IntegralData(p, q)
     if data.violated:
         return math.inf
-    return data.trace_correction + _trapezoid(data.integrand, data.half_width)
+    half = data.half_width
+    return data.trace_correction + _trapezoid(data.integrand, half, _step(half))
 
 
-def relative_entropy_integral_fixed(p, q, panels: int) -> float:
-    """Single-pass version at a fixed panel count, for convergence studies:
-    ``panels`` Gauss-Legendre panels across u = ln t in [-L, L]."""
-    if panels < 1:
-        raise ValueError("panel count must be >= 1")
+def relative_entropy_integral_steps(p, q) -> list[tuple[float, float]]:
+    """The integral route's trapezoid pass at steps h 2^k, for convergence
+    studies: (step, value) pairs from the largest such step not above the
+    cut L down to the route's own step h, whose value is
+    ``relative_entropy_integral(p, q)``.  Values are +inf on a support
+    violation."""
     data = _IntegralData(p, q)
+    half = data.half_width
+    steps = [_step(half)]
+    while 2.0 * steps[-1] <= half:
+        steps.append(2.0 * steps[-1])
     if data.violated:
-        return math.inf
-    half = data.half_width  # s in [0, 1] maps onto u = L (2s - 1), Jacobian 2L
-    return data.trace_correction + composite_gl(
-        lambda s: data.integrand(half * (2.0 * s - 1.0), 2.0 * half), panels)
+        return [(h, math.inf) for h in reversed(steps)]
+    return [(h, data.trace_correction + _trapezoid(data.integrand, half, h))
+            for h in reversed(steps)]
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +310,7 @@ def scalar_log_identity(w: float) -> tuple[float, float, float]:
         t, measure = _log_measure(u, jac)
         return measure * (1.0 - w) * (1.0 + t) / (w + t)
 
-    return lhs, _trapezoid(g1, half), relative_entropy_integral([[1.0]], [[w]])
+    return lhs, _trapezoid(g1, half, _step(half)), relative_entropy_integral([[1.0]], [[w]])
 
 
 def conditional_entropy(rho_ab, dims) -> float:

@@ -171,12 +171,9 @@ def check_joint_convexity(inst: ConvexityInstance) -> JointConvexityMargins:
     scaling_gap        |sum_j H(x_j P_j, x_j Q_j) - sum_j x_j H(P_j, Q_j)|
 
     the last being the homogeneity step that upgrades subadditivity to
-    convexity.  All three come back +inf if any term is infinite, so the
-    caller can classify the trial as skipped.
+    convexity.
     """
     terms = [_relent(p, lam_p, spec_q) for (p, _), (lam_p, spec_q) in zip(inst.pairs, inst.spectra)]
-    if any(math.isinf(h) for h in terms):
-        return JointConvexityMargins(math.inf, math.inf, math.inf)
     x = inst.weights
     mix_p = sum(w * p for w, (p, _) in zip(x, inst.pairs))
     mix_q = sum(w * q for w, (_, q) in zip(x, inst.pairs))
@@ -320,7 +317,8 @@ def check_monotonicity(rho, gamma, channel: KrausMap) -> float:
 
     Dephasing and partial traces are channels like any other (see
     `channels.trace_out_channel`).  Returns +inf (trial skipped) when the
-    input relative entropy is infinite, or on the off chance the output
+    input relative entropy is infinite, and -inf (a failure: data
+    processing cannot break the support inclusion) when only the output
     one is.
     """
     require_tp(channel)
@@ -332,10 +330,7 @@ def check_monotonicity(rho, gamma, channel: KrausMap) -> float:
     h_in = _relent(rho, lam_rho, spec_gamma)
     if math.isinf(h_in):
         return math.inf
-    h_out = relative_entropy(apply_channel(channel, rho), apply_channel(channel, gamma))
-    if math.isinf(h_out):
-        return math.inf
-    return h_in - h_out
+    return h_in - relative_entropy(apply_channel(channel, rho), apply_channel(channel, gamma))
 
 
 class SsaMargins(NamedTuple):

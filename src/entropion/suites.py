@@ -9,7 +9,8 @@ one float margin.  So trials are reproducible in isolation, the run order
 instance can be checked on its own.  The pass rule is uniform:
 
     margin >= -tol        inequality holds / expressions agree
-    margin = +inf         trial skipped (an infinite entropy showed up)
+    margin = +inf         trial skipped (the claim is infinite on both sides)
+    margin = -inf         failure (an infinity on one side only)
     KernelObstruction     trial skipped, counted apart as a kernel skip
     margin = NaN          failure
     trial raises          failure, recorded as an error against the trial
@@ -205,7 +206,8 @@ def _check_relent_routes(p, q) -> float:
     h2 = relative_entropy_integral(p, q)
     h3 = relative_entropy_spectral_kernel(p, q)
     if any(math.isinf(h) for h in (h1, h2, h3)):
-        return math.inf
+        # a skip when all three find the supports incompatible, else a failure
+        return math.inf if h1 == h2 == h3 else -math.inf
     return -max(abs(h1 - h2), abs(h1 - h3), abs(h2 - h3))
 
 
@@ -221,8 +223,6 @@ def _draw_joint_convexity(rng: RngState, d: int):
 
 def _check_joint_convexity(weights, pairs) -> float:
     res = check_joint_convexity(ConvexityInstance(weights, pairs))
-    if math.isinf(res.margin):
-        return math.inf
     return min(res.margin, res.subadditive_margin, -res.scaling_gap)
 
 
@@ -275,7 +275,7 @@ def _check_monotonicity_dephase(rho, gamma) -> float:
 def _check_monotonicity_unitary(rho, gamma, u) -> float:
     margin = check_monotonicity(rho, gamma, KrausMap([u]))
     # unitaries preserve relative entropy: the margin must vanish
-    return math.inf if math.isinf(margin) else -abs(margin)
+    return margin if margin == math.inf else -abs(margin)
 
 
 def _check_ssa(rho) -> float:
@@ -348,12 +348,9 @@ def _check_holevo_routes(weights, states, effects) -> float:
         h_out = _relent(r_out, lam_out, spec_out)
         per_member = min(per_member, h_in - h_out)
     # route two: data processing on the flagged state
-    gamma = flagged_state(ens)
     product = tensor(avg, np.diag(ens.weights))
     big_phi = tensor_channel(phi, identity_channel(len(ens)))
-    qc_margin = relative_entropy(gamma, product) - relative_entropy(
-        apply_channel(big_phi, gamma), apply_channel(big_phi, product)
-    )
+    qc_margin = check_monotonicity(flagged_state(ens), product, big_phi)
     # route three: chi(E) - chi(Phi E), concavity of rho -> S(rho) - S(Phi rho)
     conc_margin = chi(ens) - chi(out)
     return min(per_member, qc_margin, conc_margin)

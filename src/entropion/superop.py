@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import KernelObstruction, as_matrix, max_abs, psd_eig
+from .matcore import KernelObstruction, as_matrix, max_abs, psd_eig, zero_band
 
-# Denominators at or below this fraction of the spectral scale count as
-# joint kernel; inputs may carry at most KERNEL_MASS_TOL relative weight
-# there before a resolvent solve is refused.
-KERNEL_BAND = 1e-12
+# Inputs may carry at most this relative weight on the joint kernel before
+# a resolvent solve is refused.
 KERNEL_MASS_TOL = 1e-10
 
 
@@ -51,11 +49,11 @@ class SuperOpSpec:
 def solve_resolvent(spec: SuperOpSpec, x) -> np.ndarray:
     """Solve left Y + t Y right = X on the support of the map.
 
-    Denominators within KERNEL_BAND of zero (relative to
-    lambda_max(left) + t lambda_max(right)) are joint kernel: Y is set to
-    zero there, pseudo-inverse style, provided X carries no more than
-    KERNEL_MASS_TOL relative weight on those modes.  Otherwise raises
-    KernelObstruction.
+    Denominators l_m + t r_n in the zero band of all of them (relative
+    to the largest, lambda_max(left) + t lambda_max(right)) are joint
+    kernel: Y is set to zero there, pseudo-inverse style, provided X
+    carries no more than KERNEL_MASS_TOL relative weight on those modes.
+    Otherwise raises KernelObstruction.
     """
     x = as_matrix(x)
     if x.shape != spec.left.shape:
@@ -66,8 +64,7 @@ def solve_resolvent(spec: SuperOpSpec, x) -> np.ndarray:
     v = spec.right_spectrum.eigenvectors
     xt = u.conj().T @ x @ v
     denom = lvals[:, None] + spec.t * rvals[None, :]
-    scale = float(lvals[-1] + spec.t * rvals[-1]) if lvals.size else 0.0
-    kernel = denom <= KERNEL_BAND * scale if scale > 0.0 else np.ones_like(denom, dtype=bool)
+    kernel = denom <= zero_band(denom)
     if kernel.any():
         mass = max_abs(xt[kernel])
         if mass > KERNEL_MASS_TOL * max(1.0, max_abs(x)):

@@ -74,6 +74,23 @@ def test_every_change_run_beating_every_parent_run_settles_a_wide_spread():
         assert m["not_worse"] == "yes"
 
 
+def test_drift_shared_by_a_pair_leaves_the_pair_ratio_narrow():
+    # the machine slows by up to 1.8x over the recording, alike on both
+    # sides of each pair, and the change is 5 % faster in every pair
+    drift = [1.0, 1.0, 1.0, 1.3, 1.3, 1.5, 1.5, 1.8, 1.8, 1.8]
+    parent = [100 / f for f in drift]
+    out = _summary(parent, [1.05 * v for v in parent])
+    ops, p50 = out["ops_per_s"], out["op_ms_p50"]
+    assert ops["spread"]["parent"] > 0.25 and ops["spread_exceeds_bound"]
+    assert ops["pair_ratio"] == pytest.approx({"median": 1.05, "q1": 1.05, "q3": 1.05})
+    assert p50["pair_ratio"]["median"] == pytest.approx(1 / 1.05)
+    assert ops["pair_ratio_spread"] == pytest.approx(0.0, abs=1e-12)
+    # the statuses do not read the ratio: a 5 % win under 45 % drift stays
+    # unresolved, since some parent runs beat some change runs
+    assert ops["change_wins"] == 10 and not ops["change_beats_every_parent_run"]
+    assert ops["not_worse"] == "unresolved" and not ops["gain_resolved"]
+
+
 @pytest.mark.parametrize("better", ["lower", "higher"])
 def test_spread_is_quartile_range_over_median(better):
     spec = [{"name": "m", "unit": "s", "better": better, "bound": 0.25}]

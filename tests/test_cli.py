@@ -227,17 +227,24 @@ def test_compute_17_digit_float_format(tmp_path, capsys):
 def test_convergence_csv(qubit_pair, tmp_path):
     p, q = qubit_pair
     out = tmp_path / "c.csv"
-    rc = main(["convergence", p, q, "--max-panels", "64", "--out", str(out)])
-    assert rc == 0
+    assert main(["convergence", p, q, "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "panels,abs_error"
-    panels = [int(l.split(",")[0]) for l in lines[1:]]
+    assert lines[0] == "step,abs_error"
+    steps = [float(l.split(",")[0]) for l in lines[1:]]
     errs = [float(l.split(",")[1]) for l in lines[1:]]
-    assert panels == [1, 2, 4, 8, 16, 32, 64]
-    # errors fall monotonically until they hit the double-precision floor
+    # steps halve down to the one the integral route runs, whose row is
+    # that route's value
+    assert len(steps) > 3 and all(a == 2.0 * b for a, b in zip(steps, steps[1:]))
+    p_m, q_m = entropion.read_matrix(p), entropion.read_matrix(q)
+    data = entropion.entropy._IntegralData(p_m, q_m)
+    assert steps[-1] == entropion.entropy._step(data.half_width)
+    value = entropion.relative_entropy_integral(p_m, q_m)
+    assert errs[-1] == abs(value - entropion.relative_entropy_spectral_kernel(p_m, q_m))
+    assert errs[-1] < 1e-12
+    # the error falls until it reaches the double-precision floor
     for a, b in zip(errs, errs[1:]):
         assert b < a or a < 1e-13
-    assert errs[-1] < 1e-12
+    assert main(["convergence", p, q, "--max-panels", "64"]) == 1
 
 
 def test_convergence_rejects_infinite_pair(tmp_path, capsys):

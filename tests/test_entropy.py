@@ -9,7 +9,6 @@ from entropion import (
     RngState,
     SuperOpSpec,
     bures_distance,
-    composite_gl,
     conditional_entropy,
     kernel_k,
     partial_trace,
@@ -19,7 +18,7 @@ from entropion import (
     random_unitary,
     relative_entropy,
     relative_entropy_integral,
-    relative_entropy_integral_fixed,
+    relative_entropy_integral_steps,
     relative_entropy_spectral_kernel,
     scalar_log_identity,
     tensor,
@@ -120,6 +119,7 @@ def test_support_violation_gives_infinity():
     p = np.diag([0.5, 0.5])
     for route in ALL_ROUTES:
         assert route(p, q) == math.inf
+    assert all(value == math.inf for _, value in relative_entropy_integral_steps(p, q))
     # the reverse direction is finite: supp(Q') inside supp(P')
     assert relative_entropy(q, p) == pytest.approx(math.log(2), abs=1e-13)
 
@@ -211,37 +211,19 @@ def test_kernel_k_just_above_the_series_switch():
     assert kernel_k(1.0, 1e-20) == pytest.approx(1.0, rel=1e-15)
 
 
-def test_quadrature_polynomial_exactness():
-    # 10-node Gauss-Legendre integrates degree-19 polynomials exactly
-    val = composite_gl(lambda s: 20.0 * s ** 19, 1)
-    assert val == pytest.approx(1.0, abs=1e-13)
-    assert composite_gl(lambda s: np.ones_like(s), 7) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_fixed_panel_route_converges():
-    errs = []
-    ref = relative_entropy(P_QUBIT, Q_QUBIT)
-    for panels in (1, 2, 4, 8, 16, 32):
-        errs.append(abs(relative_entropy_integral_fixed(P_QUBIT, Q_QUBIT, panels) - ref))
-    # strictly decreasing until the double-precision floor
-    for a, b in zip(errs, errs[1:]):
-        assert b < a or a < 1e-13
-    assert errs[-1] < 1e-12
-
-
 def _count_nodes(monkeypatch):
     """Records (L, nodes evaluated) for each trapezoid pass."""
     passes = []
     trapezoid = entropy_mod._trapezoid
 
-    def counted(g, half):
+    def counted(g, half, h):
         nodes = []
 
         def counted_g(u, jac):
             nodes.append(u.size)
             return g(u, jac)
 
-        total = trapezoid(counted_g, half)
+        total = trapezoid(counted_g, half, h)
         passes.append((half, sum(nodes)))
         return total
 
@@ -275,10 +257,9 @@ def test_integral_route_time_is_bounded_in_conditioning(monkeypatch):
     assert 0 < nodes_12 <= nodes_2 + growth + 2
 
 
-def _trapezoid_bound(c: float, half: float) -> float:
-    """The a priori error of one trapezoid pass at cut L = half on an
-    integrand with tail constant C: discretisation plus both cut tails."""
-    h = math.pi ** 2 / (half + math.log(4.0))
+def _trapezoid_bound(c: float, h: float) -> float:
+    """The a priori error of one trapezoid pass at step h on an integrand
+    with tail constant C: discretisation plus both cut tails."""
     return 4.0 * c / math.expm1(math.pi ** 2 / h) + 2.0 * entropy_mod._TAU
 
 
@@ -291,24 +272,45 @@ def _with_floor(d: int, floor: float, rng: RngState) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def test_integral_route_meets_its_a_priori_bound():
-    def check(p, q):
-        data = entropy_mod._IntegralData(p, q)
-        c = float(np.sum(data.weights / data.q_eigs))
-        h = relative_entropy(p, q)
-        gap = abs(relative_entropy_integral(p, q) - h)
-        assert gap <= _trapezoid_bound(c, data.half_width) + 1e-14 * max(1.0, h), (p, q, gap)
-
+def _conditioned_pairs():
+    """(P, Q) pairs with eigenvalue floors 1e-1 to 1e-8."""
     # the 1x1 pair where panel doubling stopped 1.27e-9 short
-    check(np.eye(1), np.array([[4.204897886709956]]))
+    yield np.eye(1), np.array([[4.204897886709956]])
     for k in range(1, 9):
         eps = 10.0 ** -k
-        check(np.diag([1.0 - eps, eps]), np.diag([eps, 1.0 - eps]))
+        yield np.diag([1.0 - eps, eps]), np.diag([eps, 1.0 - eps])
     rng = RngState(16)
     for d in range(2, 9):
         for k in range(1, 9):
             draw = rng.child(10 * d + k)
-            check(*(_with_floor(d, 10.0 ** -k, draw.child(i)) for i in range(2)))
+            yield tuple(_with_floor(d, 10.0 ** -k, draw.child(i)) for i in range(2))
+
+
+def _tail_constant_and_cut(p, q) -> tuple[float, float]:
+    """C and L of the integral route on (P, Q)."""
+    data = entropy_mod._IntegralData(p, q)
+    return float(np.sum(data.weights / data.q_eigs)), data.half_width
+
+
+def test_integral_route_meets_its_a_priori_bound():
+    for p, q in _conditioned_pairs():
+        (c, half), h = _tail_constant_and_cut(p, q), relative_entropy(p, q)
+        gap = abs(relative_entropy_integral(p, q) - h)
+        assert gap <= _trapezoid_bound(c, entropy_mod._step(half)) + 1e-14 * max(1.0, h), (p, q, gap)
+
+
+def test_every_step_of_the_study_meets_its_a_priori_bound():
+    # the tails beyond the cut hold at most tau at any step, so each row of
+    # the study is bounded by the discretisation error at its own step
+    for p, q in _conditioned_pairs():
+        (c, half), h = _tail_constant_and_cut(p, q), relative_entropy(p, q)
+        rows = relative_entropy_integral_steps(p, q)
+        steps = [step for step, _ in rows]
+        assert steps[-1] == entropy_mod._step(half) and 2.0 * steps[0] > half
+        assert all(a == 2.0 * b for a, b in zip(steps, steps[1:]))
+        assert rows[-1][1] == relative_entropy_integral(p, q)
+        for step, value in rows:
+            assert abs(value - h) <= _trapezoid_bound(c, step) + 1e-14 * max(1.0, h), (p, q, step)
 
 
 def test_integral_route_equal_operands():
@@ -316,7 +318,6 @@ def test_integral_route_equal_operands():
     rng = RngState(62)
     for p in (np.eye(3) / 3, 1.7 * random_density(4, 4, rng), random_density(4, 2, rng.child(1))):
         assert relative_entropy_integral(p, p) == pytest.approx(0.0, abs=1e-14)
-        assert relative_entropy_integral_fixed(p, p, 4) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_integral_route_singular_p():
@@ -354,7 +355,8 @@ def test_scalar_log_identity_at_the_doubling_failure():
     assert abs(rhs1 - lhs) <= 1e-13
     assert abs(rhs2 - lhs) <= 1e-13
     c1 = abs(1.0 - w) * max(1.0, 1.0 / w)
-    assert abs(rhs1 - lhs) <= _trapezoid_bound(c1, entropy_mod._half_width(c1)) + 1e-14
+    step = entropy_mod._step(entropy_mod._half_width(c1))
+    assert abs(rhs1 - lhs) <= _trapezoid_bound(c1, step) + 1e-14
 
 
 def test_scalar_log_identity_time_is_bounded_in_w():

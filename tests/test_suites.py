@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entropion import NonConvergence, RngState, run_suite, suite_names
+from entropion import inequalities as inequalities_mod
 from entropion import suites as suites_mod
 from entropion.cli import dumps_17g, main
 from entropion.entropy import von_neumann_entropy
@@ -219,6 +220,32 @@ def test_all_skipped_suite_does_not_pass(monkeypatch, tmp_path):
     rep = run_suite("fake", dims=(2,), trials=3, seed=0, tol=1e-9)
     assert (rep.skipped_infinite, rep.skipped_kernel) == (2, 1)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("module, name, suite", [
+    (suites_mod, "relative_entropy", "relent_routes"),
+    (suites_mod, "relative_entropy_integral", "relent_routes"),
+    (suites_mod, "relative_entropy_spectral_kernel", "relent_routes"),
+    (inequalities_mod, "relative_entropy", "joint_convexity"),
+    (inequalities_mod, "relative_entropy", "monotonicity_general"),
+    (inequalities_mod, "relative_entropy", "monotonicity_unitary"),
+    (inequalities_mod, "relative_entropy", "holevo_routes"),
+])
+def test_a_one_sided_infinity_fails(monkeypatch, module, name, suite):
+    # one route, or the mixture's or the channel output's relative entropy,
+    # planted at +inf on finite instances: a failure in every trial, never
+    # a skip
+    monkeypatch.setattr(module, name, lambda *args: math.inf)
+    rep = run_suite(suite, trials=4)
+    assert rep.skipped_infinite == 0
+    assert [f.margin for f in rep.failures] == [-math.inf] * 4
+
+
+def test_relent_routes_skip_when_every_route_is_infinite(monkeypatch):
+    for name in ("relative_entropy", "relative_entropy_integral", "relative_entropy_spectral_kernel"):
+        monkeypatch.setattr(suites_mod, name, lambda *args: math.inf)
+    rep = run_suite("relent_routes", trials=4)
+    assert (rep.skipped_infinite, rep.failures) == (4, ())
 
 
 def _raising_trial(rng, d):

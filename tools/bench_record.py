@@ -21,8 +21,14 @@ wider than the parent's interquartile range).  Each metric also gets a
 else ``no`` if the change's median is worse than the parent's by more
 than the bound; else ``unresolved`` if either side's interquartile range
 over its median exceeds the bound (the runs spread too widely to tell);
-else ``yes``.  The file is rewritten after every run, so an interrupted
-recording keeps the runs it made.
+else ``yes``.  ``pair_ratio`` holds the quartiles of change/parent taken
+pair by pair, and ``pair_ratio_spread`` their interquartile range over
+their median: drift that both runs of a pair share cancels in the ratio,
+so this spread shows the effect's own scatter, where each side's spread
+also holds the machine's drift over the recording.  These two are
+reported only; the statuses above do not read them.  The file is
+rewritten after every run, so an interrupted recording keeps the runs it
+made.
 """
 
 from __future__ import annotations
@@ -87,6 +93,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             not_worse = "no"
         else:
             not_worse = "unresolved" if too_wide else "yes"
+        ratio = quartiles([b / a for a, b in zip(parent, change)])
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -101,6 +108,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "spread": spread,
             "spread_exceeds_bound": too_wide,
             "change_beats_every_parent_run": beats_all,
+            "pair_ratio": ratio,
+            "pair_ratio_spread": (ratio["q3"] - ratio["q1"]) / ratio["median"],
             "not_worse": not_worse,
             "gain_resolved": (wins >= 0.9 * len(runs)
                               and worse_by < 0
@@ -180,7 +189,9 @@ def main(argv=None) -> int:
             }
             save()
         for name, metric in entry["summary"].items():
-            print(f"{workload} {name}: not_worse {metric['not_worse']}", file=sys.stderr)
+            ratio = metric["pair_ratio"]
+            print(f"{workload} {name}: not_worse {metric['not_worse']}, change/parent "
+                  f"{ratio['median']:.3f} [{ratio['q1']:.3f}-{ratio['q3']:.3f}]", file=sys.stderr)
         for side in SIDES:
             entry["traced"][side] = run_once(roots[side], workload, SEED, TRACE_SECONDS, 1)
             save()
