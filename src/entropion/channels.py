@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .matcore import (
     Spectrum,
     _factor_dims,
     _keep_factors,
+    _psd_stack,
     as_hermitian,
     as_matrix,
     max_abs,
@@ -75,18 +76,26 @@ def require_tp(phi: KrausMap) -> KrausMap:
 
 def apply_linear(phi: KrausMap, x) -> np.ndarray:
     """sum_j K_j X K_j^dag on an arbitrary (square) operand."""
-    x = as_matrix(x)
-    if x.shape != (phi.d_in, phi.d_in):
+    return _linear(phi, as_matrix(x))
+
+
+def _linear(phi: KrausMap, x: np.ndarray) -> np.ndarray:
+    """`apply_linear` on a complex operand or stack, one broadcast product."""
+    if x.shape[-2:] != (phi.d_in, phi.d_in):
         raise ValueError(f"operand shape {x.shape} != ({phi.d_in}, {phi.d_in})")
     k = phi.kraus_ops
-    return (k @ x @ k.conj().transpose(0, 2, 1)).sum(axis=0)
+    return (k @ x[..., None, :, :] @ k.conj().transpose(0, 2, 1)).sum(axis=-3)
 
 
 def apply_channel(phi: KrausMap, rho) -> np.ndarray:
     """Channel action on a Hermitian operand; output is re-symmetrized."""
-    rho = as_hermitian(rho)
-    out = apply_linear(phi, rho)
-    return (out + out.conj().T) / 2
+    return _channel(phi, as_hermitian(rho))
+
+
+def _channel(phi: KrausMap, rho: np.ndarray) -> np.ndarray:
+    """`apply_channel` on a validated operand or stack: exactly Hermitian."""
+    out = _linear(phi, rho)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def adjoint_channel(phi: KrausMap) -> KrausMap:
@@ -146,35 +155,30 @@ def dephase_via_z(x) -> np.ndarray:
     return out / d
 
 
-@dataclass(frozen=True)
 class Povm:
     """Measurement effects: PSD to 1e-10, summing to the identity to 1e-10.
 
-    ``spectra`` keeps the decomposition that validated each effect, so
-    `povm_channel` takes the square roots from it.
+    ``effects`` is one (n, d, d) stack, and ``spectra`` the stacked
+    `Spectrum` of the one ``eigh`` that validated it, so `povm_channel`
+    takes the square roots from it.
     """
 
-    effects: tuple
-    spectra: tuple = field(repr=False, compare=False)
+    __slots__ = ("effects", "spectra")
 
     def __init__(self, effects):
-        validated = [psd_eig(m) for m in effects]
-        ops = tuple(m for m, _ in validated)
-        if not ops:
+        if not len(effects):
             raise ValueError("need at least one effect")
-        d = ops[0].shape[0]
-        for m in ops[1:]:
-            if m.shape != (d, d):
-                raise ValueError("effect shapes differ")
-        defect = max_abs(sum(ops) - np.eye(d))
+        if len({np.shape(m) for m in effects}) > 1:
+            raise ValueError("effect shapes differ")
+        ops, spectra = _psd_stack(effects, True)
+        defect = max_abs(ops.sum(axis=0) - np.eye(ops.shape[-1]))
         if defect > POVM_TOL:
             raise ValueError(f"effects do not sum to the identity (defect {defect:.3e})")
-        object.__setattr__(self, "effects", ops)
-        object.__setattr__(self, "spectra", tuple(spec for _, spec in validated))
+        self.effects, self.spectra = ops, spectra
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[-1]
 
     def __len__(self):
         return len(self.effects)
@@ -187,11 +191,11 @@ def povm_channel(povm: Povm) -> KrausMap:
     a-major; output dimension is the number of effects.
     """
     n, d = len(povm), povm.dim
+    u = povm.spectra.eigenvectors
+    roots = (u * np.sqrt(povm.spectra.eigenvalues)[:, None, :]) @ u.conj().swapaxes(-1, -2)
     ops = np.zeros((n, d, n, d), dtype=complex)
-    for a, spec in enumerate(povm.spectra):
-        u = spec.eigenvectors
-        # operator (a, b) holds row b of sqrt(M_a) in its output row a
-        ops[a, :, a, :] = (u * np.sqrt(spec.eigenvalues)) @ u.conj().T
+    # operator (a, b) holds row b of sqrt(M_a) in its output row a
+    ops[np.arange(n), :, np.arange(n), :] = roots
     return KrausMap(ops.reshape(n * d, n, d))
 
 

@@ -18,21 +18,22 @@ import numpy as np
 from .channels import (
     KrausMap,
     Povm,
-    apply_channel,
+    _channel,
     identity_channel,
     povm_channel,
     require_tp,
     tensor_channel,
 )
-from .entropy import _entropy, _relent, relative_entropy, von_neumann_entropy
-from .matcore import psd_eig, psd_eigvalsh, require_unit_trace, tensor
+from .entropy import _entropy, _relent, relative_entropy
+from .matcore import _psd, _psd_stack, require_unit_trace, tensor
 
 
 class Ensemble:
     """Finite ensemble of density matrices with strictly positive weights.
 
-    ``spectra`` keeps the eigenvalues that validated each state, so the
-    member entropies decompose nothing again.
+    ``states`` is one (n, d, d) stack and ``spectra`` the (n, d) eigenvalues
+    of the one ``eigvalsh`` that validated it, so the member entropies
+    decompose nothing again.
     """
 
     __slots__ = ("weights", "states", "spectra")
@@ -45,31 +46,45 @@ class Ensemble:
             raise ValueError("ensemble weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
-        validated = [psd_eigvalsh(r) for r in states]
-        rhos = tuple(require_unit_trace(r) for r, _ in validated)
-        if len(rhos) != w.size:
+        if len(states) != w.size:
             raise ValueError("one state per weight")
-        d = rhos[0].shape[0]
-        for r in rhos[1:]:
-            if r.shape != (d, d):
-                raise ValueError("ensemble states must share one dimension")
-        self.weights = w
-        self.states = rhos
-        self.spectra = tuple(lam for _, lam in validated)
+        if len({np.shape(r) for r in states}) > 1:
+            raise ValueError("ensemble states must share one dimension")
+        self._set(w, *_psd_stack(states))
+
+    def _set(self, weights: np.ndarray, states: np.ndarray, spectra: np.ndarray) -> None:
+        self.weights = weights
+        self.states = require_unit_trace(states)
+        self.spectra = spectra
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[-1]
 
     def __len__(self):
         return len(self.states)
 
     def average(self) -> np.ndarray:
-        return sum(w * r for w, r in zip(self.weights, self.states))
+        return (self.weights[:, None, None] * self.states).sum(axis=0)
+
+    def _average(self, vectors: bool):
+        """The average, exactly Hermitian, and its eigenvalues (`Spectrum`
+        with ``vectors``), checked as a density matrix on that eigensolve."""
+        avg, spec = _psd(self.average(), vectors)
+        require_unit_trace(avg)
+        return avg, spec
 
     def map(self, phi: KrausMap) -> "Ensemble":
-        """Apply one channel to every member; weights unchanged."""
-        return Ensemble(self.weights, [apply_channel(phi, r) for r in self.states])
+        """Apply one channel to every member, in one product; weights
+        unchanged.  One ``eigvalsh`` checks the (exactly Hermitian) images."""
+        out = Ensemble.__new__(Ensemble)
+        out._set(self.weights, *_psd(_channel(phi, self.states), False))
+        return out
+
+
+def _chi(ensemble: Ensemble, lam_avg: np.ndarray) -> float:
+    """chi from the eigenvalues of the average."""
+    return _entropy(lam_avg) - float(np.dot(ensemble.weights, _entropy(ensemble.spectra)))
 
 
 def chi(ensemble: Ensemble) -> float:
@@ -78,19 +93,16 @@ def chi(ensemble: Ensemble) -> float:
     The member entropies read the spectra the ensemble already holds, so
     only the average is decomposed.
     """
-    members = float(np.dot(ensemble.weights, [_entropy(lam) for lam in ensemble.spectra]))
-    return von_neumann_entropy(ensemble.average()) - members
+    return _chi(ensemble, ensemble._average(False)[1])
 
 
 def yuen_ozawa_gap(ensemble: Ensemble) -> float:
     """|chi - sum_j pi_j H(rho_j, rho_av)|; zero in exact arithmetic, and
-    every term is finite because supp(rho_j) lies inside supp(rho_av)."""
-    avg = psd_eig(ensemble.average())[1]
-    mix = sum(
-        w * _relent(r, lam, avg)
-        for w, r, lam in zip(ensemble.weights, ensemble.states, ensemble.spectra)
-    )
-    return abs(chi(ensemble) - float(mix))
+    every term is finite because supp(rho_j) lies inside supp(rho_av).
+    One ``eigh`` of the average serves both sides."""
+    avg = ensemble._average(True)[1]
+    mix = sum((ensemble.weights * _relent(ensemble.states, ensemble.spectra, avg)).tolist())
+    return abs(_chi(ensemble, avg.eigenvalues) - mix)
 
 
 def flagged_state(ensemble: Ensemble) -> np.ndarray:
@@ -136,8 +148,9 @@ def check_partial_measurement_chain(ensemble: Ensemble, dims, povm_a: Povm,
         raise ValueError(f"dims {dims!r} do not factor dimension {ensemble.dim}")
     if povm_a.dim != d_a or povm_b.dim != d_b:
         raise ValueError("POVM dimensions do not match the factors")
-    measure_b = tensor_channel(identity_channel(d_a), povm_channel(povm_b))
-    measure_both = tensor_channel(povm_channel(povm_a), povm_channel(povm_b))
+    record_b = povm_channel(povm_b)
+    measure_b = tensor_channel(identity_channel(d_a), record_b)
+    measure_both = tensor_channel(povm_channel(povm_a), record_b)
     chi_full = chi(ensemble)
     chi_half = chi(ensemble.map(measure_b))
     chi_classical = chi(ensemble.map(measure_both))

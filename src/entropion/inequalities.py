@@ -21,16 +21,24 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import KrausMap, adjoint_channel, apply_channel, apply_linear, require_tp
+from .channels import (
+    KrausMap,
+    _channel,
+    adjoint_channel,
+    apply_channel,
+    apply_linear,
+    require_tp,
+)
 from .entropy import (
     _entropy,
     _relent,
+    _relent_psd,
     _same_shape,
     _support_split,
-    relative_entropy,
     von_neumann_entropy,
 )
 from .matcore import (
+    _psd_stack,
     _spectral_function,
     as_matrix,
     as_psd,
@@ -42,7 +50,7 @@ from .matcore import (
     require_unit_trace,
     zero_band,
 )
-from .superop import SuperOpSpec, solve_resolvent
+from .superop import SuperOpSpec, _resolvent, solve_resolvent
 
 SIMPLEX_TOL = 1e-12
 # Weights below this are clamped to exactly zero and the rest renormalized.
@@ -131,30 +139,33 @@ class ConvexityInstance:
     compatible supports (every P_j supported inside the corresponding Q_j,
     so no term of the combination is infinite by construction).
 
-    ``spectra`` keeps, per pair, the eigenvalues of P and the spectrum of Q
-    that validated it, so the termwise entropies decompose nothing again.
+    ``ps`` and ``qs`` stack the pairs, validated by one ``eigvalsh`` and one
+    ``eigh``, and ``terms`` holds each H(P_j, Q_j) from those spectra.
     """
 
-    __slots__ = ("weights", "pairs", "spectra")
+    __slots__ = ("weights", "ps", "qs", "terms")
 
     def __init__(self, weights, pairs):
         self.weights = _simplex_weights(weights)
-        ps, spectra = [], []
-        for p, q in pairs:
-            p, lam_p = psd_eigvalsh(p)
-            q, spec_q = psd_eig(q)
-            ps.append((p, q))
-            spectra.append((lam_p, spec_q))
-        if len(ps) != self.weights.size:
+        pairs = list(pairs)
+        if len(pairs) != self.weights.size:
             raise ValueError("one (P, Q) pair required per weight")
-        for j, ((p, q), (_, spec_q)) in enumerate(zip(ps, spectra)):
-            if p.shape != q.shape or p.shape != ps[0][0].shape:
-                raise ValueError("all pairs must share one dimension")
-            split = _support_split(p, spec_q)
-            if split.infinite:
-                raise ValueError(f"pair {j}: P has weight {split.ker_mass:.3e} outside supp(Q)")
-        self.pairs = tuple(ps)
-        self.spectra = tuple(spectra)
+        if len({np.shape(m) for pair in pairs for m in pair}) > 1:
+            raise ValueError("all pairs must share one dimension")
+        try:
+            ps, lam_p = _psd_stack([p for p, _ in pairs])
+            qs, spec_q = _psd_stack([q for _, q in pairs], True)
+        except ValueError:
+            for p, q in pairs:  # raise for the first defective matrix, pair by pair
+                psd_eigvalsh(p)
+                psd_eig(q)
+            raise
+        self.ps, self.qs = ps, qs
+        self.terms = _relent(ps, lam_p, spec_q)
+        if np.isinf(self.terms).any():
+            split = _support_split(ps, spec_q)
+            j = int(np.argmax(split.infinite))
+            raise ValueError(f"pair {j}: P has weight {split.ker_mass[j]:.3e} outside supp(Q)")
 
 
 class JointConvexityMargins(NamedTuple):
@@ -171,23 +182,15 @@ def check_joint_convexity(inst: ConvexityInstance) -> JointConvexityMargins:
     scaling_gap        |sum_j H(x_j P_j, x_j Q_j) - sum_j x_j H(P_j, Q_j)|
 
     the last being the homogeneity step that upgrades subadditivity to
-    convexity.
+    convexity.  Each H is the kernel's on sums or multiples of the pairs.
     """
-    terms = [_relent(p, lam_p, spec_q) for (p, _), (lam_p, spec_q) in zip(inst.pairs, inst.spectra)]
     x = inst.weights
-    mix_p = sum(w * p for w, (p, _) in zip(x, inst.pairs))
-    mix_q = sum(w * q for w, (_, q) in zip(x, inst.pairs))
-    weighted = float(np.dot(x, terms))
-    margin = weighted - relative_entropy(mix_p, mix_q)
-
-    sum_p = sum(p for p, _ in inst.pairs)
-    sum_q = sum(q for _, q in inst.pairs)
-    subadditive = float(sum(terms)) - relative_entropy(sum_p, sum_q)
-
-    scaled = 0.0
-    for w, (p, q) in zip(x, inst.pairs):
-        if w > 0.0:
-            scaled += relative_entropy(w * p, w * q)
+    scale = x[:, None, None]
+    weighted = float(np.dot(x, inst.terms))
+    margin = weighted - _relent_psd((scale * inst.ps).sum(axis=0), (scale * inst.qs).sum(axis=0))
+    subadditive = sum(inst.terms.tolist()) - _relent_psd(inst.ps.sum(axis=0), inst.qs.sum(axis=0))
+    on = x > 0.0
+    scaled = sum(np.ravel(_relent_psd(scale[on] * inst.ps[on], scale[on] * inst.qs[on])).tolist())
     scaling_gap = abs(scaled - weighted)
     return JointConvexityMargins(float(margin), float(subadditive), float(scaling_gap))
 
@@ -195,20 +198,22 @@ def check_joint_convexity(inst: ConvexityInstance) -> JointConvexityMargins:
 def check_schwarz_quadratic(a_list: Sequence, p_list: Sequence, q_list: Sequence, t: float) -> float:
     """Convexity of the resolvent quadratic form: the termwise sum
     sum_j Tr A_j^dag (L_{P_j} + t R_{Q_j})^{-1} A_j dominates the same form
-    at the summed data."""
-    if not (len(a_list) == len(p_list) == len(q_list)) or not a_list:
+    at the summed data; the terms are one stacked solve."""
+    if not (len(a_list) == len(p_list) == len(q_list)) or not len(a_list):
         raise ValueError("need equally many A, P, Q entries")
-    specs = [SuperOpSpec(p, q, t) for p, q in zip(p_list, q_list)]
-    total = 0.0
-    for a, spec in zip(a_list, specs):
-        a = as_matrix(a)
-        y = solve_resolvent(spec, a)
-        total += float(np.sum(a.conj() * y).real)
-    a_sum = sum(as_matrix(a) for a in a_list)
-    p_sum = sum(spec.left for spec in specs)
-    q_sum = sum(spec.right for spec in specs)
-    y = solve_resolvent(SuperOpSpec(p_sum, q_sum, t), a_sum)
-    combined = float(np.sum(a_sum.conj() * y).real)
+    try:
+        p, spec_p = _psd_stack(p_list, True)
+        q, spec_q = _psd_stack(q_list, True)
+    except ValueError:
+        for p, q in zip(p_list, q_list):  # raise for the first defective pair
+            SuperOpSpec(p, q, t)
+        raise
+    summed = SuperOpSpec(p.sum(axis=0), q.sum(axis=0), t)
+    a = np.stack([as_matrix(x) for x in a_list])
+    y = _resolvent(spec_p, spec_q, summed.t, a)
+    total = sum(np.sum(a.conj() * y, axis=(-2, -1)).real.tolist())
+    a_sum = a.sum(axis=0)
+    combined = float(np.sum(a_sum.conj() * solve_resolvent(summed, a_sum)).real)
     return total - combined
 
 
@@ -227,18 +232,13 @@ def check_operator_schwarz(a_list: Sequence, p_list: Sequence) -> float:
     """Operator Schwarz inequality
     sum_k A_k^dag P_k^{-1} A_k >= (sum A)^dag (sum P)^{-1} (sum A),
     reported as the smallest eigenvalue of the difference."""
-    if len(a_list) != len(p_list) or not a_list:
+    if len(a_list) != len(p_list) or not len(a_list):
         raise ValueError("need equally many A and P entries")
-    lhs = None
-    p_sum = None
-    for a, p in zip(a_list, p_list):
-        a = as_matrix(a)
-        p, spec = psd_eig(p)
-        term = a.conj().T @ _inverse(spec) @ a
-        lhs = term if lhs is None else lhs + term
-        p_sum = p if p_sum is None else p_sum + p
-    a_sum = sum(as_matrix(a) for a in a_list)
-    rhs = a_sum.conj().T @ _inverse(hermitian_eig(p_sum)) @ a_sum
+    a = np.stack([as_matrix(x) for x in a_list])
+    p, spec = _psd_stack(p_list, True)
+    lhs = (a.conj().swapaxes(-1, -2) @ _inverse(spec) @ a).sum(axis=0)
+    a_sum = a.sum(axis=0)
+    rhs = a_sum.conj().T @ _inverse(hermitian_eig(p.sum(axis=0))) @ a_sum
     return _min_eig(lhs - rhs)
 
 
@@ -330,7 +330,8 @@ def check_monotonicity(rho, gamma, channel: KrausMap) -> float:
     h_in = _relent(rho, lam_rho, spec_gamma)
     if math.isinf(h_in):
         return math.inf
-    return h_in - relative_entropy(apply_channel(channel, rho), apply_channel(channel, gamma))
+    # the images are symmetrized, exactly Hermitian: the kernel takes them
+    return h_in - _relent_psd(*_channel(channel, np.stack((rho, gamma))))
 
 
 class SsaMargins(NamedTuple):

@@ -18,6 +18,9 @@ Conventions used throughout the package:
   validated reuse that decomposition instead of validating again, and an
   inverse or root of such a matrix comes from its spectrum through
   ``_spectral_function``, the helper behind ``matrix_function``;
+* a list of same-shape operands is one (n, d, d) stack, validated by
+  ``_psd_stack`` in one call (each matrix at its own scale, an error naming
+  the first defective one) and reduced by the kernels in one call;
 * reductions of a pure state go through ``partial_trace_pure`` on the
   state vector, never through the projector ``|psi><psi|``.
 
@@ -77,32 +80,60 @@ def as_hermitian(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    scale = max_abs(a)
+    return _hermitian(a)
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The entry of ``values`` at the first set entry of ``bad``."""
+    return float(np.asarray(values)[bad][0])
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """`as_hermitian`'s checks on a complex matrix or (n, d, d) stack, each
+    matrix held to its own scale."""
+    scale = float(np.abs(a).max()) if a.size else 0.0
     # |z| overflows to inf for finite entries near the float limit, so an
     # infinite scale alone does not prove a non-finite entry
     if not math.isfinite(scale) and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    r, c = a.shape
+    r, c = a.shape[-2:]
     if r != c:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not math.isfinite(scale):
+        if a.ndim > 2:
+            return np.stack([_hermitian(m) for m in a])
         # every entry is finite but a modulus overflowed: check a / 4, which
         # is exact and has finite moduli (a defect is reported at that
         # scale), then scale the result back
-        return as_hermitian(a * 0.25) * 4.0
-    h = a.conj().T
-    defect = max_abs(a - h)
-    if defect > HERMITICITY_TOL * max(1.0, scale):
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+        return _hermitian(a * 0.25) * 4.0
+    h = a.conj().mT
+    if a.size and np.abs(a - h).max() > HERMITICITY_TOL:
+        # only a defect above the tolerance needs each matrix's own scale
+        defect = np.abs(a - h).max(axis=(-2, -1))
+        bad = defect > HERMITICITY_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        if np.count_nonzero(bad):
+            raise ValueError(f"matrix is not Hermitian (defect {_first(defect, bad):.3e})")
     return (a + h) / 2
 
 
 def _clip_psd(w: np.ndarray) -> np.ndarray:
-    """PSD test (scale-aware) on ascending eigenvalues, then clip at zero."""
-    lo = float(w[0])
-    if lo < -PSD_TOL * max(1.0, float(w[-1])):
-        raise ValueError(f"matrix is not PSD (min eigenvalue {lo:.3e})")
+    """PSD test (scale-aware) on ascending eigenvalues, one row per matrix
+    of a stack, then clip at zero."""
+    if w.min() < -PSD_TOL:
+        # only a negative eigenvalue past the tolerance needs its row's scale
+        lo = w[..., 0]
+        bad = lo < -PSD_TOL * np.maximum(1.0, w[..., -1])
+        if np.count_nonzero(bad):
+            raise ValueError(f"matrix is not PSD (min eigenvalue {_first(lo, bad):.3e})")
     return np.maximum(w, 0.0)
+
+
+def _psd(a: np.ndarray, vectors: bool):
+    """``a`` (Hermitian, or a stack) with its clipped eigenvalues, or its
+    `Spectrum` with ``vectors``: the PSD check on its one eigensolve."""
+    if vectors:
+        return a, _eigh(a, clip=True)
+    return a, _clip_psd(np.linalg.eigvalsh(a))
 
 
 def psd_eigvalsh(m) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +142,7 @@ def psd_eigvalsh(m) -> tuple[np.ndarray, np.ndarray]:
     Returns the symmetrized matrix and its ascending eigenvalues, clipped
     at zero so that no caller sees a spuriously negative one.
     """
-    a = as_hermitian(m)
-    return a, _clip_psd(np.linalg.eigvalsh(a))
+    return _psd(as_hermitian(m), False)
 
 
 def psd_eig(m) -> tuple[np.ndarray, Spectrum]:
@@ -121,9 +151,22 @@ def psd_eig(m) -> tuple[np.ndarray, Spectrum]:
     Returns the symmetrized matrix and its spectrum, eigenvalues clipped at
     zero as in `psd_eigvalsh`.
     """
-    a = as_hermitian(m)
-    spec = _eigh(a)
-    return a, Spectrum(_clip_psd(spec.eigenvalues), spec.eigenvectors)
+    return _psd(as_hermitian(m), True)
+
+
+def _psd_stack(ms, vectors: bool = False):
+    """`psd_eigvalsh` (`psd_eig` with ``vectors``) of same-shape matrices as
+    one stack.  On a failure each is validated alone, in order, so the
+    error is the first defective matrix's own."""
+    try:
+        a = np.asarray(ms, dtype=complex)
+        if a.ndim != 3:
+            raise ValueError(f"expected a stack of matrices, got shape {a.shape}")
+        return _psd(_hermitian(a), vectors)
+    except ValueError:
+        for m in ms:
+            _psd(as_hermitian(m), vectors)
+        raise
 
 
 def as_psd(m) -> np.ndarray:
@@ -132,10 +175,12 @@ def as_psd(m) -> np.ndarray:
 
 
 def require_unit_trace(a: np.ndarray) -> np.ndarray:
-    """The density-matrix trace condition (to 1e-10) on a validated PSD matrix."""
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix must have unit trace, got {tr!r}")
+    """The density-matrix trace condition (to 1e-10) on a validated PSD
+    matrix or stack."""
+    tr = a.trace(0, -2, -1).real
+    bad = abs(tr - 1.0) > TRACE_TOL
+    if np.count_nonzero(bad):
+        raise ValueError(f"density matrix must have unit trace, got {_first(tr, bad)!r}")
     return a
 
 
@@ -144,12 +189,10 @@ def as_density(m) -> np.ndarray:
     return require_unit_trace(as_psd(m))
 
 
-def zero_band(eigenvalues: np.ndarray) -> float:
-    """Width of the band around zero treated as exact kernel."""
-    w = np.asarray(eigenvalues)
-    if w.size == 0:
-        return 0.0
-    return KERNEL_ETA * float(np.max(np.abs(w)))
+def zero_band(eigenvalues: np.ndarray) -> np.ndarray:
+    """Width of the band around zero treated as exact kernel, per row of a
+    spectrum or stack of spectra, as shape (..., 1)."""
+    return KERNEL_ETA * np.abs(eigenvalues).max(axis=-1, keepdims=True, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -160,12 +203,13 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _eigh(a: np.ndarray) -> Spectrum:
+def _eigh(a: np.ndarray, clip: bool = False) -> Spectrum:
+    """The spectrum of a Hermitian matrix or stack, ``clip``ped by `_clip_psd`."""
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver failed: {exc}") from exc
-    return Spectrum(w, u)
+    return Spectrum(_clip_psd(w) if clip else w, u)
 
 
 def hermitian_eig(m) -> Spectrum:
@@ -178,7 +222,7 @@ def hermitian_eig(m) -> Spectrum:
 
 
 def _spectral_function(spec: Spectrum, f: Callable[[float], float]) -> np.ndarray:
-    """f(A) from the spectrum of a Hermitian A.
+    """f(A) from the spectrum of a Hermitian A, or of each matrix of a stack.
 
     Eigenvalues inside the zero band are snapped to exactly 0 and then
     passed to ``f`` like any other.  Raises ValueError when ``f`` is
@@ -188,7 +232,7 @@ def _spectral_function(spec: Spectrum, f: Callable[[float], float]) -> np.ndarra
     lam = spec.eigenvalues.copy()
     lam[np.abs(lam) <= zero_band(lam)] = 0.0
     vals = np.empty(lam.size)
-    for i, x in enumerate(lam):
+    for i, x in enumerate(lam.ravel()):
         try:
             y = float(f(float(x)))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -197,8 +241,8 @@ def _spectral_function(spec: Spectrum, f: Callable[[float], float]) -> np.ndarra
             raise ValueError(f"f({x!r}) is not finite")
         vals[i] = y
     u = spec.eigenvectors
-    out = (u * vals) @ u.conj().T
-    return (out + out.conj().T) / 2
+    out = (u * vals.reshape(lam.shape)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def matrix_function(m, f: Callable[[float], float]) -> np.ndarray:

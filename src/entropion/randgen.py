@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .matcore import _spectral_function, psd_eig
+from .matcore import _psd, _spectral_function
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -111,6 +111,19 @@ class RngState:
         """Complex normal with unit second moment E|z|^2 = 1."""
         x, y = self.normal_pair()
         return complex(x, y) * math.sqrt(0.5)
+
+    def _skip(self, n: int) -> None:
+        """Advance the stream by ``n`` words without forming them: one jump
+        through ``_jump_tables(i)`` per set bit i of n // _LEAD, then fewer
+        than _LEAD steps."""
+        s = np.array([self._state], dtype=np.uint64)
+        jumps = n // _LEAD
+        for i in range(jumps.bit_length()):
+            if jumps >> i & 1:
+                s = _jump(_jump_tables(i), s)
+        steps = n % _LEAD
+        self._state = _walk(int(s[0]), steps)[-1] if steps else int(s[0])
+        self.position += n
 
 
 def _walk(s: int, count: int) -> list[int]:
@@ -248,6 +261,39 @@ def random_density(d: int, rank: int, rng: RngState) -> np.ndarray:
     return m / float(np.trace(m).real)
 
 
+def _unitary_columns(d: int, k: int, rng: RngState, bulk: bool = True) -> np.ndarray:
+    """The first k columns of ``random_unitary(d, rng)``, as a d x k array.
+
+    The k Ginibre columns are one draw, the rows of ``random_matrix(k, d)``.
+    Should Gram-Schmidt leave a column of norm under 1e-10 (probability ~0),
+    the stream is rewound and the columns are drawn one at a time, that
+    column redrawn from the words after it."""
+    start = rng._state, rng.position
+    rows = iter(random_matrix(k, d, rng)) if bulk else None
+    cols: list[np.ndarray] = []
+    for _ in range(k):
+        v = next(rows) if bulk else random_matrix(d, 1, rng).ravel()
+        for _pass in range(2):  # reorthogonalize once for numerical stability
+            for u in cols:
+                v = v - u * np.vdot(u, v)
+        n = float(np.linalg.norm(v))
+        while n < 1e-10:  # pragma: no cover - probability ~0
+            if bulk:
+                rng._state, rng.position = start
+                return _unitary_columns(d, k, rng, bulk=False)
+            v = random_matrix(d, 1, rng).ravel()
+            for u in cols:
+                v = v - u * np.vdot(u, v)
+            n = float(np.linalg.norm(v))
+        cols.append(v / n)
+    u = np.stack(cols, axis=1)
+    for j in range(k):
+        piv = u[j, j]
+        if abs(piv) > 1e-300:
+            u[:, j] = u[:, j] * (piv.conjugate() / abs(piv))
+    return u
+
+
 def random_unitary(d: int, rng: RngState) -> np.ndarray:
     """Haar-style unitary: Gram-Schmidt on Ginibre columns, then the phase of
     each diagonal entry is rotated away so U[j, j] is real and nonnegative.
@@ -256,53 +302,33 @@ def random_unitary(d: int, rng: RngState) -> np.ndarray:
     (and gives [[1]] at d = 1)."""
     if d < 1:
         raise ValueError("dimension must be positive")
-    cols: list[np.ndarray] = []
-    for _ in range(d):
-        v = random_matrix(d, 1, rng).ravel()
-        for _pass in range(2):  # reorthogonalize once for numerical stability
-            for u in cols:
-                v = v - u * np.vdot(u, v)
-        n = float(np.linalg.norm(v))
-        while n < 1e-10:  # pragma: no cover - probability ~0
-            v = random_matrix(d, 1, rng).ravel()
-            for u in cols:
-                v = v - u * np.vdot(u, v)
-            n = float(np.linalg.norm(v))
-        cols.append(v / n)
-    u = np.stack(cols, axis=1)
-    for j in range(d):
-        piv = u[j, j]
-        if abs(piv) > 1e-300:
-            u[:, j] = u[:, j] * (piv.conjugate() / abs(piv))
-    return u
+    return _unitary_columns(d, d, rng)
 
 
-def random_cptp(d: int, n_kraus: int, rng: RngState) -> list[np.ndarray]:
-    """Kraus operators of a random channel: the first d columns of a random
-    unitary on C^(d*n_kraus), sliced into n_kraus stacked d x d blocks."""
+def random_cptp(d: int, n_kraus: int, rng: RngState) -> np.ndarray:
+    """Kraus operators of a random channel, stacked as (n_kraus, d, d): the
+    first d columns of a random unitary on C^(d*n_kraus), in blocks of d
+    rows.  Only those columns are drawn; the stream skips the others."""
     if d < 1 or n_kraus < 1:
         raise ValueError("dimension and Kraus count must be positive")
-    big = random_unitary(d * n_kraus, rng)
-    v = big[:, :d]
-    return [np.ascontiguousarray(v[j * d : (j + 1) * d, :]) for j in range(n_kraus)]
+    big = d * n_kraus
+    v = _unitary_columns(big, d, rng)
+    rng._skip(2 * big * (big - d))
+    return v.reshape(n_kraus, d, d)
 
 
-def random_povm(d: int, n_effects: int, rng: RngState) -> list[np.ndarray]:
+def random_povm(d: int, n_effects: int, rng: RngState) -> np.ndarray:
     """POVM from full-rank Wisharts A_a, normalized by the inverse square
-    root of their sum so the effects add to the identity."""
+    root of their sum so the effects add to the identity; stacked as
+    (n_effects, d, d).  The Ginibre factors are one draw."""
     if n_effects < 1:
         raise ValueError("need at least one effect")
-    raw = []
-    for _ in range(n_effects):
-        g = random_matrix(d, d, rng)
-        a = g @ g.conj().T
-        raw.append((a + a.conj().T) / 2)
-    s_half_inv = _spectral_function(psd_eig(sum(raw))[1], lambda x: x ** -0.5)
-    out = []
-    for a in raw:
-        m = s_half_inv @ a @ s_half_inv
-        out.append((m + m.conj().T) / 2)
-    return out
+    g = random_matrix(n_effects * d, d, rng).reshape(n_effects, d, d)
+    a = g @ g.conj().swapaxes(-1, -2)
+    raw = (a + a.conj().swapaxes(-1, -2)) / 2
+    s_half_inv = _spectral_function(_psd(raw.sum(axis=0), True)[1], lambda x: x ** -0.5)
+    m = s_half_inv @ raw @ s_half_inv
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def random_simplex(n: int, rng: RngState) -> np.ndarray:

@@ -35,6 +35,7 @@ import numpy as np
 from .channels import (
     KrausMap,
     Povm,
+    _channel,
     _purify,
     ancilla_representation,
     apply_ancilla,
@@ -59,6 +60,7 @@ from .entropy import (
 )
 from .holevo import (
     Ensemble,
+    _chi,
     check_holevo_bound,
     check_partial_measurement_chain,
     chi,
@@ -85,6 +87,7 @@ from .inequalities import (
 from .matcore import (
     KernelObstruction,
     NonConvergence,
+    _psd,
     matrix_function,
     max_abs,
     partial_trace,
@@ -232,7 +235,7 @@ _SCHWARZ_TS = (0.0, 0.5, 1.0, 10.0)
 def _draw_schwarz_quadratic(rng: RngState, d: int):
     n = 2 + rng.integer(3)
     t = _SCHWARZ_TS[rng.integer(len(_SCHWARZ_TS))]
-    a_list = [random_matrix(d, d, rng) for _ in range(n)]
+    a_list = random_matrix(n * d, d, rng).reshape(n, d, d)
     p_list = [_scaled_psd(rng, d) for _ in range(n)]
     q_list = [_scaled_psd(rng, d) for _ in range(n)]
     return a_list, p_list, q_list, t
@@ -240,8 +243,7 @@ def _draw_schwarz_quadratic(rng: RngState, d: int):
 
 def _draw_operator_schwarz(rng: RngState, d: int):
     n = 2 + rng.integer(3)
-    a_list = [random_matrix(d, d, rng) for _ in range(n)]
-    return a_list, [_conditioned_psd(rng, d) for _ in range(n)]
+    return random_matrix(n * d, d, rng).reshape(n, d, d), [_conditioned_psd(rng, d) for _ in range(n)]
 
 
 def _draw_cp_schwarz(rng: RngState, d: int):
@@ -336,23 +338,20 @@ def _check_holevo_routes(weights, states, effects) -> float:
     ens = Ensemble(weights, states)
     phi = povm_channel(Povm(effects))
     out = ens.map(phi)
-    avg = ens.average()
     # route one: member-by-member data processing, with each average
-    # decomposed once and each member and image read through the
-    # spectrum that validated it
-    spec_avg = psd_eig(avg)[1]
-    spec_out = psd_eig(apply_channel(phi, avg))[1]
-    per_member = math.inf
-    for r, lam_r, r_out, lam_out in zip(ens.states, ens.spectra, out.states, out.spectra):
-        h_in = _relent(r, lam_r, spec_avg)
-        h_out = _relent(r_out, lam_out, spec_out)
-        per_member = min(per_member, h_in - h_out)
+    # decomposed once and the members and images read, as one stack each,
+    # through the spectra that validated them
+    avg, spec_avg = ens._average(True)
+    spec_out = _psd(_channel(phi, avg), True)[1]
+    per_member = float(np.min(_relent(ens.states, ens.spectra, spec_avg)
+                              - _relent(out.states, out.spectra, spec_out)))
     # route two: data processing on the flagged state
     product = tensor(avg, np.diag(ens.weights))
     big_phi = tensor_channel(phi, identity_channel(len(ens)))
     qc_margin = check_monotonicity(flagged_state(ens), product, big_phi)
-    # route three: chi(E) - chi(Phi E), concavity of rho -> S(rho) - S(Phi rho)
-    conc_margin = chi(ens) - chi(out)
+    # route three: chi(E) - chi(Phi E), concavity of rho -> S(rho) - S(Phi rho),
+    # with chi(E) read from route one's decomposition of the average
+    conc_margin = _chi(ens, spec_avg.eigenvalues) - chi(out)
     return min(per_member, qc_margin, conc_margin)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import KernelObstruction, as_matrix, max_abs, psd_eig, zero_band
+from .matcore import KernelObstruction, Spectrum, _first, as_matrix, psd_eig, zero_band
 
 # Inputs may carry at most this relative weight on the joint kernel before
 # a resolvent solve is refused.
@@ -55,26 +55,31 @@ def solve_resolvent(spec: SuperOpSpec, x) -> np.ndarray:
     carries no more than KERNEL_MASS_TOL relative weight on those modes.
     Otherwise raises KernelObstruction.
     """
-    x = as_matrix(x)
-    if x.shape != spec.left.shape:
-        raise ValueError(f"operand shape {x.shape} != {spec.left.shape}")
-    lvals = spec.left_spectrum.eigenvalues
-    rvals = spec.right_spectrum.eigenvalues
-    u = spec.left_spectrum.eigenvectors
-    v = spec.right_spectrum.eigenvectors
-    xt = u.conj().T @ x @ v
-    denom = lvals[:, None] + spec.t * rvals[None, :]
-    kernel = denom <= zero_band(denom)
+    return _resolvent(spec.left_spectrum, spec.right_spectrum, spec.t, as_matrix(x))
+
+
+def _resolvent(left: Spectrum, right: Spectrum, t: float, x: np.ndarray) -> np.ndarray:
+    """`solve_resolvent` from the multipliers' spectra, or for a stack of
+    maps and operands at once (the first obstructed map raising)."""
+    u = left.eigenvectors
+    v = right.eigenvectors
+    if x.shape[-2:] != u.shape[-2:]:
+        raise ValueError(f"operand shape {x.shape} != {u.shape}")
+    xt = u.conj().swapaxes(-1, -2) @ x @ v
+    denom = left.eigenvalues[..., :, None] + t * right.eigenvalues[..., None, :]
+    # one band per map, over all of its denominators
+    kernel = denom <= zero_band(denom.reshape(*denom.shape[:-2], -1))[..., None]
     if kernel.any():
-        mass = max_abs(xt[kernel])
-        if mass > KERNEL_MASS_TOL * max(1.0, max_abs(x)):
+        mass = np.where(kernel, np.abs(xt), 0.0).max(axis=(-2, -1))
+        bad = mass > KERNEL_MASS_TOL * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))
+        if bad.any():
             raise KernelObstruction(
-                f"operand has weight {mass:.3e} on the joint kernel of the map"
+                f"operand has weight {_first(mass, bad):.3e} on the joint kernel of the map"
             )
     yt = np.zeros_like(xt)
     ok = ~kernel
     yt[ok] = xt[ok] / denom[ok]
-    return u @ yt @ v.conj().T
+    return u @ yt @ v.conj().swapaxes(-1, -2)
 
 
 def superop_matrix(spec: SuperOpSpec) -> np.ndarray:

@@ -30,6 +30,7 @@ from entropion import (
     von_neumann_entropy,
 )
 from entropion.channels import require_tp
+from entropion.matcore import psd_eig
 
 
 def test_kraus_map_validation():
@@ -127,17 +128,55 @@ def test_povm_validation():
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # negative effect
 
 
+def test_povm_names_its_first_defective_effect():
+    # one stacked check, the errors of a loop: each effect's own class and
+    # message, the first effect in order winning, ragged shapes caught first
+    basis = [np.diag(e).astype(complex) for e in np.eye(3)]
+    shift = np.diag([0.0, 0.5, 0.0])
+    not_hermitian = np.array([[0.0, 1e-6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for j in range(3):
+        k = (j + 1) % 3
+        not_psd = list(basis)
+        not_psd[j] = basis[j] - np.diag(np.roll([0.0, 0.5, 0.0], j))
+        not_psd[k] = basis[k] + np.diag(np.roll([0.0, 0.5, 0.0], j))
+        not_herm = list(basis)
+        not_herm[j] = basis[j] + not_hermitian
+        for bad in (not_psd, not_herm):
+            with pytest.raises(ValueError) as want:
+                psd_eig(bad[j])
+            with pytest.raises(ValueError) as got:
+                Povm(bad)
+            assert type(got.value) is ValueError
+            assert str(got.value) == str(want.value), j
+        ragged = list(basis)
+        ragged[j] = np.eye(2)
+        with pytest.raises(ValueError, match="^effect shapes differ$"):
+            Povm(ragged)
+    # a non-Hermitian effect after a non-PSD one: the non-PSD one's message
+    bad = [basis[0] - shift, basis[1] + shift, basis[2] + not_hermitian]
+    with pytest.raises(ValueError, match=r"^matrix is not PSD \(min eigenvalue -5.000e-01\)$"):
+        Povm(bad)
+    with pytest.raises(ValueError, match=r"^effects do not sum to the identity \(defect 5.000e-01\)$"):
+        Povm([basis[0], basis[1], basis[2] + shift])
+    with pytest.raises(ValueError, match="^need at least one effect$"):
+        Povm([])
+
+
 def test_povm_channel_roots_come_from_the_validating_decomposition(monkeypatch):
+    # each effect is decomposed once, and all four in one stacked eigh
     effects = random_povm(3, 4, RngState(69))
     calls = {"eigh": 0, "eigvalsh": 0}
+    matrices = dict(calls)
     for name in calls:
-        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+        def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
-            return _solver(*args, **kwargs)
+            matrices[_name] += math.prod(np.shape(a)[:-2])
+            return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     povm_channel(Povm(effects))
-    assert calls == {"eigh": 4, "eigvalsh": 0}
+    assert matrices == {"eigh": 4, "eigvalsh": 0}
+    assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 def test_povm_channel_outputs_exact_diagonal():

@@ -5,6 +5,7 @@ import pytest
 
 from entropion import (
     Ensemble,
+    as_density,
     Povm,
     RngState,
     check_holevo_bound,
@@ -38,6 +39,47 @@ def test_ensemble_validation():
         Ensemble([0.0, 1.0], [rho, rho])  # zero weight
     with pytest.raises(ValueError):
         Ensemble([0.6, 0.6], [rho, rho])  # sums past 1
+
+
+_NOT_HERMITIAN = np.array([[0.0, 1e-6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def _message(validate, m) -> str:
+    with pytest.raises(ValueError) as err:
+        validate(m)
+    return str(err.value)
+
+
+def test_ensemble_names_its_first_defective_member():
+    # the member stack is checked in one call, yet each defect raises the
+    # class and message its member raises alone, and the first member in
+    # order wins; ragged shapes are caught before stacking
+    rng = RngState(103)
+    w = random_simplex(3, rng.child(9))
+    states = [random_density(3, 3, rng.child(i)) for i in range(3)]
+    defects = {
+        "hermitian": lambda r: r + _NOT_HERMITIAN,
+        "psd": lambda r: np.diag([1.2, 0.0, -0.2]),
+        "trace": lambda r: 2.0 * r,
+    }
+    for j in range(3):
+        for kind, spoil in defects.items():
+            bad = list(states)
+            bad[j] = spoil(states[j])
+            with pytest.raises(ValueError) as err:
+                Ensemble(w, bad)
+            assert type(err.value) is ValueError
+            assert str(err.value) == _message(as_density, bad[j]), (j, kind)
+        ragged = list(states)
+        ragged[j] = np.eye(2) / 2
+        with pytest.raises(ValueError, match="^ensemble states must share one dimension$"):
+            Ensemble(w, ragged)
+    # two defects: the earlier member's, of either kind
+    for first, second in (("hermitian", "psd"), ("psd", "hermitian"), ("trace", "trace")):
+        bad = [defects[first](states[0]), states[1], defects[second](states[2])]
+        with pytest.raises(ValueError) as err:
+            Ensemble(w, bad)
+        assert str(err.value) == _message(as_density, bad[0])
 
 
 def test_chi_identical_states_is_zero():

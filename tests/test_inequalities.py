@@ -32,6 +32,7 @@ from entropion import (
     tensor,
     trace_out_channel,
 )
+from entropion.matcore import psd_eig, psd_eigvalsh
 
 
 def _psd(d, rng, floor=0.0):
@@ -58,6 +59,42 @@ def test_convexity_instance_rejects_support_mismatch():
     q = np.diag([1.0, 0.0])  # supp(P) not inside supp(Q)
     with pytest.raises(ValueError):
         ConvexityInstance([1.0], [(p, q)])
+
+
+def test_convexity_instance_names_its_first_defective_matrix():
+    # P and Q are each one stacked check, yet a defect raises the message
+    # its matrix raises alone, pair by pair with P before Q, the first in
+    # that order winning; a support violation names its pair
+    rng = RngState(81)
+    pairs = [(random_density(3, 3, rng.child(i)), random_density(3, 3, rng.child(10 + i)))
+             for i in range(3)]
+    not_hermitian = np.array([[0.0, 1e-6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    not_psd = np.diag([1.2, 0.0, -0.2])
+
+    def spoiled(j, side, m):
+        out = [list(pair) for pair in pairs]
+        out[j][side] = m
+        return [tuple(pair) for pair in out]
+
+    for j in range(3):
+        for side, validate in ((0, psd_eigvalsh), (1, psd_eig)):
+            for m in (pairs[j][side] + not_hermitian, not_psd):
+                with pytest.raises(ValueError) as want:
+                    validate(m)
+                with pytest.raises(ValueError) as got:
+                    ConvexityInstance([0.2, 0.3, 0.5], spoiled(j, side, m))
+                assert type(got.value) is ValueError
+                assert str(got.value) == str(want.value), (j, side)
+        with pytest.raises(ValueError, match="^all pairs must share one dimension$"):
+            ConvexityInstance([0.2, 0.3, 0.5], spoiled(j, 1, np.eye(2) / 2))
+        violating = spoiled(j, 0, np.diag([0.5, 0.5, 0.0]))
+        violating = [(p, np.diag([1.0, 0.0, 1.0]) if i == j else q) for i, (p, q) in enumerate(violating)]
+        with pytest.raises(ValueError, match=rf"^pair {j}: P has weight 5.000e-01 outside supp\(Q\)$"):
+            ConvexityInstance([0.2, 0.3, 0.5], violating)
+    # Q of pair 0 comes before P of pair 1
+    bad = [(pairs[0][0], not_psd), (pairs[1][0] + not_hermitian, pairs[1][1]), pairs[2]]
+    with pytest.raises(ValueError, match=r"^matrix is not PSD \(min eigenvalue -2.000e-01\)$"):
+        ConvexityInstance([0.2, 0.3, 0.5], bad)
 
 
 def test_joint_convexity_random_and_equality():
@@ -139,15 +176,19 @@ def test_cp_schwarz_random_channel():
         assert m2 > -1e-9
 
 
-def _count_eigensolves(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _solver(*args, **kwargs)
+def _count_eigensolves(monkeypatch, calls=None):
+    # matrices decomposed, each slice of a stacked call counted; the calls
+    # themselves go to ``calls`` when given
+    matrices = {"eigh": 0, "eigvalsh": 0}
+    for name in matrices:
+        def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            matrices[_name] += math.prod(np.shape(a)[:-2])
+            if calls is not None:
+                calls[_name] += 1
+            return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+    return matrices
 
 
 def test_schwarz_checks_decompose_each_operand_once(monkeypatch):
@@ -157,7 +198,8 @@ def test_schwarz_checks_decompose_each_operand_once(monkeypatch):
     a, b, c = (random_matrix(3, 3, rng.child(i)) for i in range(3))
     p, q = _psd(3, rng.child(3), 0.1), _psd(3, rng.child(4), 0.1)
     phi = KrausMap(random_cptp(3, 2, rng.child(5)))
-    calls = _count_eigensolves(monkeypatch)
+    solves = {"eigh": 0, "eigvalsh": 0}
+    calls = _count_eigensolves(monkeypatch, solves)
     runs = [
         (lambda p: check_operator_schwarz([a, b], [p, q]), {"eigh": 3, "eigvalsh": 1}),
         (lambda p: check_cp_schwarz(phi, a, b, p), {"eigh": 3, "eigvalsh": 2}),
@@ -167,8 +209,11 @@ def test_schwarz_checks_decompose_each_operand_once(monkeypatch):
     singular = np.diag([1.0, 1.0, 0.0])
     for run, want in runs:
         calls.update(eigh=0, eigvalsh=0)
+        solves.update(eigh=0, eigvalsh=0)
         run(p)
         assert calls == want
+        # the operator form's two P take one stacked eigh
+        assert solves["eigh"] == want["eigh"] - (run is runs[0][0])
         for bad in (not_psd, singular):
             with pytest.raises(ValueError):
                 run(bad)
@@ -315,22 +360,20 @@ def test_concavity_gap_matches_conditional_entropy():
 
 def test_concavity_validates_through_its_entropies(monkeypatch):
     # each state and each image is validated by the eigenvalues its entropy
-    # needs, and each average is decomposed once: 3 + 3 + 2 eigensolves
+    # needs, and each average is decomposed once: 3 + 3 + 2 matrices, the
+    # states in one stacked eigvalsh and the images in another
     rng = RngState(98)
     states = [random_density(4, 4, rng.child(i)) for i in range(3)]
     w = random_simplex(3, rng.child(50))
     phi = KrausMap(random_cptp(4, 2, rng.child(60)))
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _solver(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    solves = {"eigh": 0, "eigvalsh": 0}
+    calls = _count_eigensolves(monkeypatch, solves)
     for channel in (trace_out_channel((2, 2), (0,)), phi):
         calls.update(eigh=0, eigvalsh=0)
+        solves.update(eigh=0, eigvalsh=0)
         check_holevo_bound(Ensemble(w, states), channel)
         assert (calls["eigh"], calls["eigvalsh"]) == (0, 8)
+        assert (solves["eigh"], solves["eigvalsh"]) == (0, 4)
         not_psd = states[:2] + [states[2] - 0.5 * np.eye(4)]
         not_unit = states[:2] + [2.0 * states[2]]
         for bad in (not_psd, not_unit):

@@ -234,3 +234,24 @@ def test_error_types_exist():
     assert issubclass(NonConvergence, RuntimeError)
     assert issubclass(KernelObstruction, ValueError)
     assert max_abs(np.array([[1, -4.5], [2, 0]])) == 4.5
+
+
+def test_stacked_linalg_equals_looped_bit_for_bit():
+    # the stacks of ensembles, POVMs and convex pairs rely on numpy's
+    # stacked eigh / eigvalsh / matmul giving each matrix the bits of its
+    # own call; another LAPACK or BLAS build could break that, and the
+    # golden gate's margins would then move with it
+    rng = RngState(31)
+    for d in range(1, 13):
+        for n in range(1, 6):
+            g = random_matrix(n * d, d, rng.child(100 * d + n)).reshape(n, d, d)
+            h = g @ g.conj().swapaxes(-1, -2)
+            h = (h + h.conj().swapaxes(-1, -2)) / 2
+            w, (lam, vec) = np.linalg.eigvalsh(h), np.linalg.eigh(h)
+            prod = g @ h
+            for j in range(n):
+                assert np.linalg.eigvalsh(h[j]).tobytes() == w[j].tobytes(), (d, n, j)
+                lam_j, vec_j = np.linalg.eigh(h[j])
+                assert lam_j.tobytes() == lam[j].tobytes(), (d, n, j)
+                assert vec_j.tobytes() == vec[j].tobytes(), (d, n, j)
+                assert (g[j] @ h[j]).tobytes() == prod[j].tobytes(), (d, n, j)

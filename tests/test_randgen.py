@@ -223,6 +223,79 @@ def test_random_unitary_properties():
         assert np.all(u.diagonal().real > -1e-12)
 
 
+def test_skip_equals_stepping():
+    # every n in 0 .. 3000: the jumps of n // 64 and the steps of n % 64
+    for seed in (3, 99):
+        ref = RngState(seed)
+        for n in range(3001):
+            rng = RngState(seed)
+            rng._skip(n)
+            assert (rng._state, rng.position) == (ref._state, ref.position), (seed, n)
+            ref.next_u64()
+
+
+def _column_unitary(d, rng):
+    """The column-by-column construction random_unitary used before it drew
+    its columns as one matrix: d draws of random_matrix(d, 1)."""
+    cols = []
+    for _ in range(d):
+        v = random_matrix(d, 1, rng).ravel()
+        for _pass in range(2):
+            for u in cols:
+                v = v - u * np.vdot(u, v)
+        n = float(np.linalg.norm(v))
+        while n < 1e-10:  # pragma: no cover - probability ~0
+            v = random_matrix(d, 1, rng).ravel()
+            for u in cols:
+                v = v - u * np.vdot(u, v)
+            n = float(np.linalg.norm(v))
+        cols.append(v / n)
+    u = np.stack(cols, axis=1)
+    for j in range(d):
+        piv = u[j, j]
+        if abs(piv) > 1e-300:
+            u[:, j] = u[:, j] * (piv.conjugate() / abs(piv))
+    return u
+
+
+def test_unitary_and_channel_draws_match_the_column_construction():
+    # same bits (signed zeros included), same state and stream position;
+    # random_cptp kept the first d columns of the whole unitary and drew the
+    # rest, which it now skips
+    for seed in range(6):
+        for d in range(1, 13):
+            a, b = RngState(seed).child(d), RngState(seed).child(d)
+            assert random_unitary(d, a).tobytes() == _column_unitary(d, b).tobytes()
+            assert (a._state, a.position) == (b._state, b.position)
+        for d, r in [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3)]:
+            a, b = RngState(seed).child(10 * d + r), RngState(seed).child(10 * d + r)
+            kraus = random_cptp(d, r, a)
+            big = _column_unitary(d * r, b)[:, :d]
+            assert kraus.shape == (r, d, d)
+            assert kraus.tobytes() == np.ascontiguousarray(big).tobytes()
+            assert (a._state, a.position) == (b._state, b.position)
+
+
+def test_random_povm_is_one_draw_of_the_looped_factors():
+    # n draws of random_matrix(d, d) are one random_matrix(n d, d): the same
+    # effects bit for bit as the Wisharts built one at a time
+    for d, n in [(1, 2), (2, 2), (2, 5), (3, 4)]:
+        a, b = RngState(d).child(n), RngState(d).child(n)
+        effects = random_povm(d, n, a)
+        raw = []
+        for _ in range(n):
+            g = random_matrix(d, d, b)
+            w = g @ g.conj().T
+            raw.append((w + w.conj().T) / 2)
+        lam, u = np.linalg.eigh(sum(raw))
+        s_half_inv = (u * lam ** -0.5) @ u.conj().T
+        s_half_inv = (s_half_inv + s_half_inv.conj().T) / 2
+        looped = [(s_half_inv @ w @ s_half_inv + (s_half_inv @ w @ s_half_inv).conj().T) / 2
+                  for w in raw]
+        assert effects.tobytes() == np.stack(looped).tobytes()
+        assert (a._state, a.position) == (b._state, b.position)
+
+
 def test_random_unit_vector():
     v = random_unit_vector(5, RngState(10))
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-13)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entropion import NonConvergence, RngState, run_suite, suite_names
+from entropion import Ensemble, NonConvergence, RngState, run_suite, suite_names
 from entropion import inequalities as inequalities_mod
 from entropion import suites as suites_mod
 from entropion.cli import dumps_17g, main
@@ -226,15 +226,15 @@ def test_all_skipped_suite_does_not_pass(monkeypatch, tmp_path):
     (suites_mod, "relative_entropy", "relent_routes"),
     (suites_mod, "relative_entropy_integral", "relent_routes"),
     (suites_mod, "relative_entropy_spectral_kernel", "relent_routes"),
-    (inequalities_mod, "relative_entropy", "joint_convexity"),
-    (inequalities_mod, "relative_entropy", "monotonicity_general"),
-    (inequalities_mod, "relative_entropy", "monotonicity_unitary"),
-    (inequalities_mod, "relative_entropy", "holevo_routes"),
+    (inequalities_mod, "_relent_psd", "joint_convexity"),
+    (inequalities_mod, "_relent_psd", "monotonicity_general"),
+    (inequalities_mod, "_relent_psd", "monotonicity_unitary"),
+    (inequalities_mod, "_relent_psd", "holevo_routes"),
 ])
 def test_a_one_sided_infinity_fails(monkeypatch, module, name, suite):
-    # one route, or the mixture's or the channel output's relative entropy,
-    # planted at +inf on finite instances: a failure in every trial, never
-    # a skip
+    # one route, or the mixture's or the channel output's relative entropy
+    # (the kernel `_relent_psd` on those package-built operands), planted at
+    # +inf on finite instances: a failure in every trial, never a skip
     monkeypatch.setattr(module, name, lambda *args: math.inf)
     rep = run_suite(suite, trials=4)
     assert rep.skipped_infinite == 0
@@ -318,12 +318,17 @@ def test_other_trial_exceptions_still_propagate(monkeypatch):
         run_suite("fake", dims=(2,), trials=2, seed=0)
 
 
-def _record_solves(monkeypatch) -> dict[str, list[tuple[tuple[int, ...], bytes]]]:
-    # the shape and bytes of every matrix passed to eigh and eigvalsh
+def _record_solves(monkeypatch, calls=None) -> dict[str, list[tuple[tuple[int, ...], bytes]]]:
+    # the shape and bytes of every matrix passed to eigh and eigvalsh, each
+    # matrix of a stacked call on its own; the calls go to ``calls`` if given
     seen = {"eigh": [], "eigvalsh": []}
     for name in seen:
         def counted(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            seen[_name].append((np.shape(a), np.ascontiguousarray(a).tobytes()))
+            a = np.asarray(a)
+            seen[_name].extend((m.shape, np.ascontiguousarray(m).tobytes())
+                               for m in a.reshape(-1, *a.shape[-2:]))
+            if calls is not None:
+                calls[_name] += 1
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -339,17 +344,25 @@ def _full_rank_ssa_seed(d: int) -> int:
 def test_holevo_routes_decomposes_each_matrix_once(monkeypatch):
     # the ensemble average and its channel image are decomposed once per
     # trial, not once per member; each member and each image is read from
-    # the eigvalsh that validated it: 2n calls, one per average in the chi
-    # margin, and two in the flagged-state relative entropies
-    seen = _record_solves(monkeypatch)
+    # the eigvalsh that validated it: 2n matrices (one stacked call each),
+    # one for the image ensemble's average in the chi margin, and two in
+    # the flagged-state relative entropies.  The input average's one eigh
+    # serves route one and the chi margin, so it never meets eigvalsh
+    solves = {"eigh": 0, "eigvalsh": 0}
+    seen = _record_solves(monkeypatch, solves)
     for d in (2, 3):
         for i in range(4):
-            for calls in seen.values():
-                calls.clear()
-            _, (weights, _, _) = suites_mod.SUITES["holevo_routes"](RngState(42).child(i), d)
-            for calls in seen.values():
-                assert len(set(calls)) == len(calls)
-            assert len(seen["eigvalsh"]) == 2 * len(weights) + 4
+            for matrices in seen.values():
+                matrices.clear()
+            solves.update(eigh=0, eigvalsh=0)
+            _, (weights, states, _) = suites_mod.SUITES["holevo_routes"](RngState(42).child(i), d)
+            for matrices in seen.values():
+                assert len(set(matrices)) == len(matrices)
+            assert len(seen["eigvalsh"]) == 2 * len(weights) + 3
+            assert solves["eigvalsh"] == 5
+            assert solves["eigh"] < len(seen["eigh"])
+            avg = Ensemble(weights, states).average()
+            assert (avg.shape, avg.tobytes()) in set(seen["eigh"]) - set(seen["eigvalsh"])
 
 
 def test_holevo_chain_forms_no_kronecker_products(monkeypatch):
