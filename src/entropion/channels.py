@@ -82,7 +82,7 @@ def apply_linear(phi: KrausMap, x) -> np.ndarray:
 def _linear(phi: KrausMap, x: np.ndarray) -> np.ndarray:
     """`apply_linear` on a complex operand or stack, one broadcast product."""
     if x.shape[-2:] != (phi.d_in, phi.d_in):
-        raise ValueError(f"operand shape {x.shape} != ({phi.d_in}, {phi.d_in})")
+        raise ValueError(f"operand shape {x.shape[-2:]} != ({phi.d_in}, {phi.d_in})")
     k = phi.kraus_ops
     return (k @ x[..., None, :, :] @ k.conj().transpose(0, 2, 1)).sum(axis=-3)
 

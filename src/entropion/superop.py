@@ -64,7 +64,7 @@ def _resolvent(left: Spectrum, right: Spectrum, t: float, x: np.ndarray) -> np.n
     u = left.eigenvectors
     v = right.eigenvectors
     if x.shape[-2:] != u.shape[-2:]:
-        raise ValueError(f"operand shape {x.shape} != {u.shape}")
+        raise ValueError(f"operand shape {x.shape[-2:]} != {u.shape[-2:]}")
     xt = u.conj().swapaxes(-1, -2) @ x @ v
     denom = left.eigenvalues[..., :, None] + t * right.eigenvalues[..., None, :]
     # one band per map, over all of its denominators
