@@ -21,7 +21,7 @@ from .matcore import (
     Spectrum,
     _factor_dims,
     _keep_factors,
-    _psd_stack,
+    _psd_stacks,
     as_hermitian,
     as_matrix,
     max_abs,
@@ -170,7 +170,7 @@ class Povm:
             raise ValueError("need at least one effect")
         if len({np.shape(m) for m in effects}) > 1:
             raise ValueError("effect shapes differ")
-        ops, spectra = _psd_stack(effects, True)
+        (ops, spectra), = _psd_stacks([effects], [True])
         defect = max_abs(ops.sum(axis=0) - np.eye(ops.shape[-1]))
         if defect > POVM_TOL:
             raise ValueError(f"effects do not sum to the identity (defect {defect:.3e})")

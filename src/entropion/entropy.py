@@ -62,6 +62,7 @@ import numpy as np
 from .matcore import (
     Spectrum,
     _psd,
+    _worst,
     as_density,
     partial_trace,
     psd_eig,
@@ -96,9 +97,13 @@ def _trapezoid(g: Callable[[np.ndarray, float], np.ndarray], half: float, h: flo
 
 
 def _dot_log(x: np.ndarray, y: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """sum x ln y over ``sel`` along the last axis, one BLAS dot (that of
-    ``np.dot``, on contiguous rows) per row, with ln 1 = 0 outside ``sel``."""
-    return np.vecdot(np.ascontiguousarray(x), np.log(np.where(sel, y, 1.0)))
+    """sum x ln y over ``sel`` along the last axis, with ln 1 = 0 outside
+    ``sel``: ``np.dot`` on one row, and on each row of a stack the same BLAS
+    dot, as a (1, d) by (d, 1) product."""
+    x, log = np.ascontiguousarray(x), np.log(np.where(sel, y, 1.0))
+    if x.ndim == 1:
+        return np.dot(x, log)
+    return (x[:, None, :] @ log[..., None])[:, 0, 0]
 
 
 def _scalar(v: np.ndarray):
@@ -148,7 +153,7 @@ def _relent(p: np.ndarray, lam_p: np.ndarray, q: Spectrum):
     tr_p_ln_p = _dot_log(lam_p, lam_p, lam_p > zero_band(lam_p))
     split = _support_split(p, q)
     h = tr_p_ln_p - _dot_log(split.p_in_q, q.eigenvalues, split.on_q)
-    if np.count_nonzero(split.infinite):
+    if _worst(split.infinite):
         h = np.where(split.infinite, math.inf, h)
     return _scalar(h)
 

@@ -25,7 +25,7 @@ from .channels import (
     tensor_channel,
 )
 from .entropy import _entropy, _relent, relative_entropy
-from .matcore import _psd, _psd_stack, require_unit_trace, tensor
+from .matcore import _psd, _psd_stacks, require_unit_trace, tensor
 
 
 class Ensemble:
@@ -50,7 +50,7 @@ class Ensemble:
             raise ValueError("one state per weight")
         if len({np.shape(r) for r in states}) > 1:
             raise ValueError("ensemble states must share one dimension")
-        self._set(w, *_psd_stack(states))
+        self._set(w, *_psd_stacks([states], [False])[0])
 
     def _set(self, weights: np.ndarray, states: np.ndarray, spectra: np.ndarray) -> None:
         self.weights = weights

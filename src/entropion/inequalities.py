@@ -38,7 +38,7 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .matcore import (
-    _psd_stack,
+    _psd_stacks,
     _spectral_function,
     as_matrix,
     as_psd,
@@ -152,14 +152,8 @@ class ConvexityInstance:
             raise ValueError("one (P, Q) pair required per weight")
         if len({np.shape(m) for pair in pairs for m in pair}) > 1:
             raise ValueError("all pairs must share one dimension")
-        try:
-            ps, lam_p = _psd_stack([p for p, _ in pairs])
-            qs, spec_q = _psd_stack([q for _, q in pairs], True)
-        except ValueError:
-            for p, q in pairs:  # raise for the first defective matrix, pair by pair
-                psd_eigvalsh(p)
-                psd_eig(q)
-            raise
+        (ps, lam_p), (qs, spec_q) = _psd_stacks([[p for p, _ in pairs], [q for _, q in pairs]],
+                                                [False, True])
         self.ps, self.qs = ps, qs
         self.terms = _relent(ps, lam_p, spec_q)
         if np.isinf(self.terms).any():
@@ -201,13 +195,7 @@ def check_schwarz_quadratic(a_list: Sequence, p_list: Sequence, q_list: Sequence
     at the summed data; the terms are one stacked solve."""
     if not (len(a_list) == len(p_list) == len(q_list)) or not len(a_list):
         raise ValueError("need equally many A, P, Q entries")
-    try:
-        p, spec_p = _psd_stack(p_list, True)
-        q, spec_q = _psd_stack(q_list, True)
-    except ValueError:
-        for p, q in zip(p_list, q_list):  # raise for the first defective pair
-            SuperOpSpec(p, q, t)
-        raise
+    (p, spec_p), (q, spec_q) = _psd_stacks([p_list, q_list], [True, True])
     summed = SuperOpSpec(p.sum(axis=0), q.sum(axis=0), t)
     a = np.stack([as_matrix(x) for x in a_list])
     y = _resolvent(spec_p, spec_q, summed.t, a)
@@ -235,7 +223,7 @@ def check_operator_schwarz(a_list: Sequence, p_list: Sequence) -> float:
     if len(a_list) != len(p_list) or not len(a_list):
         raise ValueError("need equally many A and P entries")
     a = np.stack([as_matrix(x) for x in a_list])
-    p, spec = _psd_stack(p_list, True)
+    (p, spec), = _psd_stacks([p_list], [True])
     lhs = (a.conj().swapaxes(-1, -2) @ _inverse(spec) @ a).sum(axis=0)
     a_sum = a.sum(axis=0)
     rhs = a_sum.conj().T @ _inverse(hermitian_eig(p.sum(axis=0))) @ a_sum

@@ -19,7 +19,7 @@ Conventions used throughout the package:
   inverse or root of such a matrix comes from its spectrum through
   ``_spectral_function``, the helper behind ``matrix_function``;
 * a list of same-shape operands is one (n, d, d) stack, validated by
-  ``_psd_stack`` in one call (each matrix at its own scale, an error naming
+  ``_psd_stacks`` in one call (each matrix at its own scale, an error naming
   the first defective one) and reduced by the kernels in one call;
 * reductions of a pure state go through ``partial_trace_pure`` on the
   state vector, never through the projector ``|psi><psi|``.
@@ -88,6 +88,12 @@ def _first(values: np.ndarray, bad: np.ndarray) -> float:
     return float(np.asarray(values)[bad][0])
 
 
+def _worst(x):
+    """The largest of per-matrix values; for one matrix the value itself,
+    so its check takes no reduction."""
+    return x.max() if x.ndim else x
+
+
 def _hermitian(a: np.ndarray) -> np.ndarray:
     """`as_hermitian`'s checks on a complex matrix or (n, d, d) stack, each
     matrix held to its own scale."""
@@ -106,7 +112,7 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
         # is exact and has finite moduli (a defect is reported at that
         # scale), then scale the result back
         return _hermitian(a * 0.25) * 4.0
-    h = a.conj().mT
+    h = a.conj().swapaxes(-1, -2)
     if a.size and np.abs(a - h).max() > HERMITICITY_TOL:
         # only a defect above the tolerance needs each matrix's own scale
         defect = np.abs(a - h).max(axis=(-2, -1))
@@ -119,10 +125,10 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
 def _clip_psd(w: np.ndarray) -> np.ndarray:
     """PSD test (scale-aware) on ascending eigenvalues, one row per matrix
     of a stack, then clip at zero."""
-    if w.min() < -PSD_TOL:
+    lo = w.T[0]  # each row's smallest eigenvalue
+    if _worst(-lo) > PSD_TOL:
         # only a negative eigenvalue past the tolerance needs its row's scale
-        lo = w[..., 0]
-        bad = lo < -PSD_TOL * np.maximum(1.0, w[..., -1])
+        bad = lo < -PSD_TOL * np.maximum(1.0, w.T[-1])
         if np.count_nonzero(bad):
             raise ValueError(f"matrix is not PSD (min eigenvalue {_first(lo, bad):.3e})")
     return np.maximum(w, 0.0)
@@ -154,18 +160,23 @@ def psd_eig(m) -> tuple[np.ndarray, Spectrum]:
     return _psd(as_hermitian(m), True)
 
 
-def _psd_stack(ms, vectors: bool = False):
-    """`psd_eigvalsh` (`psd_eig` with ``vectors``) of same-shape matrices as
-    one stack.  On a failure each is validated alone, in order, so the
-    error is the first defective matrix's own."""
+def _psd_stacks(lists, vectors) -> list:
+    """`psd_eigvalsh` of each list of same-shape matrices as one stack, or
+    `psd_eig` where its flag in ``vectors`` is set.  On a failure the
+    matrices are validated alone, the j-th of every list before any
+    (j + 1)-th, so the error is the first defective one's own."""
     try:
-        a = np.asarray(ms, dtype=complex)
-        if a.ndim != 3:
-            raise ValueError(f"expected a stack of matrices, got shape {a.shape}")
-        return _psd(_hermitian(a), vectors)
+        out = []
+        for ms, vec in zip(lists, vectors):
+            a = np.asarray(ms, dtype=complex)
+            if a.ndim != 3:
+                raise ValueError(f"expected a stack of matrices, got shape {a.shape}")
+            out.append(_psd(_hermitian(a), vec))
+        return out
     except ValueError:
-        for m in ms:
-            _psd(as_hermitian(m), vectors)
+        for members in zip(*lists):
+            for m, vec in zip(members, vectors):
+                _psd(as_hermitian(m), vec)
         raise
 
 
@@ -178,9 +189,8 @@ def require_unit_trace(a: np.ndarray) -> np.ndarray:
     """The density-matrix trace condition (to 1e-10) on a validated PSD
     matrix or stack."""
     tr = a.trace(0, -2, -1).real
-    bad = abs(tr - 1.0) > TRACE_TOL
-    if np.count_nonzero(bad):
-        raise ValueError(f"density matrix must have unit trace, got {_first(tr, bad)!r}")
+    if _worst(abs(tr - 1.0)) > TRACE_TOL:
+        raise ValueError(f"density matrix must have unit trace, got {_first(tr, abs(tr - 1.0) > TRACE_TOL)!r}")
     return a
 
 

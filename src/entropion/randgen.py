@@ -261,26 +261,20 @@ def random_density(d: int, rank: int, rng: RngState) -> np.ndarray:
     return m / float(np.trace(m).real)
 
 
-def _unitary_columns(d: int, k: int, rng: RngState, bulk: bool = True) -> np.ndarray:
+def _unitary_columns(d: int, k: int, rng: RngState) -> np.ndarray:
     """The first k columns of ``random_unitary(d, rng)``, as a d x k array.
 
     The k Ginibre columns are one draw, the rows of ``random_matrix(k, d)``.
     Should Gram-Schmidt leave a column of norm under 1e-10 (probability ~0),
-    the stream is rewound and the columns are drawn one at a time, that
-    column redrawn from the words after it."""
-    start = rng._state, rng.position
-    rows = iter(random_matrix(k, d, rng)) if bulk else None
+    that column is redrawn as a column draw from the words after all k."""
+    rows = random_matrix(k, d, rng)
     cols: list[np.ndarray] = []
-    for _ in range(k):
-        v = next(rows) if bulk else random_matrix(d, 1, rng).ravel()
+    for v in rows:
         for _pass in range(2):  # reorthogonalize once for numerical stability
             for u in cols:
                 v = v - u * np.vdot(u, v)
         n = float(np.linalg.norm(v))
         while n < 1e-10:  # pragma: no cover - probability ~0
-            if bulk:
-                rng._state, rng.position = start
-                return _unitary_columns(d, k, rng, bulk=False)
             v = random_matrix(d, 1, rng).ravel()
             for u in cols:
                 v = v - u * np.vdot(u, v)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entropion import entropy as entropy_mod
+from entropion.matcore import _psd
 from entropion import (
     RngState,
     SuperOpSpec,
@@ -456,3 +457,28 @@ def test_validation_reads_the_one_decomposition(monkeypatch):
     assert count(relative_entropy_spectral_kernel, p, q) == (2, 0)
     assert count(von_neumann_entropy, p) == (0, 1)
     assert count(SuperOpSpec, p, q, 0.5) == (2, 0)
+
+
+def test_stacked_kernels_equal_per_matrix_calls_bit_for_bit():
+    # _entropy and _relent take one matrix or a stack, and each member of a
+    # stack gets the bits of its own call: rank-deficient members, an
+    # infinite H, and one unstacked Q against stacked P included
+    rng = RngState(19)
+    for d in (1, 2, 3, 5, 8):
+        ps = np.stack([random_density(d, 1 + i % d, rng.child(10 * d + i)) for i in range(4)])
+        qs = np.stack([random_density(d, d, rng.child(100 + 10 * d + i)) for i in range(4)])
+        if d > 1:
+            qs[3] = np.diag(np.eye(d)[0])  # P_3 has weight off supp Q_3
+        ps, lam_p = _psd(ps, False)
+        qs, spec_q = _psd(qs, True)
+        avg = spec_q.__class__(spec_q.eigenvalues[0], spec_q.eigenvectors[0])
+        entropies = entropy_mod._entropy(lam_p)
+        stacked = entropy_mod._relent(ps, lam_p, spec_q)
+        against_one = entropy_mod._relent(ps, lam_p, avg)
+        assert (d == 1) or math.isinf(stacked[3])
+        for j in range(4):
+            p_j, lam_j = _psd(ps[j], False)
+            one = entropy_mod._relent(p_j, lam_j, _psd(qs[j], True)[1])
+            assert float(entropies[j]).hex() == entropy_mod._entropy(lam_j).hex(), (d, j)
+            assert float(stacked[j]).hex() == one.hex(), (d, j)
+            assert float(against_one[j]).hex() == entropy_mod._relent(p_j, lam_j, avg).hex(), (d, j)

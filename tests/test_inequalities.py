@@ -97,6 +97,22 @@ def test_convexity_instance_names_its_first_defective_matrix():
         ConvexityInstance([0.2, 0.3, 0.5], bad)
 
 
+def test_schwarz_quadratic_names_its_first_defective_pair():
+    # all P and all Q are one stacked check each, yet a defect raises the
+    # message of the first defective matrix, pair by pair with P before Q
+    rng = RngState(83)
+    ps = [random_density(3, 3, rng.child(i)) for i in range(3)]
+    qs = [random_density(3, 3, rng.child(10 + i)) for i in range(3)]
+    a_list = [random_matrix(3, 3, rng.child(20 + i)) for i in range(3)]
+    not_hermitian = np.array([[0.0, 1e-6, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    not_psd = np.diag([1.2, 0.0, -0.2])
+    bad_p = [ps[0], ps[1] + not_hermitian, not_psd]
+    with pytest.raises(ValueError, match=r"^matrix is not PSD \(min eigenvalue -2.000e-01\)$"):
+        check_schwarz_quadratic(a_list, bad_p, [not_psd, qs[1], qs[2]], 1.0)
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(defect 1.000e-06\)$"):
+        check_schwarz_quadratic(a_list, bad_p, qs, 1.0)
+
+
 def test_joint_convexity_random_and_equality():
     rng = RngState(81)
     for i in range(20):
