@@ -98,13 +98,15 @@ def dumps_17g(obj, level: int = 0) -> str:
 
 
 def _write_out(path: str, text: str) -> None:
-    """``text``, ending in a newline, to stdout ("-") or the file ``path``."""
-    text = text if text.endswith("\n") else text + "\n"
     if path == "-":
         sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            if not text.endswith("\n"):
+                fh.write("\n")
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
