@@ -19,15 +19,15 @@ import numpy as np
 
 from .matcore import (
     Spectrum,
-    _factor_dims,
-    _keep_factors,
+    _density,
+    _from_spectrum,
+    _kept_first,
+    _one_shape,
     _psd_stacks,
+    _symmetrize,
     as_hermitian,
     as_matrix,
     max_abs,
-    psd_eig,
-    require_unit_trace,
-    tensor,
     zero_band,
 )
 
@@ -44,10 +44,8 @@ class KrausMap:
         try:
             ops = np.asarray(kraus_ops, dtype=complex)
         except ValueError:
-            shapes = list(dict.fromkeys(map(np.shape, kraus_ops)))
-            if len(shapes) < 2:
-                raise
-            raise ValueError(f"Kraus shapes differ: {shapes[0]} vs {shapes[1]}") from None
+            _one_shape("Kraus shapes differ: {} vs {}", kraus_ops)
+            raise
         if ops.shape[:1] == (0,):
             raise ValueError("need at least one Kraus operator")
         if ops.ndim != 3:
@@ -94,8 +92,7 @@ def apply_channel(phi: KrausMap, rho) -> np.ndarray:
 
 def _channel(phi: KrausMap, rho: np.ndarray) -> np.ndarray:
     """`apply_channel` on a validated operand or stack: exactly Hermitian."""
-    out = _linear(phi, rho)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
+    return _symmetrize(_linear(phi, rho))
 
 
 def adjoint_channel(phi: KrausMap) -> KrausMap:
@@ -121,15 +118,13 @@ def trace_out_channel(dims, keep) -> KrausMap:
     Kraus operators are indexed row-major by the basis labels of the traced
     factors; kept factors remain in their original order, matching
     ``matcore.partial_trace``, and ``dims`` and ``keep`` are checked as
-    there.  Each operator is a block of rows of the identity, read off with
-    the traced axes first.
+    there.  Each operator is a block of rows of the identity, read off in
+    `matcore._kept_first`'s order, with the traced labels then moved first.
     """
-    ds = _factor_dims(dims)
-    keep_set = _keep_factors(keep, len(ds))
-    traced = [i for i in range(len(ds)) if i not in keep_set]
+    ds, order, d_keep = _kept_first(dims, keep)
     n = math.prod(ds)
-    rows = np.eye(n).reshape(ds + [n]).transpose(traced + keep_set + [len(ds)])
-    return KrausMap(rows.reshape(-1, math.prod(ds[i] for i in keep_set), n))
+    rows = np.eye(n).reshape(ds + [n]).transpose(order + [len(ds)])
+    return KrausMap(rows.reshape(d_keep, -1, n).transpose(1, 0, 2))
 
 
 def dephase(x) -> np.ndarray:
@@ -168,8 +163,7 @@ class Povm:
     def __init__(self, effects):
         if not len(effects):
             raise ValueError("need at least one effect")
-        if len({np.shape(m) for m in effects}) > 1:
-            raise ValueError("effect shapes differ")
+        _one_shape("effect shapes differ", effects)
         (ops, spectra), = _psd_stacks([effects], [True])
         defect = max_abs(ops.sum(axis=0) - np.eye(ops.shape[-1]))
         if defect > POVM_TOL:
@@ -191,8 +185,7 @@ def povm_channel(povm: Povm) -> KrausMap:
     a-major; output dimension is the number of effects.
     """
     n, d = len(povm), povm.dim
-    u = povm.spectra.eigenvectors
-    roots = (u * np.sqrt(povm.spectra.eigenvalues)[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    roots = _from_spectrum(povm.spectra, np.sqrt)
     ops = np.zeros((n, d, n, d), dtype=complex)
     # operator (a, b) holds row b of sqrt(M_a) in its output row a
     ops[np.arange(n), :, np.arange(n), :] = roots
@@ -239,11 +232,11 @@ def ancilla_representation(phi: KrausMap) -> AncillaRep:
 
 
 def apply_ancilla(rep: AncillaRep, rho) -> np.ndarray:
-    """Joint system+ancilla output U (rho (x) |0><0|) U^dag."""
-    rho = as_hermitian(rho)
-    anc = np.outer(rep.anc_state, rep.anc_state.conj())
-    joint = rep.unitary @ tensor(rho, anc) @ rep.unitary.conj().T
-    return (joint + joint.conj().T) / 2
+    """Joint system+ancilla output U (rho (x) |0><0|) U^dag = W rho W^dag,
+    where W = U[:, ::anc_dim] are the columns on |i> (x) |0>, the isometry
+    that `ancilla_representation` placed there."""
+    w = rep.unitary[:, :: rep.anc_dim]
+    return _symmetrize(w @ as_hermitian(rho) @ w.conj().T)
 
 
 def purify(rho) -> np.ndarray:
@@ -254,9 +247,7 @@ def purify(rho) -> np.ndarray:
     order; psi.size // d recovers the ancilla dimension.  One ``eigh``
     validates rho; `_purify` is the kernel on its spectrum.
     """
-    rho, spec = psd_eig(rho)
-    require_unit_trace(rho)
-    return _purify(spec)
+    return _purify(_density(rho, True)[1])
 
 
 def _purify(spec: Spectrum) -> np.ndarray:

@@ -43,6 +43,12 @@ C = |1-w| max(1, 1/w), as |1 + t| / |w + t| <= max(1, 1/w) for Re t >= 0.
 ``relative_entropy_integral_steps`` and the ``convergence`` command study
 the same pass at steps h 2^k: each tail stays below tau at any step, so
 the error follows 4C / (e^{pi^2 / step} - 1), squaring as the step halves.
+The integral and kernel routes run on (P, Q) / s, s a power of two within a
+factor 2 of the larger lambda_max, and scale the integral back by s
+(H(sP, sQ) = s H(P, Q)), so no weight overflows; C and L are the pair's own
+(L summed in logs where C / tau overflows), and both routes refuse a pair
+whose C overflows (Q's eigenvalues ~1e-308 of P's).  tau is absolute: at a
+scale of 1e-100 the cut alone costs the integral route a few percent of H.
 
 Each route validates its operands on the decomposition it needs anyway
 (``matcore.psd_eigvalsh`` / ``psd_eig``), so a relative entropy costs two
@@ -61,13 +67,15 @@ import numpy as np
 
 from .matcore import (
     Spectrum,
+    _density,
+    _from_spectrum,
     _psd,
+    _symmetrize,
     _worst,
     as_density,
     partial_trace,
     psd_eig,
     psd_eigvalsh,
-    require_unit_trace,
     zero_band,
 )
 
@@ -118,9 +126,7 @@ def _entropy(lam: np.ndarray):
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr rho ln rho, in nats, over the support of rho."""
-    a, lam = psd_eigvalsh(rho)
-    require_unit_trace(a)
-    return _entropy(lam)
+    return _entropy(_density(rho, False)[1])
 
 
 def _same_shape(p: np.ndarray, q: np.ndarray) -> None:
@@ -173,34 +179,44 @@ def _relent_psd(p: np.ndarray, q: np.ndarray):
     return _relent(p, lam_p, _psd(q, True)[1])
 
 
-def _half_width(bound: float) -> float:
-    """The cut L of u = ln t for an integrand bounded by bound * e^{-|u|}:
-    each tail beyond |u| = L holds at most _TAU.  L >= 1 keeps the range
-    nonempty when the bound is tiny."""
-    return math.log(max(bound / _TAU, math.e))
+def _half_width(bound: float, scale: float = 1.0) -> float:
+    """The cut L of u = ln t for an integrand bounded by C e^{-|u|}, C =
+    ``scale * bound``: each tail beyond |u| = L holds at most _TAU.  L >= 1
+    keeps the range nonempty when C is tiny, is taken in logs where C / _TAU
+    overflows, and is refused where C is not finite (step 0 never ends)."""
+    if not math.isfinite(bound):
+        raise ValueError(f"tail bound C = {bound!r} of the resolvent integral is not finite")
+    ratio = scale * bound / _TAU
+    if ratio == math.inf:
+        return math.log(scale) + math.log(bound) - math.log(_TAU)
+    return math.log(max(ratio, math.e))
 
 
 def _log_measure(u: np.ndarray, jac: float) -> tuple[np.ndarray, np.ndarray]:
-    """t = e^u and jac e^u / (1 + e^u)^2, the factor that turns
-    (1 + t)^{-2} dt into du, written in e^{-|u|} so it cannot overflow."""
+    """t = e^u, capped at e^709 so that t * 0 = 0, and jac e^u / (1 + e^u)^2,
+    which turns (1 + t)^{-2} dt into du, in e^{-|u|} so it cannot overflow."""
     decay = np.exp(-np.abs(u))
-    return np.exp(u), jac * decay / (1.0 + decay) ** 2
+    return np.exp(np.minimum(u, 709.0)), jac * decay / (1.0 + decay) ** 2
 
 
 class _IntegralData:
     """Shared spectral preparation for the integral and kernel routes.
 
-    ``half_width`` is the cut L of the integral route's range u in [-L, L]
-    (see the module docstring).
+    Weights and eigenvalues are those of (P, Q) / ``scale``, a power of two
+    in (lambda / 2, lambda] for lambda = max(lambda_max(P), lambda_max(Q)),
+    so the pair's resolvent integral is ``scale`` times theirs.  ``half_width``
+    is the cut L of the integral route's range u in [-L, L].
     """
 
-    __slots__ = ("weights", "q_eigs", "p_eigs", "trace_correction", "violated", "half_width")
+    __slots__ = ("weights", "q_eigs", "p_eigs", "scale", "trace_correction", "violated", "half_width")
 
     def __init__(self, p, q):
         p, sp = psd_eig(p)
         q, sq = psd_eig(q)
         _same_shape(p, q)
-        xt = sq.eigenvectors.conj().T @ (q - p) @ sp.eigenvectors
+        # exact division: in range the bits are those at scale 1, and |xt| < 4
+        self.scale = math.ldexp(1.0, math.frexp(max(sp.eigenvalues[-1], sq.eigenvalues[-1]))[1] - 1)
+        xt = sq.eigenvectors.conj().T @ (q - p) @ sp.eigenvectors / self.scale
         w2 = (xt.conj() * xt).real
         split = _support_split(p, sq)
         self.violated = bool(split.infinite)
@@ -209,16 +225,17 @@ class _IntegralData:
         # rows in ker(Q) carry no true contribution once supports are
         # compatible; drop them so denominators stay bounded away from zero
         self.weights = w2[split.on_q, :].ravel()
-        self.q_eigs = np.repeat(sq.eigenvalues[split.on_q], lam_p.size)
-        self.p_eigs = np.tile(lam_p, int(split.on_q.sum()))
+        self.q_eigs = np.repeat(sq.eigenvalues[split.on_q] / self.scale, lam_p.size)
+        self.p_eigs = np.tile(lam_p / self.scale, int(split.on_q.sum()))
         self.trace_correction = float(np.trace(p).real) - float(np.trace(q).real)
-        # g(u) <= C e^{-|u|}
-        self.half_width = _half_width(float(np.sum(self.weights / self.q_eigs)))
+        # g(u) <= C e^{-|u|}; C overflows only once Q / scale leaves the normal range
+        with np.errstate(over="ignore", divide="ignore"):
+            self.half_width = _half_width(float(np.sum(self.weights / self.q_eigs)), self.scale)
 
     def integrand(self, u: np.ndarray, jac: float) -> np.ndarray:
         """jac g(u): over the line in u it integrates to the resolvent
         integral over t = e^u."""
-        t, measure = _log_measure(u, jac)
+        t, measure = _log_measure(u, jac)  # t p < 2 e^709: finite
         terms = self.weights[:, None] / (self.q_eigs[:, None] + t[None, :] * self.p_eigs[:, None])
         return measure * terms.sum(axis=0)
 
@@ -229,7 +246,7 @@ def relative_entropy_integral(p, q) -> float:
     if data.violated:
         return math.inf
     half = data.half_width
-    return data.trace_correction + _trapezoid(data.integrand, half, _step(half))
+    return data.trace_correction + data.scale * _trapezoid(data.integrand, half, _step(half))
 
 
 def relative_entropy_integral_steps(p, q) -> list[tuple[float, float]]:
@@ -245,7 +262,7 @@ def relative_entropy_integral_steps(p, q) -> list[tuple[float, float]]:
         steps.append(2.0 * steps[-1])
     if data.violated:
         return [(h, math.inf) for h in reversed(steps)]
-    return [(h, data.trace_correction + _trapezoid(data.integrand, half, h))
+    return [(h, data.trace_correction + data.scale * _trapezoid(data.integrand, half, h))
             for h in reversed(steps)]
 
 
@@ -273,7 +290,7 @@ def kernel_k(a: float, b: float) -> float:
 
 
 def _kernel_k_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kernel_k elementwise over arrays of positive arguments."""
+    """kernel_k elementwise over arrays of a > 0 and b >= 0, k(a, 0) = 1/a."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.empty(a.shape)
@@ -281,8 +298,10 @@ def _kernel_k_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = b - a
     near = np.abs(diff) <= _SWITCH_EXACT * scale
     mid = (np.abs(diff) <= _SWITCH_SERIES * scale) & ~near
-    far = ~(near | mid)
+    zero = b == 0.0
+    far = ~(near | mid | zero)
     out[near] = 0.5 / a[near]
+    out[zero] = 1.0 / a[zero]
     if mid.any():
         delta = diff[mid] / a[mid]
         out[mid] = (0.5 - delta / 6.0 + delta ** 2 / 12.0 - delta ** 3 / 20.0 + delta ** 4 / 30.0) / a[mid]
@@ -302,14 +321,8 @@ def relative_entropy_spectral_kernel(p, q) -> float:
     data = _IntegralData(p, q)
     if data.violated:
         return math.inf
-    pos = data.p_eigs > 0.0
-    total = 0.0
-    if pos.any():
-        total += float(np.dot(data.weights[pos], _kernel_k_arrays(data.q_eigs[pos], data.p_eigs[pos])))
-    if (~pos).any():
-        # k(a, 0) = int (a)^{-1}(1+t)^{-2} = 1/a
-        total += float(np.dot(data.weights[~pos], 1.0 / data.q_eigs[~pos]))
-    return data.trace_correction + total
+    total = float(np.dot(data.weights, _kernel_k_arrays(data.q_eigs, data.p_eigs)))
+    return data.trace_correction + data.scale * total
 
 
 def scalar_log_identity(w: float) -> tuple[float, float, float]:
@@ -341,13 +354,10 @@ def conditional_entropy(rho_ab, dims) -> float:
     equals ln d_B - H(rho_AB, rho_A (x) I/d_B), the form the
     ``condent_identity`` suite checks it against.
     """
-    rho, lam = psd_eigvalsh(rho_ab)
-    require_unit_trace(rho)
+    rho, lam = _density(rho_ab, False)
     if len(dims) != 2:
         raise ValueError(f"dims must list two factors, got {dims!r}")
-    d_a, d_b = int(dims[0]), int(dims[1])
-    rho_a = partial_trace(rho, (d_a, d_b), keep=(0,))
-    return _entropy(lam) - von_neumann_entropy(rho_a)
+    return _entropy(lam) - von_neumann_entropy(partial_trace(rho, dims, keep=(0,)))
 
 
 def bures_distance(p, q) -> float:
@@ -357,14 +367,10 @@ def bures_distance(p, q) -> float:
     sqrt(P) comes from the decomposition that validates P, and the trace
     of the outer root needs only the eigenvalues of sqrt(P) Q sqrt(P).
     """
-    p, spec_p = psd_eig(p)
-    require_unit_trace(p)
+    p, spec_p = _density(p, True)
     q = as_density(q)
     _same_shape(p, q)
-    lam_p = spec_p.eigenvalues
-    u = spec_p.eigenvectors
-    root_p = (u * np.sqrt(np.where(lam_p > zero_band(lam_p), lam_p, 0.0))) @ u.conj().T
-    inner = root_p @ q @ root_p
-    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    root_p = _from_spectrum(spec_p, np.sqrt)
+    lam = np.linalg.eigvalsh(_symmetrize(root_p @ q @ root_p))
     fid_root = float(np.sqrt(np.where(lam > zero_band(lam), lam, 0.0)).sum())
     return math.sqrt(max(0.0, 2.0 * (1.0 - fid_root)))

@@ -25,7 +25,7 @@ from .channels import (
     tensor_channel,
 )
 from .entropy import _entropy, _relent, relative_entropy
-from .matcore import _psd, _psd_stacks, require_unit_trace, tensor
+from .matcore import _one_shape, _psd, _psd_stacks, require_unit_trace, tensor
 
 
 class Ensemble:
@@ -48,8 +48,7 @@ class Ensemble:
             raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
         if len(states) != w.size:
             raise ValueError("one state per weight")
-        if len({np.shape(r) for r in states}) > 1:
-            raise ValueError("ensemble states must share one dimension")
+        _one_shape("ensemble states must share one dimension", states)
         self._set(w, *_psd_stacks([states], [False])[0])
 
     def _set(self, weights: np.ndarray, states: np.ndarray, spectra: np.ndarray) -> None:

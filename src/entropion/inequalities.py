@@ -38,16 +38,17 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .matcore import (
+    _density,
+    _one_shape,
     _psd_stacks,
     _spectral_function,
+    _symmetrize,
     as_matrix,
     as_psd,
     hermitian_eig,
     partial_trace,
     partial_trace_pure,
     psd_eig,
-    psd_eigvalsh,
-    require_unit_trace,
     zero_band,
 )
 from .superop import SuperOpSpec, _resolvent, solve_resolvent
@@ -150,8 +151,7 @@ class ConvexityInstance:
         pairs = list(pairs)
         if len(pairs) != self.weights.size:
             raise ValueError("one (P, Q) pair required per weight")
-        if len({np.shape(m) for pair in pairs for m in pair}) > 1:
-            raise ValueError("all pairs must share one dimension")
+        _one_shape("all pairs must share one dimension", *pairs)
         (ps, lam_p), (qs, spec_q) = _psd_stacks([[p for p, _ in pairs], [q for _, q in pairs]],
                                                 [False, True])
         self.ps, self.qs = ps, qs
@@ -195,6 +195,7 @@ def check_schwarz_quadratic(a_list: Sequence, p_list: Sequence, q_list: Sequence
     at the summed data; the terms are one stacked solve."""
     if not (len(a_list) == len(p_list) == len(q_list)) or not len(a_list):
         raise ValueError("need equally many A, P, Q entries")
+    _one_shape("term shapes differ: {} vs {}", a_list, p_list, q_list)
     (p, spec_p), (q, spec_q) = _psd_stacks([p_list, q_list], [True, True])
     summed = SuperOpSpec(p.sum(axis=0), q.sum(axis=0), t)
     a = np.stack([as_matrix(x) for x in a_list])
@@ -211,9 +212,7 @@ def _inverse(spec) -> np.ndarray:
 
 
 def _min_eig(m) -> float:
-    h = as_matrix(m)
-    h = (h + h.conj().T) / 2
-    return float(np.linalg.eigvalsh(h)[0])
+    return float(np.linalg.eigvalsh(_symmetrize(as_matrix(m)))[0])
 
 
 def check_operator_schwarz(a_list: Sequence, p_list: Sequence) -> float:
@@ -222,6 +221,7 @@ def check_operator_schwarz(a_list: Sequence, p_list: Sequence) -> float:
     reported as the smallest eigenvalue of the difference."""
     if len(a_list) != len(p_list) or not len(a_list):
         raise ValueError("need equally many A and P entries")
+    _one_shape("term shapes differ: {} vs {}", a_list, p_list)
     a = np.stack([as_matrix(x) for x in a_list])
     (p, spec), = _psd_stacks([p_list], [True])
     lhs = (a.conj().swapaxes(-1, -2) @ _inverse(spec) @ a).sum(axis=0)
@@ -247,8 +247,7 @@ def check_cp_schwarz(phi: KrausMap, a, b, p) -> tuple[float, float]:
 
     t2 = apply_linear(phi, a.conj().T @ a)
     g = apply_linear(phi, a.conj().T @ b)
-    bb = b.conj().T @ b
-    h_inv = _inverse(hermitian_eig(apply_channel(phi, (bb + bb.conj().T) / 2)))
+    h_inv = _inverse(hermitian_eig(apply_channel(phi, _symmetrize(b.conj().T @ b))))
     m2 = _min_eig(t2 - g @ h_inv @ g.conj().T)
     return m1, m2
 
@@ -310,10 +309,8 @@ def check_monotonicity(rho, gamma, channel: KrausMap) -> float:
     one is.
     """
     require_tp(channel)
-    rho, lam_rho = psd_eigvalsh(rho)
-    require_unit_trace(rho)
-    gamma, spec_gamma = psd_eig(gamma)
-    require_unit_trace(gamma)
+    rho, lam_rho = _density(rho, False)
+    gamma, spec_gamma = _density(gamma, True)
     _same_shape(rho, gamma)
     h_in = _relent(rho, lam_rho, spec_gamma)
     if math.isinf(h_in):
@@ -335,12 +332,10 @@ def check_ssa(rho_abc, dims) -> SsaMargins:
     the third factor in the purifying role; it vanishes on pure states.
     One ``eigvalsh`` validates the state; `_ssa` is the kernel.
     """
-    rho, lam = psd_eigvalsh(rho_abc)
-    require_unit_trace(rho)
-    ds = [int(d) for d in dims]
-    if len(ds) != 3:
+    rho, lam = _density(rho_abc, False)
+    if len(dims) != 3:
         raise ValueError(f"dims must list three factors, got {dims!r}")
-    return _ssa(rho, lam, ds)
+    return _ssa(rho, lam, dims)
 
 
 def _ssa(rho: np.ndarray, lam: np.ndarray, ds: Sequence[int]) -> SsaMargins:

@@ -1,26 +1,28 @@
-"""Dense complex matrix foundations.
+"""Dense complex matrix foundations, and the one home of each convention
+used throughout the package:
 
-Conventions used throughout the package:
-
-* matrices are numpy ``complex128`` arrays in row-major layout;
+* matrices are numpy ``complex128`` arrays in row-major layout; a result
+  that must be Hermitian is made exactly so by ``_symmetrize``;
 * ``tensor(A, B)`` orders factors left to right with the leftmost factor
-  slowest, i.e. the row index of the product is ``i_A * d_B + i_B``;
+  slowest (row index ``i_A * d_B + i_B``); ``_kept_first`` checks factor
+  dimensions and kept indices and orders the kept factors first for every
+  reduction (``partial_trace``, ``partial_trace_pure``, and
+  ``channels.trace_out_channel``);
 * all logarithms are natural, so entropic quantities are in nats;
 * eigenvalues within ``KERNEL_ETA`` of zero, relative to the largest
-  eigenvalue magnitude, are treated as exact zeros.  Every kernel-related
-  decision (support projections, pseudo-inverses, +inf detection) goes
-  through this one band;
-* validate once, decompose once: a PSD operand is checked on the
-  eigenvalues of the one decomposition its caller needs anyway
-  (``psd_eigvalsh`` when eigenvalues suffice, ``psd_eig`` when eigenvectors
-  are needed too), never by a separate probe.  Public functions validate
-  at the boundary; package-internal calls on matrices that are already
-  validated reuse that decomposition instead of validating again, and an
-  inverse or root of such a matrix comes from its spectrum through
-  ``_spectral_function``, the helper behind ``matrix_function``;
-* a list of same-shape operands is one (n, d, d) stack, validated by
-  ``_psd_stacks`` in one call (each matrix at its own scale, an error naming
-  the first defective one) and reduced by the kernels in one call;
+  eigenvalue magnitude (``zero_band``), are exact zeros.  Every
+  kernel-related decision (support projections, pseudo-inverses, +inf
+  detection) goes through this one band;
+* validate once, decompose once: a PSD operand is checked on the one
+  decomposition its caller needs anyway (``psd_eigvalsh``, ``psd_eig``;
+  ``_density`` adds the unit trace), never by a separate probe.  Public
+  functions validate at the boundary, internal calls reuse that spectrum,
+  and a function of a matrix (inverse, root) is rebuilt from it by
+  ``_from_spectrum`` (``_spectral_function`` for a scalar f);
+* a list of same-shape operands is one (n, d, d) stack: ``_one_shape``
+  refuses mixed shapes, ``_psd_stacks`` validates it in one call (each
+  matrix at its own scale, an error naming the first defective one) and
+  the kernels reduce it in one call;
 * reductions of a pure state go through ``partial_trace_pure`` on the
   state vector, never through the projector ``|psi><psi|``.
 
@@ -160,6 +162,13 @@ def psd_eig(m) -> tuple[np.ndarray, Spectrum]:
     return _psd(as_hermitian(m), True)
 
 
+def _one_shape(message: str, *lists) -> None:
+    """Before stacking: ValueError(``message`` formatted with two shapes) on mixed shapes."""
+    shapes = list(dict.fromkeys(np.shape(m) for ms in lists for m in ms))
+    if len(shapes) > 1:
+        raise ValueError(message.format(*shapes[:2])) from None
+
+
 def _psd_stacks(lists, vectors) -> list:
     """`psd_eigvalsh` of each list of same-shape matrices as one stack, or
     `psd_eig` where its flag in ``vectors`` is set.  On a failure the
@@ -192,6 +201,12 @@ def require_unit_trace(a: np.ndarray) -> np.ndarray:
     if _worst(abs(tr - 1.0)) > TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {_first(tr, abs(tr - 1.0) > TRACE_TOL)!r}")
     return a
+
+
+def _density(m, vectors: bool):
+    """`psd_eig` (``vectors``) or `psd_eigvalsh` of a density matrix, trace checked."""
+    a, spec = _psd(as_hermitian(m), vectors)
+    return require_unit_trace(a), spec
 
 
 def as_density(m) -> np.ndarray:
@@ -231,28 +246,39 @@ def hermitian_eig(m) -> Spectrum:
     return _eigh(as_hermitian(m))
 
 
-def _spectral_function(spec: Spectrum, f: Callable[[float], float]) -> np.ndarray:
-    """f(A) from the spectrum of a Hermitian A, or of each matrix of a stack.
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2 of a matrix or stack: exactly Hermitian."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
-    Eigenvalues inside the zero band are snapped to exactly 0 and then
-    passed to ``f`` like any other.  Raises ValueError when ``f`` is
-    undefined or non-finite on a (snapped) eigenvalue, so ``1/x`` refuses a
-    singular matrix.
-    """
+
+def _from_spectrum(spec: Spectrum, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """U f(Lambda) U^dag, symmetrized, from the spectrum of a Hermitian matrix
+    or stack: eigenvalues inside the zero band are snapped to exactly 0, then
+    ``f`` maps all of them in one call (``np.sqrt`` for a PSD root)."""
     lam = spec.eigenvalues.copy()
     lam[np.abs(lam) <= zero_band(lam)] = 0.0
-    vals = np.empty(lam.size)
-    for i, x in enumerate(lam.ravel()):
-        try:
-            y = float(f(float(x)))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"eigenvalue {x!r} outside the domain of f: {exc}") from exc
-        if not np.isfinite(y):
-            raise ValueError(f"f({x!r}) is not finite")
-        vals[i] = y
     u = spec.eigenvectors
-    out = (u * vals.reshape(lam.shape)[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
+    return _symmetrize((u * f(lam)[..., None, :]) @ u.conj().swapaxes(-1, -2))
+
+
+def _spectral_function(spec: Spectrum, f: Callable[[float], float]) -> np.ndarray:
+    """`_from_spectrum` for a scalar ``f``, called on each eigenvalue as a
+    float: ValueError where ``f`` is undefined or not finite, so ``1/x``
+    refuses a singular matrix."""
+
+    def each(lam: np.ndarray) -> np.ndarray:
+        vals = np.empty(lam.size)
+        for i, x in enumerate(lam.ravel().tolist()):
+            try:
+                y = float(f(x))
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise ValueError(f"eigenvalue {x!r} outside the domain of f: {exc}") from exc
+            if not math.isfinite(y):
+                raise ValueError(f"f({x!r}) is not finite")
+            vals[i] = y
+        return vals.reshape(lam.shape)
+
+    return _from_spectrum(spec, each)
 
 
 def matrix_function(m, f: Callable[[float], float]) -> np.ndarray:
@@ -266,22 +292,21 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def _factor_dims(dims: Sequence[int], total: int | None = None) -> list[int]:
+def _kept_first(dims: Sequence[int], keep: Sequence[int], total: int | None = None):
+    """The checked factor dimensions, their order with the kept factors
+    first (each group ascending), and the kept dimension."""
     ds = [int(d) for d in dims]
     if not ds or any(d < 1 for d in ds):
         raise ValueError(f"factor dimensions must be positive, got {dims!r}")
     if total is not None and math.prod(ds) != total:
         raise ValueError(f"factor dimensions {ds} do not multiply to {total}")
-    return ds
-
-
-def _keep_factors(keep: Sequence[int], k: int) -> list[int]:
     keep_set = sorted(set(int(i) for i in keep))
     if len(keep_set) != len(tuple(keep)):
         raise ValueError(f"duplicate factor index in keep={keep!r}")
-    if any(i < 0 or i >= k for i in keep_set):
-        raise ValueError(f"keep={keep!r} out of range for {k} factors")
-    return keep_set
+    if any(i < 0 or i >= len(ds) for i in keep_set):
+        raise ValueError(f"keep={keep!r} out of range for {len(ds)} factors")
+    order = keep_set + [i for i in range(len(ds)) if i not in keep_set]
+    return ds, order, math.prod(ds[i] for i in keep_set)
 
 
 def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -294,16 +319,9 @@ def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("partial trace needs a square matrix")
-    ds = _factor_dims(dims, n)
-    k = len(ds)
-    keep_set = _keep_factors(keep, k)
-    t = a.reshape(ds + ds)
-    nfac = k
-    for ax in sorted(set(range(k)) - set(keep_set), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + nfac)
-        nfac -= 1
-    d_keep = math.prod(ds[i] for i in keep_set)
-    return np.ascontiguousarray(t.reshape(d_keep, d_keep))
+    ds, order, d_keep = _kept_first(dims, keep, n)
+    t = a.reshape(ds + ds).transpose(order + [len(ds) + i for i in order])
+    return np.trace(t.reshape(d_keep, n // d_keep, d_keep, n // d_keep), axis1=1, axis2=3)
 
 
 def partial_trace_pure(psi, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -320,11 +338,8 @@ def partial_trace_pure(psi, dims: Sequence[int], keep: Sequence[int]) -> np.ndar
         raise ValueError(f"expected a state vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("state vector entries must be finite")
-    ds = _factor_dims(dims, v.size)
-    keep_set = _keep_factors(keep, len(ds))
-    rest = [i for i in range(len(ds)) if i not in keep_set]
-    d_keep = math.prod(ds[i] for i in keep_set)
-    m = np.transpose(v.reshape(ds), keep_set + rest).reshape(d_keep, -1)
+    ds, order, d_keep = _kept_first(dims, keep, v.size)
+    m = np.transpose(v.reshape(ds), order).reshape(d_keep, -1)
     return m @ m.conj().T
 
 

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .matcore import _psd, _spectral_function
+from .matcore import _psd, _spectral_function, _symmetrize
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -256,8 +256,7 @@ def random_density(d: int, rank: int, rng: RngState) -> np.ndarray:
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in 1..{d}, got {rank}")
     g = random_matrix(d, rank, rng)
-    m = g @ g.conj().T
-    m = (m + m.conj().T) / 2
+    m = _symmetrize(g @ g.conj().T)
     return m / float(np.trace(m).real)
 
 
@@ -318,11 +317,9 @@ def random_povm(d: int, n_effects: int, rng: RngState) -> np.ndarray:
     if n_effects < 1:
         raise ValueError("need at least one effect")
     g = random_matrix(n_effects * d, d, rng).reshape(n_effects, d, d)
-    a = g @ g.conj().swapaxes(-1, -2)
-    raw = (a + a.conj().swapaxes(-1, -2)) / 2
+    raw = _symmetrize(g @ g.conj().swapaxes(-1, -2))
     s_half_inv = _spectral_function(_psd(raw.sum(axis=0), True)[1], lambda x: x ** -0.5)
-    m = s_half_inv @ raw @ s_half_inv
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    return _symmetrize(s_half_inv @ raw @ s_half_inv)
 
 
 def random_simplex(n: int, rng: RngState) -> np.ndarray:

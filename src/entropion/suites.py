@@ -87,13 +87,13 @@ from .inequalities import (
 from .matcore import (
     KernelObstruction,
     NonConvergence,
+    _density,
+    _from_spectrum,
     _psd,
-    matrix_function,
+    _symmetrize,
     max_abs,
     partial_trace,
     partial_trace_pure,
-    psd_eig,
-    require_unit_trace,
     tensor,
 )
 from .randgen import (
@@ -130,7 +130,7 @@ def _digest(instance: tuple) -> str:
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    return matrix_function(m, lambda x: math.sqrt(max(x, 0.0)))
+    return _from_spectrum(_psd(m, True)[1], np.sqrt)
 
 
 def _scaled_psd(rng: RngState, d: int, rank: int | None = None) -> np.ndarray:
@@ -154,8 +154,7 @@ def _compatible_pair(rng: RngState, d: int) -> tuple[np.ndarray, np.ndarray]:
     q = _scaled_psd(rng, d, rank=max(1, d - 1))
     root = _sqrt_psd(q)
     g = random_matrix(d, d, rng)
-    p = root @ (g @ g.conj().T) @ root
-    p = (p + p.conj().T) / 2
+    p = _symmetrize(root @ (g @ g.conj().T) @ root)
     p = p / float(np.trace(p).real) * (0.5 + 1.5 * rng.uniform())
     return p, q
 
@@ -285,8 +284,8 @@ def _check_ssa(rho) -> float:
     d = round(big ** (1 / 3))
     if d ** 3 != big:
         raise ValueError(f"ssa needs a dimension d^3, got {big}")
-    rho, spec = psd_eig(rho)  # one eigh serves the kernels _ssa and _purify
-    margins = _ssa(require_unit_trace(rho), spec.eigenvalues, (d, d, d))
+    rho, spec = _density(rho, True)  # one eigh serves the kernels _ssa and _purify
+    margins = _ssa(rho, spec.eigenvalues, (d, d, d))
     # the functional on ABD, purifying D in the third role: S(AB) + S(AD) - S(B) - S(D).
     # psi is pure, so S(AD) = S(BC) (Schmidt), read from the d^2 x d^2 BC marginal
     psi = _purify(spec)
@@ -350,8 +349,8 @@ def _check_holevo_routes(weights, states, effects) -> float:
     big_phi = tensor_channel(phi, identity_channel(len(ens)))
     qc_margin = check_monotonicity(flagged_state(ens), product, big_phi)
     # route three: chi(E) - chi(Phi E), concavity of rho -> S(rho) - S(Phi rho),
-    # with chi(E) read from route one's decomposition of the average
-    conc_margin = _chi(ens, spec_avg.eigenvalues) - chi(out)
+    # with both averages read from route one's decompositions
+    conc_margin = _chi(ens, spec_avg.eigenvalues) - _chi(out, spec_out.eigenvalues)
     return min(per_member, qc_margin, conc_margin)
 
 

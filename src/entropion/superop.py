@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import KernelObstruction, Spectrum, _first, as_matrix, psd_eig, zero_band
+from .matcore import KernelObstruction, Spectrum, _first, _one_shape, as_matrix, psd_eig, zero_band
 
 # Inputs may carry at most this relative weight on the joint kernel before
 # a resolvent solve is refused.
@@ -32,10 +32,7 @@ class SuperOpSpec:
     def __init__(self, left, right, t: float = 1.0):
         self.left, self.left_spectrum = psd_eig(left)
         self.right, self.right_spectrum = psd_eig(right)
-        if self.left.shape != self.right.shape:
-            raise ValueError(
-                f"multiplier shapes differ: {self.left.shape} vs {self.right.shape}"
-            )
+        _one_shape("multiplier shapes differ: {} vs {}", [self.left, self.right])
         t = float(t)
         if not (t >= 0.0) or not np.isfinite(t):
             raise ValueError(f"t must be finite and >= 0, got {t!r}")

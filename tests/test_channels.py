@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -222,6 +223,9 @@ def test_trace_out_channel_matches_partial_trace():
     rng = RngState(68)
     cases = [((2, 3, 2), (0,)), ((2, 3, 2), (1,)), ((2, 3, 2), (0, 2)),
              ((2, 3, 2), (1, 2)), ((3, 3), (0,)), ((3, 3), (1,))]
+    # every keep subset of three and four factors of unequal dimensions
+    cases += [(dims, keep) for dims in ((2, 3, 4), (3, 2, 4, 2)) for r in range(len(dims) + 1)
+              for keep in itertools.combinations(range(len(dims)), r)]
     for i, (dims, keep) in enumerate(cases):
         rho = random_density(math.prod(dims), math.prod(dims), rng.child(i))
         phi = trace_out_channel(dims, keep)
@@ -232,9 +236,9 @@ def test_trace_out_channel_matches_partial_trace():
             # one traced factor: both add the same terms in the same order
             assert np.array_equal(out, want)
         else:
-            # partial_trace sums factor by factor, the channel sums the
-            # traced labels in one sequence
-            assert np.allclose(out, want, rtol=0.0, atol=1e-15)
+            # both sum the traced labels in one sequence, in orders that
+            # may round differently
+            assert np.allclose(out, want, rtol=0.0, atol=1e-15), (dims, keep)
 
 
 @pytest.mark.parametrize("dims, keep", [((), ()), ((0, 2), (0,)), ((2, -1), (0,))])
@@ -269,6 +273,12 @@ def test_ancilla_representation_roundtrip():
         assert np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-10)
         rho = random_density(d, d, rng.child(1000 + 10 * d + n))
         joint = apply_ancilla(rep, rho)
+        # the isometry columns give U (rho (x) |0><0|) U^dag without the big products
+        anc = np.zeros((rep.anc_dim, rep.anc_dim))
+        anc[0, 0] = 1.0
+        full = u @ np.kron(rho, anc) @ u.conj().T
+        assert np.allclose(joint, full, rtol=0.0, atol=1e-15)
+        assert np.array_equal(joint, joint.conj().T)
         via_dilation = partial_trace(joint, (d, rep.anc_dim), keep=(0,))
         direct = apply_channel(phi, rho)
         assert np.allclose(via_dilation, direct, atol=1e-10)

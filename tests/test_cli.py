@@ -247,6 +247,23 @@ def test_convergence_csv(qubit_pair, tmp_path):
     assert main(["convergence", p, q, "--max-panels", "64"]) == 1
 
 
+@pytest.mark.parametrize("s_p, s_q", [(1e160, 1e160), (1.0, 1e-160)])
+def test_convergence_at_a_scale_past_the_float_range_of_its_weights(tmp_path, s_p, s_q):
+    # at a common scale of 1e160, or with P 1e160 times Q, the squared
+    # weights would overflow; the study runs on the pair over a power of
+    # two, a bounded number of finite rows
+    p = tmp_path / "p.json"
+    q = tmp_path / "q.json"
+    out = tmp_path / "c.csv"
+    write_matrix(p, s_p * np.diag([1.0, 2.0]))
+    write_matrix(q, s_q * np.array([[1.5, 0.3], [0.3, 1.0]]))
+    assert main(["convergence", str(p), str(q), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert 3 < len(rows) < 20
+    h = entropion.relative_entropy(entropion.read_matrix(p), entropion.read_matrix(q))
+    assert float(rows[-1][1]) < 1e-12 * h
+
+
 def test_convergence_rejects_infinite_pair(tmp_path, capsys):
     p = tmp_path / "p.json"
     q = tmp_path / "q.json"

@@ -288,9 +288,10 @@ def _conditioned_pairs():
 
 
 def _tail_constant_and_cut(p, q) -> tuple[float, float]:
-    """C and L of the integral route on (P, Q)."""
+    """C and L of the integral route on (P, Q); the route's data are those
+    of (P, Q) / scale, so C is scale times theirs."""
     data = entropy_mod._IntegralData(p, q)
-    return float(np.sum(data.weights / data.q_eigs)), data.half_width
+    return data.scale * float(np.sum(data.weights / data.q_eigs)), data.half_width
 
 
 def test_integral_route_meets_its_a_priori_bound():
@@ -323,21 +324,52 @@ def test_integral_route_equal_operands():
 
 def test_integral_route_singular_p():
     # p_n = 0 terms decay only like e^{-|u|} on the right, the slowest the
-    # tail bound allows
+    # tail bound allows; the kernel route sums them with the rest as
+    # k(q, 0) = 1/q
     rng = RngState(63)
     u = random_unitary(4, rng.child(0))
     v = random_unitary(4, rng.child(1))
     q = (v * np.array([1e-9, 0.2, 0.3, 0.5])) @ v.conj().T
-    for p_eigs in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.4], [0.7, 0.0, 0.3, 0.0]):
-        p = (u * np.array(p_eigs)) @ u.conj().T
-        assert relative_entropy_integral(p, q) == pytest.approx(relative_entropy(p, q), abs=1e-9)
-    # singular on both sides, supp P inside supp Q: the ker Q rows drop out
-    p = np.diag([0.0, 0.0, 0.25, 0.75])
-    q = np.diag([0.0, 1e-10, 0.5, 0.5 - 1e-10])
-    assert relative_entropy_integral(p, q) == pytest.approx(relative_entropy(p, q), abs=1e-10)
-    assert relative_entropy_integral(np.diag([1.0, 0.0]), np.diag([1e-12, 1.0])) == pytest.approx(
-        relative_entropy(np.diag([1.0, 0.0]), np.diag([1e-12, 1.0])), abs=1e-10
-    )
+    for route in (relative_entropy_integral, relative_entropy_spectral_kernel):
+        for p_eigs in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.4], [0.7, 0.0, 0.3, 0.0]):
+            p = (u * np.array(p_eigs)) @ u.conj().T
+            assert route(p, q) == pytest.approx(relative_entropy(p, q), abs=1e-9)
+        # singular on both sides, supp P inside supp Q: the ker Q rows drop out
+        p = np.diag([0.0, 0.0, 0.25, 0.75])
+        q_sing = np.diag([0.0, 1e-10, 0.5, 0.5 - 1e-10])
+        assert route(p, q_sing) == pytest.approx(relative_entropy(p, q_sing), abs=1e-10)
+        assert route(np.diag([1.0, 0.0]), np.diag([1e-12, 1.0])) == pytest.approx(
+            relative_entropy(np.diag([1.0, 0.0]), np.diag([1e-12, 1.0])), abs=1e-10
+        )
+
+
+def test_integral_and_kernel_routes_at_any_scale():
+    # H(sP, sQ) = s H(P, Q): both routes run on the pair over a power of two
+    # near lambda_max(Q), so no weight or eigenvalue leaves the float range
+    p, q = np.diag([1.0, 2.0]), np.array([[1.5, 0.3], [0.3, 1.0]])
+    h = relative_entropy_spectral_kernel(p, q)
+    for s in (1e160, 2.0 ** 1000, 2.0 ** -560):
+        ref = relative_entropy(s * p, s * q)
+        assert relative_entropy_spectral_kernel(s * p, s * q) == pytest.approx(ref, rel=1e-12)
+        assert relative_entropy_spectral_kernel(s * p, s * q) == pytest.approx(s * h, rel=1e-15)
+        if s > 1.0:
+            assert relative_entropy_integral(s * p, s * q) == pytest.approx(ref, rel=1e-12)
+            rows = relative_entropy_integral_steps(s * p, s * q)
+            assert len(rows) < 20 and all(math.isfinite(value) for _, value in rows)
+    # the kernel route has no absolute cut: in range, its bits scale exactly
+    for e in (-40, -1, 1, 40):
+        assert relative_entropy_spectral_kernel(2.0 ** e * p, 2.0 ** e * q) == 2.0 ** e * h
+    # the power of two follows the larger operand, so a P far above Q keeps
+    # every weight finite too
+    ref = relative_entropy(p, 1e-160 * q)
+    assert relative_entropy_spectral_kernel(p, 1e-160 * q) == pytest.approx(ref, rel=1e-12)
+    assert relative_entropy_integral(p, 1e-160 * q) == pytest.approx(ref, rel=1e-12)
+    rows = relative_entropy_integral_steps(p, 1e-160 * q)
+    assert len(rows) < 20 and rows[-1][1] == pytest.approx(ref, rel=1e-12)
+    # past the normal range of P's eigenvalues, C overflows: refused, not looped on
+    for route in (relative_entropy_spectral_kernel, relative_entropy_integral, relative_entropy_integral_steps):
+        with pytest.raises(ValueError, match="tail bound C = inf"):
+            route(p, 1e-310 * q)
 
 
 def test_scalar_log_identity_fixed_points():

@@ -8,6 +8,7 @@ from entropion import (
     Ensemble,
     KrausMap,
     RngState,
+    SuperOpSpec,
     check_adjoint_contraction,
     check_block_contraction,
     check_cp_schwarz,
@@ -111,6 +112,23 @@ def test_schwarz_quadratic_names_its_first_defective_pair():
         check_schwarz_quadratic(a_list, bad_p, [not_psd, qs[1], qs[2]], 1.0)
     with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(defect 1.000e-06\)$"):
         check_schwarz_quadratic(a_list, bad_p, qs, 1.0)
+
+
+def test_schwarz_checks_name_their_defects():
+    # mixed dimensions are refused by name before any stacking, and a
+    # singular P prints its eigenvalue as a plain float
+    i2, i3 = np.eye(2), np.eye(3)
+    with pytest.raises(ValueError, match=r"^term shapes differ: \(2, 2\) vs \(3, 3\)$"):
+        check_schwarz_quadratic([i2, i3], [i2, i3], [i2, i3], 1.0)
+    with pytest.raises(ValueError, match=r"^term shapes differ: \(2, 2\) vs \(3, 3\)$"):
+        check_operator_schwarz([i2, i3], [i2, i3])
+    with pytest.raises(ValueError, match=r"^eigenvalue 0\.0 outside the domain of f: float division by zero$"):
+        check_operator_schwarz([i2], [np.diag([1.0, 0.0])])
+    # the same shape check serves Kraus lists and multiplier pairs
+    with pytest.raises(ValueError, match=r"^Kraus shapes differ: \(2, 2\) vs \(3, 3\)$"):
+        KrausMap([i2, i3])
+    with pytest.raises(ValueError, match=r"^multiplier shapes differ: \(2, 2\) vs \(3, 3\)$"):
+        SuperOpSpec(i2, i3)
 
 
 def test_joint_convexity_random_and_equality():

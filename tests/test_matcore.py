@@ -170,6 +170,24 @@ def test_tensor_and_partial_trace_inverse():
     assert partial_trace(ab, (2, 3), keep=(0, 1)).shape == (6, 6)
 
 
+# three and four factors of unequal dimensions, so a misplaced factor shows
+UNEQUAL_DIMS = [(2, 3, 4), (3, 2, 4, 2)]
+
+
+def _keep_subsets(k):
+    return [keep for r in range(k + 1) for keep in itertools.combinations(range(k), r)]
+
+
+def _summed_trace(rho, dims, keep):
+    """partial_trace by einsum: every traced factor shares its row and column label."""
+    k = len(dims)
+    rows = [chr(97 + i) for i in range(k)]
+    cols = [chr(97 + k + i) if i in keep else rows[i] for i in range(k)]
+    out = "".join(rows[i] for i in keep) + "".join(cols[i] for i in keep)
+    d_keep = math.prod(dims[i] for i in keep)
+    return np.einsum("".join(rows + cols) + "->" + out, rho.reshape(dims + dims)).reshape(d_keep, d_keep)
+
+
 def test_partial_trace_three_factors():
     rng = RngState(9)
     rho = random_density(12, 12, rng)
@@ -180,19 +198,33 @@ def test_partial_trace_three_factors():
     a2 = partial_trace(rho, dims, keep=(0,))
     assert np.allclose(a1, a2, atol=1e-13)
     assert np.trace(a2) == pytest.approx(1.0)
+    # every keep subset, the full trace included, against a label-by-label sum
+    for n, dims in enumerate(UNEQUAL_DIMS):
+        rho = random_density(math.prod(dims), math.prod(dims), rng.child(n))
+        for keep in _keep_subsets(len(dims)):
+            got = partial_trace(rho, dims, keep)
+            assert got.flags.c_contiguous
+            assert max_abs(got - _summed_trace(rho, dims, keep)) <= 1e-15, (dims, keep)
+            if len(keep) < len(dims):
+                # tracing the last traced factor alone first changes nothing
+                last = max(set(range(len(dims))) - set(keep))
+                rest = [d for i, d in enumerate(dims) if i != last]
+                kept = [i - (i > last) for i in keep]
+                stage = partial_trace(partial_trace(rho, dims, [i for i in range(len(dims)) if i != last]),
+                                      rest, kept)
+                assert np.allclose(stage, got, rtol=0.0, atol=1e-15), (dims, keep)
 
 
 def test_partial_trace_pure_matches_projector():
     rng = RngState(71)
-    for n, dims in enumerate([(2, 3), (2, 3, 2), (2, 2, 3, 5)]):
+    for n, dims in enumerate([(2, 3), (2, 3, 2), (2, 2, 3, 5), *UNEQUAL_DIMS]):
         psi = random_unit_vector(math.prod(dims), rng.child(n))
         proj = np.outer(psi, psi.conj())
-        for r in range(1, len(dims) + 1):
-            for keep in itertools.combinations(range(len(dims)), r):
-                want = partial_trace(proj, dims, keep)
-                got = partial_trace_pure(psi, dims, keep)
-                assert got.shape == want.shape
-                assert max_abs(got - want) <= 1e-13, (dims, keep)
+        for keep in _keep_subsets(len(dims)):
+            want = partial_trace(proj, dims, keep)
+            got = partial_trace_pure(psi, dims, keep)
+            assert got.shape == want.shape
+            assert max_abs(got - want) <= 1e-13, (dims, keep)
 
 
 def test_partial_trace_pure_rejects_bad_input():

@@ -345,9 +345,8 @@ def test_holevo_routes_decomposes_each_matrix_once(monkeypatch):
     # the ensemble average and its channel image are decomposed once per
     # trial, not once per member; each member and each image is read from
     # the eigvalsh that validated it: 2n matrices (one stacked call each),
-    # one for the image ensemble's average in the chi margin, and two in
-    # the flagged-state relative entropies.  The input average's one eigh
-    # serves route one and the chi margin, so it never meets eigvalsh
+    # and two in the flagged-state relative entropies.  Each average's one
+    # eigh serves route one and the chi margin, so neither meets eigvalsh
     solves = {"eigh": 0, "eigvalsh": 0}
     seen = _record_solves(monkeypatch, solves)
     for d in (2, 3):
@@ -358,8 +357,8 @@ def test_holevo_routes_decomposes_each_matrix_once(monkeypatch):
             _, (weights, states, _) = suites_mod.SUITES["holevo_routes"](RngState(42).child(i), d)
             for matrices in seen.values():
                 assert len(set(matrices)) == len(matrices)
-            assert len(seen["eigvalsh"]) == 2 * len(weights) + 3
-            assert solves["eigvalsh"] == 5
+            assert len(seen["eigvalsh"]) == 2 * len(weights) + 2
+            assert solves["eigvalsh"] == 4
             assert solves["eigh"] < len(seen["eigh"])
             avg = Ensemble(weights, states).average()
             assert (avg.shape, avg.tobytes()) in set(seen["eigh"]) - set(seen["eigvalsh"])
