@@ -20,11 +20,14 @@ import numpy as np
 from .matcore import (
     Spectrum,
     _density,
+    _finite,
     _from_spectrum,
     _kept_first,
+    _kron,
     _one_shape,
     _psd_stacks,
     _symmetrize,
+    _worst,
     as_hermitian,
     as_matrix,
     max_abs,
@@ -50,9 +53,7 @@ class KrausMap:
             raise ValueError("need at least one Kraus operator")
         if ops.ndim != 3:
             raise ValueError(f"expected a 2-d matrix, got shape {ops.shape[1:]}")
-        if not np.isfinite(ops).all():
-            raise ValueError("matrix entries must be finite")
-        self.kraus_ops = ops
+        self.kraus_ops = _finite(ops)
         _, self.d_out, self.d_in = ops.shape
 
     def __len__(self):
@@ -60,39 +61,52 @@ class KrausMap:
 
     def completeness_defect(self) -> float:
         """max-norm distance of V^dag V = sum K^dag K from the identity."""
-        v = self.kraus_ops.reshape(-1, self.d_in)
-        return max_abs(v.conj().T @ v - np.eye(self.d_in))
+        return float(_tp_defect(self.kraus_ops))
+
+
+def _tp_defect(k: np.ndarray) -> np.ndarray:
+    """`KrausMap.completeness_defect` of a Kraus stack (r, d_out, d_in), or
+    of each channel of a stack of them (..., r, d_out, d_in)."""
+    v = k.reshape(*k.shape[:-3], -1, k.shape[-1])
+    return np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(k.shape[-1])).max(axis=(-2, -1))
 
 
 def require_tp(phi: KrausMap) -> KrausMap:
     """The one trace-preservation check: raises unless sum K^dag K = I to TP_TOL."""
-    defect = phi.completeness_defect()
+    _require_tp(phi.kraus_ops)
+    return phi
+
+
+def _require_tp(k: np.ndarray) -> None:
+    """`require_tp` on a Kraus stack, or on every channel of a stack of them."""
+    defect = _worst(_tp_defect(k))
     if defect > TP_TOL:
         raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
-    return phi
 
 
 def apply_linear(phi: KrausMap, x) -> np.ndarray:
     """sum_j K_j X K_j^dag on an arbitrary (square) operand."""
-    return _linear(phi, as_matrix(x))
+    return _linear(phi.kraus_ops, as_matrix(x))
 
 
-def _linear(phi: KrausMap, x: np.ndarray) -> np.ndarray:
-    """`apply_linear` on a complex operand or stack, one broadcast product."""
-    if x.shape[-2:] != (phi.d_in, phi.d_in):
-        raise ValueError(f"operand shape {x.shape[-2:]} != ({phi.d_in}, {phi.d_in})")
-    k = phi.kraus_ops
-    return (k @ x[..., None, :, :] @ k.conj().transpose(0, 2, 1)).sum(axis=-3)
+def _linear(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`apply_linear` of the Kraus stack ``k`` (..., r, d_out, d_in) on a
+    complex operand or stack, one broadcast product."""
+    d_in = k.shape[-1]
+    if x.shape[-2:] != (d_in, d_in):
+        raise ValueError(f"operand shape {x.shape[-2:]} != ({d_in}, {d_in})")
+    return (k @ x[..., None, :, :] @ k.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def apply_channel(phi: KrausMap, rho) -> np.ndarray:
     """Channel action on a Hermitian operand; output is re-symmetrized."""
-    return _channel(phi, as_hermitian(rho))
+    return _channel(phi.kraus_ops, as_hermitian(rho))
 
 
-def _channel(phi: KrausMap, rho: np.ndarray) -> np.ndarray:
-    """`apply_channel` on a validated operand or stack: exactly Hermitian."""
-    return _symmetrize(_linear(phi, rho))
+def _channel(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """`apply_channel` of the Kraus stack ``k`` on a validated operand or
+    stack: exactly Hermitian."""
+    return _symmetrize(_linear(k, rho))
 
 
 def adjoint_channel(phi: KrausMap) -> KrausMap:
@@ -106,9 +120,8 @@ def identity_channel(d: int) -> KrausMap:
 
 def tensor_channel(phi: KrausMap, psi: KrausMap) -> KrausMap:
     """Product channel with Kraus operators K_i (x) L_j, i-major order."""
-    # broadcast to (i, j, row_K, row_L, col_K, col_L): np.kron's bits, not einsum's
     k, l = phi.kraus_ops, psi.kraus_ops
-    prod = k[:, None, :, None, :, None] * l[:, None, :, None, :]
+    prod = _kron(k[:, None], l[None, :])
     return KrausMap(prod.reshape(len(k) * len(l), phi.d_out * psi.d_out, -1))
 
 
@@ -129,19 +142,32 @@ def trace_out_channel(dims, keep) -> KrausMap:
 
 def dephase(x) -> np.ndarray:
     """Kill all off-diagonal entries (measurement in the standard basis)."""
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError("dephase needs a square matrix")
-    return np.diag(np.diag(x))
+    return _dephase(_square(as_matrix(x), "dephase"))
+
+
+def _square(x: np.ndarray, name: str) -> np.ndarray:
+    if x.shape[-2] != x.shape[-1]:
+        raise ValueError(f"{name} needs a square matrix")
+    return x
+
+
+def _dephase(x: np.ndarray) -> np.ndarray:
+    """`dephase` of a square matrix or of each matrix of a stack."""
+    out = np.zeros_like(x)
+    diag = np.arange(x.shape[-1])
+    out[..., diag, diag] = x[..., diag, diag]
+    return out
 
 
 def dephase_via_z(x) -> np.ndarray:
     """Same projection as the average (1/d) sum_j Z^j X Z^{-j} over the
     clock unitary Z = diag(1, w, ..., w^{d-1}), w = exp(2 pi i / d)."""
-    x = as_matrix(x)
-    d = x.shape[0]
-    if x.shape[0] != x.shape[1]:
-        raise ValueError("dephase_via_z needs a square matrix")
+    return _dephase_via_z(_square(as_matrix(x), "dephase_via_z"))
+
+
+def _dephase_via_z(x: np.ndarray) -> np.ndarray:
+    """`dephase_via_z` of a square matrix or of each matrix of a stack."""
+    d = x.shape[-1]
     z = np.array([cmath.exp(2j * math.pi * k / d) for k in range(d)])
     out = np.zeros_like(x)
     for j in range(d):

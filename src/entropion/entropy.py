@@ -69,11 +69,12 @@ from .matcore import (
     Spectrum,
     _density,
     _from_spectrum,
+    _partial_trace,
     _psd,
+    _psd_stack,
     _symmetrize,
     _worst,
     as_density,
-    partial_trace,
     psd_eig,
     psd_eigvalsh,
     zero_band,
@@ -104,14 +105,33 @@ def _trapezoid(g: Callable[[np.ndarray, float], np.ndarray], half: float, h: flo
     return total
 
 
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum x y along the last axis: ``np.dot`` on one row, and on each row
+    of a stack (rows broadcast) the same BLAS dot, as a (1, d) by (d, 1)
+    product."""
+    if x.ndim == 1 == y.ndim:
+        return np.dot(np.ascontiguousarray(x), y)
+    return (_aligned_rows(x)[..., None, :] @ _aligned_rows(y)[..., None])[..., 0, 0]
+
+
+def _aligned_rows(a: np.ndarray) -> np.ndarray:
+    """``a`` with every row starting on a 16-byte boundary, as a fresh 1-d
+    array does: OpenBLAS's SSE3 dot kernels round by the operands'
+    alignment, so a row at an odd offset could get other bits than ``np.dot``
+    gives the same row alone.  Rows of even length in a C-contiguous array
+    (the package's stacks, from 16-byte aligned allocations) already are."""
+    n = a.shape[-1]
+    if n % 2 == 0 and a.flags.c_contiguous:
+        return a
+    out = np.empty((*a.shape[:-1], n + n % 2))
+    out[..., :n] = a
+    return out[..., :n]
+
+
 def _dot_log(x: np.ndarray, y: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """sum x ln y over ``sel`` along the last axis, with ln 1 = 0 outside
-    ``sel``: ``np.dot`` on one row, and on each row of a stack the same BLAS
-    dot, as a (1, d) by (d, 1) product."""
-    x, log = np.ascontiguousarray(x), np.log(np.where(sel, y, 1.0))
-    if x.ndim == 1:
-        return np.dot(x, log)
-    return (x[:, None, :] @ log[..., None])[:, 0, 0]
+    ``sel``, by `_rowdot`."""
+    return _rowdot(x, np.log(np.where(sel, y, 1.0)))
 
 
 def _scalar(v: np.ndarray):
@@ -172,6 +192,15 @@ def relative_entropy(p, q) -> float:
     return _relent(p, lam_p, spec_q)
 
 
+def _relative_entropy(p, q):
+    """`relative_entropy` of one pair, or of each pair of two stacks, each
+    stack validated in one call."""
+    p, lam_p = _psd_stack(p, False)
+    q, spec_q = _psd_stack(q, True)
+    _same_shape(p, q)
+    return _relent(p, lam_p, spec_q)
+
+
 def _relent_psd(p: np.ndarray, q: np.ndarray):
     """H(P, Q) of package-built, exactly Hermitian matrices or stacks: PSD
     checks on the kernel's eigensolves, no Hermiticity check."""
@@ -214,19 +243,22 @@ class _IntegralData:
         p, sp = psd_eig(p)
         q, sq = psd_eig(q)
         _same_shape(p, q)
-        # exact division: in range the bits are those at scale 1, and |xt| < 4
         self.scale = math.ldexp(1.0, math.frexp(max(sp.eigenvalues[-1], sq.eigenvalues[-1]))[1] - 1)
-        xt = sq.eigenvectors.conj().T @ (q - p) @ sp.eigenvectors / self.scale
-        w2 = (xt.conj() * xt).real
+        xt = sq.eigenvectors.conj().T @ (q - p) @ sp.eigenvectors
         split = _support_split(p, sq)
         self.violated = bool(split.infinite)
-
         lam_p = np.where(sp.eigenvalues > zero_band(sp.eigenvalues), sp.eigenvalues, 0.0)
+        lam_q = sq.eigenvalues[split.on_q]
+        if self.scale != 1.0:
+            # exact division: in range the bits are those at scale 1, and
+            # |xt| < 4; at scale 1 it would change nothing, so it is skipped
+            xt, lam_p, lam_q = xt / self.scale, lam_p / self.scale, lam_q / self.scale
+        w2 = (xt.conj() * xt).real
         # rows in ker(Q) carry no true contribution once supports are
         # compatible; drop them so denominators stay bounded away from zero
         self.weights = w2[split.on_q, :].ravel()
-        self.q_eigs = np.repeat(sq.eigenvalues[split.on_q] / self.scale, lam_p.size)
-        self.p_eigs = np.tile(lam_p / self.scale, int(split.on_q.sum()))
+        self.q_eigs = np.repeat(lam_q, lam_p.size)
+        self.p_eigs = np.tile(lam_p, int(split.on_q.sum()))
         self.trace_correction = float(np.trace(p).real) - float(np.trace(q).real)
         # g(u) <= C e^{-|u|}; C overflows only once Q / scale leaves the normal range
         with np.errstate(over="ignore", divide="ignore"):
@@ -357,7 +389,13 @@ def conditional_entropy(rho_ab, dims) -> float:
     rho, lam = _density(rho_ab, False)
     if len(dims) != 2:
         raise ValueError(f"dims must list two factors, got {dims!r}")
-    return _entropy(lam) - von_neumann_entropy(partial_trace(rho, dims, keep=(0,)))
+    return _conditional(rho, lam, dims)
+
+
+def _conditional(rho: np.ndarray, lam: np.ndarray, dims) -> float:
+    """`conditional_entropy` of a validated density matrix, or of each of a
+    stack, from its clipped eigenvalues."""
+    return _entropy(lam) - _entropy(_psd_stack(_partial_trace(rho, dims, (0,)), False, True)[1])
 
 
 def bures_distance(p, q) -> float:

@@ -24,8 +24,18 @@ from .channels import (
     require_tp,
     tensor_channel,
 )
-from .entropy import _entropy, _relent, relative_entropy
-from .matcore import _one_shape, _psd, _psd_stacks, require_unit_trace, tensor
+from .entropy import _entropy, _relative_entropy, _relent, _rowdot, _scalar
+from .matcore import (
+    Spectrum,
+    _first,
+    _kron,
+    _one_shape,
+    _psd,
+    _psd_stack,
+    _psd_stacks,
+    _worst,
+    require_unit_trace,
+)
 
 
 class Ensemble:
@@ -33,7 +43,10 @@ class Ensemble:
 
     ``states`` is one (n, d, d) stack and ``spectra`` the (n, d) eigenvalues
     of the one ``eigvalsh`` that validated it, so the member entropies
-    decompose nothing again.
+    decompose nothing again.  `Ensemble._stack` holds a stack of ensembles
+    of one member count and dimension on leading axes, weights (..., n) and
+    states (..., n, d, d); every function below then gives one value per
+    ensemble.
     """
 
     __slots__ = ("weights", "states", "spectra")
@@ -42,14 +55,23 @@ class Ensemble:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
-        if np.any(w <= 0.0):
-            raise ValueError("ensemble weights must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
+        _check_weights(w)
         if len(states) != w.size:
             raise ValueError("one state per weight")
         _one_shape("ensemble states must share one dimension", states)
         self._set(w, *_psd_stacks([states], [False])[0])
+
+    @classmethod
+    def _stack(cls, weights, states) -> "Ensemble":
+        """Ensembles (weights (..., n), states (..., n, d, d)) each checked
+        as the constructor checks one, in one call."""
+        w = np.asarray(weights, dtype=float)
+        _check_weights(w)
+        if np.shape(states)[:-2] != w.shape:
+            raise ValueError("one state per weight")
+        out = cls.__new__(cls)
+        out._set(w, *_psd_stack(states, False))
+        return out
 
     def _set(self, weights: np.ndarray, states: np.ndarray, spectra: np.ndarray) -> None:
         self.weights = weights
@@ -61,10 +83,10 @@ class Ensemble:
         return self.states.shape[-1]
 
     def __len__(self):
-        return len(self.states)
+        return self.states.shape[-3]
 
     def average(self) -> np.ndarray:
-        return (self.weights[:, None, None] * self.states).sum(axis=0)
+        return (self.weights[..., None, None] * self.states).sum(axis=-3)
 
     def _average(self, vectors: bool):
         """The average, exactly Hermitian, and its eigenvalues (`Spectrum`
@@ -77,13 +99,23 @@ class Ensemble:
         """Apply one channel to every member, in one product; weights
         unchanged.  One ``eigvalsh`` checks the (exactly Hermitian) images."""
         out = Ensemble.__new__(Ensemble)
-        out._set(self.weights, *_psd(_channel(phi, self.states), False))
+        out._set(self.weights, *_psd(_channel(phi.kraus_ops, self.states), False))
         return out
+
+
+def _check_weights(w: np.ndarray) -> None:
+    """Strictly positive weights summing to 1, per row of a stack."""
+    if np.any(w <= 0.0):
+        raise ValueError("ensemble weights must be strictly positive")
+    total = w.sum(axis=-1)
+    off = abs(total - 1.0) > 1e-12
+    if _worst(off):
+        raise ValueError(f"weights must sum to 1, got {_first(total, off)!r}")
 
 
 def _chi(ensemble: Ensemble, lam_avg: np.ndarray) -> float:
     """chi from the eigenvalues of the average."""
-    return _entropy(lam_avg) - float(np.dot(ensemble.weights, _entropy(ensemble.spectra)))
+    return _entropy(lam_avg) - _scalar(_rowdot(ensemble.weights, _entropy(ensemble.spectra)))
 
 
 def chi(ensemble: Ensemble) -> float:
@@ -98,9 +130,12 @@ def chi(ensemble: Ensemble) -> float:
 def yuen_ozawa_gap(ensemble: Ensemble) -> float:
     """|chi - sum_j pi_j H(rho_j, rho_av)|; zero in exact arithmetic, and
     every term is finite because supp(rho_j) lies inside supp(rho_av).
-    One ``eigh`` of the average serves both sides."""
+    One ``eigh`` of the average serves both sides; the sum runs over the
+    members in order."""
     avg = ensemble._average(True)[1]
-    mix = sum((ensemble.weights * _relent(ensemble.states, ensemble.spectra, avg)).tolist())
+    each = Spectrum(avg.eigenvalues[..., None, :], avg.eigenvectors[..., None, :, :])
+    terms = ensemble.weights * _relent(ensemble.states, ensemble.spectra, each)
+    mix = _scalar(np.add.accumulate(terms, axis=-1)[..., -1])
     return abs(_chi(ensemble, avg.eigenvalues) - mix)
 
 
@@ -108,17 +143,17 @@ def flagged_state(ensemble: Ensemble) -> np.ndarray:
     """gamma_QC = sum_j pi_j rho_j (x) |j><j|, quantum leg slowest: entry
     (a n + j, b n + k) is pi_j rho_j[a, b] if j = k, else zero."""
     n, d = len(ensemble), ensemble.dim
-    out = np.zeros((d * n, d * n), dtype=complex)
-    for j, (w, r) in enumerate(zip(ensemble.weights, ensemble.states)):
-        out[j::n, j::n] = w * r
+    out = np.zeros((*ensemble.weights.shape[:-1], d * n, d * n), dtype=complex)
+    for j in range(n):
+        out[..., j::n, j::n] = ensemble.weights[..., j, None, None] * ensemble.states[..., j, :, :]
     return out
 
 
 def chi_via_qc(ensemble: Ensemble) -> float:
     """chi as H(gamma_QC, gamma_Q (x) gamma_C) on the flagged state."""
-    gamma_qc = flagged_state(ensemble)
-    product = tensor(ensemble.average(), np.diag(ensemble.weights))
-    return relative_entropy(gamma_qc, product)
+    w = ensemble.weights
+    gamma_c = (w[..., None] * np.eye(w.shape[-1])).astype(complex)
+    return _relative_entropy(flagged_state(ensemble), _kron(ensemble.average(), gamma_c))
 
 
 def check_holevo_bound(ensemble: Ensemble, channel: KrausMap) -> float:

@@ -24,6 +24,7 @@ import numpy as np
 from .channels import (
     KrausMap,
     _channel,
+    _require_tp,
     adjoint_channel,
     apply_channel,
     apply_linear,
@@ -34,12 +35,15 @@ from .entropy import (
     _relent,
     _relent_psd,
     _same_shape,
+    _scalar,
     _support_split,
     von_neumann_entropy,
 )
 from .matcore import (
     _density,
+    _finite,
     _one_shape,
+    _psd_stack,
     _psd_stacks,
     _spectral_function,
     _symmetrize,
@@ -312,11 +316,32 @@ def check_monotonicity(rho, gamma, channel: KrausMap) -> float:
     rho, lam_rho = _density(rho, False)
     gamma, spec_gamma = _density(gamma, True)
     _same_shape(rho, gamma)
+    return _data_processing(rho, lam_rho, gamma, spec_gamma, channel.kraus_ops)
+
+
+def _monotonicity(rho, gamma, kraus) -> np.ndarray:
+    """`check_monotonicity` of each pair of two stacks of states (n, d, d),
+    under each pair's channel, a stack of Kraus stacks (n, r, d_out, d), or
+    under one channel's Kraus stack (r, d_out, d) for every pair."""
+    kraus = _finite(np.asarray(kraus, dtype=complex))
+    _require_tp(kraus)
+    rho, lam_rho = _psd_stack(rho, False, True)
+    gamma, spec_gamma = _psd_stack(gamma, True, True)
+    _same_shape(rho, gamma)
+    return _data_processing(rho, lam_rho, gamma, spec_gamma, kraus)
+
+
+def _data_processing(rho, lam_rho, gamma, spec_gamma, kraus):
+    """The margin of `check_monotonicity` on validated states, one pair or
+    stacks, and the Kraus stack of a trace-preserving channel: +inf where
+    the input relative entropy is."""
     h_in = _relent(rho, lam_rho, spec_gamma)
-    if math.isinf(h_in):
-        return math.inf
+    if np.isinf(h_in).all():
+        return h_in
     # the images are symmetrized, exactly Hermitian: the kernel takes them
-    return h_in - _relent_psd(*_channel(channel, np.stack((rho, gamma))))
+    images = _channel(kraus[..., None, :, :, :], np.stack((rho, gamma), axis=-3))
+    h_out = _relent_psd(images[..., 0, :, :], images[..., 1, :, :])
+    return _scalar(np.where(np.isinf(h_in), math.inf, h_in - h_out))
 
 
 class SsaMargins(NamedTuple):

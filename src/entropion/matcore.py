@@ -4,7 +4,8 @@ used throughout the package:
 * matrices are numpy ``complex128`` arrays in row-major layout; a result
   that must be Hermitian is made exactly so by ``_symmetrize``;
 * ``tensor(A, B)`` orders factors left to right with the leftmost factor
-  slowest (row index ``i_A * d_B + i_B``); ``_kept_first`` checks factor
+  slowest (row index ``i_A * d_B + i_B``), by ``_kron``, the one Kronecker
+  product (of matrices, stacks or Kraus pairs); ``_kept_first`` checks factor
   dimensions and kept indices and orders the kept factors first for every
   reduction (``partial_trace``, ``partial_trace_pure``, and
   ``channels.trace_out_channel``);
@@ -22,7 +23,8 @@ used throughout the package:
 * a list of same-shape operands is one (n, d, d) stack: ``_one_shape``
   refuses mixed shapes, ``_psd_stacks`` validates it in one call (each
   matrix at its own scale, an error naming the first defective one) and
-  the kernels reduce it in one call;
+  the kernels reduce it in one call; a stack of trials (any leading axes)
+  is validated by ``_psd_stack``;
 * reductions of a pure state go through ``partial_trace_pure`` on the
   state vector, never through the projector ``|psi><psi|``.
 
@@ -64,6 +66,11 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    return _finite(a)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """`as_matrix`'s finiteness check, on an array of any shape."""
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -144,6 +151,15 @@ def _psd(a: np.ndarray, vectors: bool):
     return a, _clip_psd(np.linalg.eigvalsh(a))
 
 
+def _psd_stack(a, vectors: bool, density: bool = False):
+    """`_psd` of a complex matrix or of every matrix of a stack (any leading
+    axes), Hermiticity checked as `as_hermitian` checks each matrix, and
+    `_density`'s trace condition with ``density``: the validation of a
+    stack of trials in one call."""
+    a, spec = _psd(_hermitian(np.asarray(a, dtype=complex)), vectors)
+    return (require_unit_trace(a) if density else a), spec
+
+
 def psd_eigvalsh(m) -> tuple[np.ndarray, np.ndarray]:
     """Validate positive semidefiniteness from one ``eigvalsh``.
 
@@ -180,7 +196,7 @@ def _psd_stacks(lists, vectors) -> list:
             a = np.asarray(ms, dtype=complex)
             if a.ndim != 3:
                 raise ValueError(f"expected a stack of matrices, got shape {a.shape}")
-            out.append(_psd(_hermitian(a), vec))
+            out.append(_psd_stack(a, vec))
         return out
     except ValueError:
         for members in zip(*lists):
@@ -289,7 +305,15 @@ def matrix_function(m, f: Callable[[float], float]) -> np.ndarray:
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with the left factor slowest."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    return _kron(as_matrix(a), as_matrix(b))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`tensor` of two matrices, or of each pair of two stacks (leading axes
+    broadcast), with the bits of ``np.kron``: one broadcast product."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], ra * rb, ca * cb)
 
 
 def _kept_first(dims: Sequence[int], keep: Sequence[int], total: int | None = None):
@@ -316,12 +340,19 @@ def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     dimension, slowest first, matching the `tensor` convention.
     """
     a = as_matrix(m)
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("partial trace needs a square matrix")
+    return _partial_trace(a, dims, keep)
+
+
+def _partial_trace(a: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """`partial_trace` of a square matrix or of each matrix of a stack."""
+    n = a.shape[-1]
     ds, order, d_keep = _kept_first(dims, keep, n)
-    t = a.reshape(ds + ds).transpose(order + [len(ds) + i for i in order])
-    return np.trace(t.reshape(d_keep, n // d_keep, d_keep, n // d_keep), axis1=1, axis2=3)
+    lead = a.shape[:-2]
+    axes = [len(lead) + i for i in order]
+    t = a.reshape(*lead, *ds, *ds).transpose(*range(len(lead)), *axes, *(len(ds) + i for i in axes))
+    return np.trace(t.reshape(*lead, d_keep, n // d_keep, d_keep, n // d_keep), axis1=-3, axis2=-1)
 
 
 def partial_trace_pure(psi, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

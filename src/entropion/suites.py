@@ -1,6 +1,6 @@
 """Randomized verification suites.
 
-Each suite is a table entry ``Suite(draw, check, local_dims)``.
+Each suite is a table entry ``Suite(draw, check, local_dims, batch)``.
 ``draw(rng, d)`` builds one trial's instance, a tuple of arrays, lists of
 same-shape arrays and floats, from the deterministic child stream
 ``RngState(seed).child(trial_index)``; ``check(*instance)`` reduces it to
@@ -21,6 +21,20 @@ Agreement margins are negated gaps, -|lhs - rhs|.  A suite with
 entry as the local factor dimension; its check reads the factors back from
 the instance's shapes.  All others read it as the full matrix dimension.
 Trial i uses dims[i % len(dims)].
+
+Batched trials.  A suite with ``batch`` checks many trials in one call:
+``batch`` takes the instances' fields stacked on a leading trial axis and
+returns one margin per trial, and its ``check`` is ``batch`` applied to a
+stack of one trial, so each claim has one implementation.  `run_suite`
+draws ``_CHUNK`` trials at a time, each from its own stream, groups them
+by dimension and by the shape of every field (ensembles and channels of
+different member or Kraus counts fall into groups of their own), and
+calls ``batch`` once per group, at most ``_STACK_ENTRIES // n**4`` trials
+per call for n x n matrices, so memory stays bounded in --trials and d.
+A group that raises is checked again trial by trial through ``check``, so
+each error and kernel skip lands on its own trial with its own class and
+message.  Any other registry entry, a ``Suite`` without ``batch`` or a
+plain ``(rng, d) -> (margin, instance)`` callable, runs trial by trial.
 """
 
 from __future__ import annotations
@@ -36,12 +50,13 @@ from .channels import (
     KrausMap,
     Povm,
     _channel,
+    _dephase,
+    _dephase_via_z,
     _purify,
+    _square,
     ancilla_representation,
     apply_ancilla,
     apply_channel,
-    dephase,
-    dephase_via_z,
     identity_channel,
     povm_channel,
     purify,
@@ -49,9 +64,10 @@ from .channels import (
     trace_out_channel,
 )
 from .entropy import (
+    _conditional,
     _entropy,
+    _relative_entropy,
     _relent,
-    conditional_entropy,
     relative_entropy,
     relative_entropy_integral,
     relative_entropy_spectral_kernel,
@@ -73,6 +89,7 @@ from .inequalities import (
     ConvexityInstance,
     Failure,
     TrialError,
+    _monotonicity,
     _pure_state_lemmas,
     _ssa,
     check_adjoint_contraction,
@@ -88,8 +105,12 @@ from .matcore import (
     KernelObstruction,
     NonConvergence,
     _density,
+    _finite,
     _from_spectrum,
+    _kron,
+    _partial_trace,
     _psd,
+    _psd_stack,
     _symmetrize,
     max_abs,
     partial_trace,
@@ -106,20 +127,45 @@ from .randgen import (
     random_unit_vector,
     random_unitary,
 )
-from .superop import SuperOpSpec, solve_resolvent, superop_matrix
+from .superop import SuperOpSpec, _resolvent, superop_matrix
 
 
 class Suite(NamedTuple):
     """One randomized claim: ``draw(rng, d)`` builds an instance and
-    ``check(*instance)`` returns its margin."""
+    ``check(*instance)`` returns its margin; ``batch``, where set, is the
+    check on stacked instances (see the module docstring)."""
 
     draw: Callable[[RngState, int], tuple]
     check: Callable[..., float]
     local_dims: bool = False
+    batch: Callable[..., np.ndarray] | None = None
 
     def __call__(self, rng: RngState, d: int) -> tuple[float, tuple]:
         instance = self.draw(rng, d)
         return self.check(*instance), instance
+
+
+def _stack(instances) -> tuple:
+    """Same-shape instances as one, each field stacked on a leading trial axis."""
+    return tuple(np.stack(field) for field in zip(*instances))
+
+
+def _batched(draw, batch, local_dims: bool = False) -> Suite:
+    """The suite whose check is ``batch`` on a stack of one trial."""
+    return Suite(draw, lambda *instance: float(batch(*_stack([instance]))[0]), local_dims, batch)
+
+
+def _least(first, *rest):
+    """``min`` of margins, elementwise over a stack of trials: the earlier
+    margin stands where a later one is equal or NaN, as in ``min``."""
+    for x in rest:
+        first = np.where(x < first, x, first)
+    return first
+
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """`max_abs` of each matrix of a stack."""
+    return np.abs(a).max(axis=(-2, -1))
 
 
 def _digest(instance: tuple) -> str:
@@ -186,7 +232,7 @@ def _ensemble_povm(rng: RngState, d: int) -> tuple[np.ndarray, list, list]:
 
 
 def _bipartite(m: np.ndarray) -> tuple[int, int]:
-    d = math.isqrt(m.shape[0])
+    d = math.isqrt(m.shape[-1])
     return d, d
 
 
@@ -197,10 +243,11 @@ def _draw_resolvent(rng: RngState, d: int):
     return q, p, random_matrix(d, d, rng), t
 
 
-def _check_resolvent(q, p, x, t) -> float:
-    spec = SuperOpSpec(q, p, t)
-    y_oracle = np.linalg.solve(superop_matrix(spec), x.reshape(-1)).reshape(x.shape)
-    return -max_abs(solve_resolvent(spec, x) - y_oracle)
+def _check_resolvent(q, p, x, t):
+    spec = SuperOpSpec._stack(q, p, t)
+    y_oracle = np.linalg.solve(superop_matrix(spec), x.reshape(len(x), -1, 1)).reshape(x.shape)
+    x = _finite(np.asarray(x, dtype=complex))
+    return -_max_abs(_resolvent(spec.left_spectrum, spec.right_spectrum, spec.t, x) - y_oracle)
 
 
 def _check_relent_routes(p, q) -> float:
@@ -268,15 +315,18 @@ def _check_block_contraction(p, q, c) -> float:
     return min(scores) if rep.consistent else -max(scores)
 
 
-def _check_monotonicity_dephase(rho, gamma) -> float:
-    dephasing = KrausMap([np.diag(e) for e in np.eye(len(rho))])
-    return check_monotonicity(rho, gamma, dephasing)
+def _check_monotonicity_dephase(rho, gamma):
+    return _monotonicity(rho, gamma, [np.diag(e) for e in np.eye(rho.shape[-1])])
 
 
-def _check_monotonicity_unitary(rho, gamma, u) -> float:
-    margin = check_monotonicity(rho, gamma, KrausMap([u]))
+def _check_monotonicity_ptrace(rho, gamma):
+    return _monotonicity(rho, gamma, trace_out_channel(_bipartite(rho), (0,)).kraus_ops)
+
+
+def _check_monotonicity_unitary(rho, gamma, u):
+    margin = _monotonicity(rho, gamma, np.asarray(u)[:, None])
     # unitaries preserve relative entropy: the margin must vanish
-    return margin if margin == math.inf else -abs(margin)
+    return np.where(margin == math.inf, margin, -np.abs(margin))
 
 
 def _check_ssa(rho) -> float:
@@ -315,10 +365,15 @@ def _draw_adjoint_quadratic(rng: RngState, d: int):
     return kraus, p, q, a, _ADJOINT_TS[rng.integer(len(_ADJOINT_TS))]
 
 
-def _check_holevo_identities(weights, states) -> float:
-    ens = Ensemble(weights, states)
+def _check_holevo_identities(weights, states):
+    ens = Ensemble._stack(weights, states)
     val = chi(ens)
-    return min(val, -yuen_ozawa_gap(ens), -abs(chi_via_qc(ens) - val))
+    return _least(val, -yuen_ozawa_gap(ens), -abs(chi_via_qc(ens) - val))
+
+
+def _check_concavity_condent(weights, states):
+    ens = Ensemble._stack(weights, states)
+    return check_holevo_bound(ens, trace_out_channel(_bipartite(ens.states), (0,)))
 
 
 def _draw_holevo_chain(rng: RngState, d: int):
@@ -341,7 +396,7 @@ def _check_holevo_routes(weights, states, effects) -> float:
     # decomposed once and the members and images read, as one stack each,
     # through the spectra that validated them
     avg, spec_avg = ens._average(True)
-    spec_out = _psd(_channel(phi, avg), True)[1]
+    spec_out = _psd(_channel(phi.kraus_ops, avg), True)[1]
     per_member = float(np.min(_relent(ens.states, ens.spectra, spec_avg)
                               - _relent(out.states, out.spectra, spec_out)))
     # route two: data processing on the flagged state
@@ -354,9 +409,10 @@ def _check_holevo_routes(weights, states, effects) -> float:
     return min(per_member, qc_margin, conc_margin)
 
 
-def _check_klein(p, q) -> float:
+def _check_klein(p, q):
     # an infinite H stays +inf: a skip
-    return relative_entropy(p, q) - float(np.trace(p).real - np.trace(q).real)
+    h = _relative_entropy(p, q)
+    return h - (np.trace(p, axis1=-2, axis2=-1).real - np.trace(q, axis1=-2, axis2=-1).real)
 
 
 _HOMOGENEITY_XS = (0.1, 0.5, 2.0, 10.0)
@@ -389,16 +445,23 @@ def _check_purification(rho) -> float:
     return -max(err, check_pure_state_lemmas(psi, dims))
 
 
-def _check_condent_identity(rho) -> float:
-    d = math.isqrt(len(rho))
-    value = conditional_entropy(rho, (d, d))
-    rho_a = partial_trace(rho, (d, d), (0,))
-    rhs = math.log(d) - relative_entropy(rho, tensor(rho_a, np.eye(d) / d))
-    return -abs(value - rhs)
+def _check_condent_identity(rho):
+    d = math.isqrt(rho.shape[-1])
+    # one eigvalsh of rho serves S(AB) and H(rho, rho_A (x) I/d)
+    rho, lam = _psd_stack(rho, False, True)
+    value = _conditional(rho, lam, (d, d))
+    product = _kron(_partial_trace(rho, (d, d), (0,)), np.eye(d, dtype=complex) / d)
+    rhs = math.log(d) - _relent(rho, lam, _psd_stack(product, True)[1])
+    return -np.abs(value - rhs)
+
+
+def _check_dephase_z(x):
+    x = _square(_finite(np.asarray(x, dtype=complex)), "dephase")
+    return -_max_abs(_dephase(x) - _dephase_via_z(x))
 
 
 SUITES: dict[str, Suite] = {
-    "resolvent_oracle": Suite(_draw_resolvent, _check_resolvent),
+    "resolvent_oracle": _batched(_draw_resolvent, _check_resolvent),
     "relent_routes": Suite(_psd_pair, _check_relent_routes),
     "scalar_identity": Suite(lambda rng, d: (10.0 ** (-2.0 + 4.0 * rng.uniform()),),
                              _check_scalar_identity),
@@ -408,28 +471,19 @@ SUITES: dict[str, Suite] = {
     "cp_schwarz": Suite(_draw_cp_schwarz,
                         lambda kraus, a, b, p: min(check_cp_schwarz(KrausMap(kraus), a, b, p))),
     "block_contraction": Suite(_draw_block_contraction, _check_block_contraction),
-    "monotonicity_dephase": Suite(_state_pair, _check_monotonicity_dephase),
-    "monotonicity_ptrace": Suite(
-        lambda rng, d: _state_pair(rng, d * d),
-        lambda rho, gamma: check_monotonicity(rho, gamma,
-                                              trace_out_channel(_bipartite(rho), (0,))),
-        local_dims=True,
-    ),
-    "monotonicity_general": Suite(
+    "monotonicity_dephase": _batched(_state_pair, _check_monotonicity_dephase),
+    "monotonicity_ptrace": _batched(lambda rng, d: _state_pair(rng, d * d),
+                                    _check_monotonicity_ptrace, local_dims=True),
+    "monotonicity_general": _batched(
         lambda rng, d: (*_state_pair(rng, d), random_cptp(d, 2 + rng.integer(3), rng)),
-        lambda rho, gamma, kraus: check_monotonicity(rho, gamma, KrausMap(kraus)),
+        _monotonicity,
     ),
-    "monotonicity_unitary": Suite(lambda rng, d: (*_state_pair(rng, d), random_unitary(d, rng)),
-                                  _check_monotonicity_unitary),
+    "monotonicity_unitary": _batched(lambda rng, d: (*_state_pair(rng, d), random_unitary(d, rng)),
+                                     _check_monotonicity_unitary),
     "ssa": Suite(lambda rng, d: (random_density(d ** 3, 1 + rng.integer(d ** 3), rng),),
                  _check_ssa, local_dims=True),
-    "concavity_condent": Suite(
-        lambda rng, d: _ensemble(rng, d * d),
-        lambda weights, states: check_holevo_bound(
-            Ensemble(weights, states), trace_out_channel(_bipartite(states[0]), (0,))
-        ),
-        local_dims=True,
-    ),
+    "concavity_condent": _batched(lambda rng, d: _ensemble(rng, d * d), _check_concavity_condent,
+                                  local_dims=True),
     "concavity_channel": Suite(
         lambda rng, d: (*_ensemble(rng, d), random_cptp(d, 2 + rng.integer(3), rng)),
         lambda weights, states, kraus: check_holevo_bound(Ensemble(weights, states),
@@ -441,7 +495,7 @@ SUITES: dict[str, Suite] = {
         _draw_adjoint_quadratic,
         lambda kraus, p, q, a, t: check_adjoint_contraction(KrausMap(kraus), p, q, a, t),
     ),
-    "holevo_identities": Suite(_ensemble, _check_holevo_identities),
+    "holevo_identities": _batched(_ensemble, _check_holevo_identities),
     "holevo_bound": Suite(
         _ensemble_povm,
         lambda weights, states, effects: check_holevo_bound(Ensemble(weights, states),
@@ -449,20 +503,68 @@ SUITES: dict[str, Suite] = {
     ),
     "holevo_chain": Suite(_draw_holevo_chain, _check_holevo_chain, local_dims=True),
     "holevo_routes": Suite(_ensemble_povm, _check_holevo_routes),
-    "klein": Suite(_psd_pair, _check_klein),
+    "klein": _batched(_psd_pair, _check_klein),
     "homogeneity": Suite(lambda rng, d: (_scaled_psd(rng, d), _scaled_psd(rng, d)),
                          _check_homogeneity),
-    "dephase_z": Suite(lambda rng, d: (random_matrix(d, d, rng),),
-                       lambda x: -max_abs(dephase(x) - dephase_via_z(x))),
+    "dephase_z": _batched(lambda rng, d: (random_matrix(d, d, rng),), _check_dephase_z),
     "ancilla": Suite(_draw_ancilla, _check_ancilla),
     "purification": Suite(lambda rng, d: (_mixed_rank_density(rng, d),), _check_purification),
-    "condent_identity": Suite(lambda rng, d: (_mixed_rank_density(rng, d * d),),
-                              _check_condent_identity, local_dims=True),
+    "condent_identity": _batched(lambda rng, d: (_mixed_rank_density(rng, d * d),),
+                                 _check_condent_identity, local_dims=True),
 }
 
 
 def suite_names() -> list[str]:
     return list(SUITES)
+
+
+# Trials drawn, then checked, per pass of `run_suite`, and the bound on
+# trials * n**4 per stacked call for n x n matrices (n**4 entries: the
+# resolvent oracle's dense map), so memory is bounded in --trials and in d.
+_CHUNK = 64
+_STACK_ENTRIES = 1 << 18
+# What a trial may raise and still be a trial outcome, not a program error.
+_TRIAL_ERRORS = (NonConvergence, ValueError, ArithmeticError)
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the trial error it raised; any other exception is a
+    program error and propagates."""
+    try:
+        return fn(*args)
+    except _TRIAL_ERRORS as exc:
+        return exc
+
+
+def _outcomes(suite, root: RngState, dims: list[int], start: int, stop: int) -> list:
+    """Trials start .. stop - 1 of ``suite`` as (margin, or the exception
+    the trial raised; its instance, or None if the draw raised), in index
+    order: trial by trial, or with ``suite.batch`` one stacked call per
+    group of same-shape instances (see the module docstring)."""
+    if not (isinstance(suite, Suite) and suite.batch is not None):
+        trials = (_attempt(suite, root.child(i), dims[i % len(dims)]) for i in range(start, stop))
+        return [(t, None) if isinstance(t, Exception) else t for t in trials]
+    done, groups = {}, {}
+    for i in range(start, stop):
+        d = dims[i % len(dims)]
+        instance = _attempt(suite.draw, root.child(i), d)
+        if isinstance(instance, Exception):
+            done[i] = (instance, None)
+        else:
+            groups.setdefault((d, *map(np.shape, instance)), []).append((i, instance))
+    for key, members in groups.items():
+        side = max((shape[-1] for shape in key[1:] if len(shape) >= 2), default=1)
+        per_call = max(1, _STACK_ENTRIES // side ** 4)
+        for lo in range(0, len(members), per_call):
+            part = members[lo:lo + per_call]
+            margins = _attempt(suite.batch, *_stack([instance for _, instance in part]))
+            for j, (i, instance) in enumerate(part):
+                # a group that raised is checked again trial by trial
+                if isinstance(margins, Exception):
+                    done[i] = (_attempt(suite.check, *instance), instance)
+                else:
+                    done[i] = (float(margins[j]), instance)
+    return [done[i] for i in range(start, stop)]
 
 
 def run_suite(name: str, dims=(2, 3), trials: int = 100, seed: int = 42,
@@ -485,24 +587,24 @@ def run_suite(name: str, dims=(2, 3), trials: int = 100, seed: int = 42,
     skipped = kernel = 0
     failures: list[Failure] = []
     errors: list[TrialError] = []
-    for i in range(trials):
-        try:
-            margin, instance = suite(root.child(i), dim_list[i % len(dim_list)])
-        except KernelObstruction:
-            kernel += 1
-            continue
-        except (NonConvergence, ValueError, ArithmeticError) as exc:
-            # one trial's error fails the suite but does not end the run
-            errors.append(TrialError(i, type(exc).__name__, str(exc)))
-            continue
-        if math.isinf(margin) and margin > 0:
-            skipped += 1
-            continue
-        margin = float(margin)
-        # a NaN margin is a failure, and the worst margin stays NaN after it
-        worst = margin if math.isnan(margin) else min(worst, margin)
-        if math.isnan(margin) or margin < -tol:
-            failures.append(Failure(i, margin, _digest(instance)))
+    for lo in range(0, trials, _CHUNK):
+        for i, (margin, instance) in enumerate(_outcomes(suite, root, dim_list, lo,
+                                                         min(lo + _CHUNK, trials)), lo):
+            if isinstance(margin, KernelObstruction):
+                kernel += 1
+                continue
+            if isinstance(margin, Exception):
+                # one trial's error fails the suite but does not end the run
+                errors.append(TrialError(i, type(margin).__name__, str(margin)))
+                continue
+            if math.isinf(margin) and margin > 0:
+                skipped += 1
+                continue
+            margin = float(margin)
+            # a NaN margin is a failure, and the worst margin stays NaN after it
+            worst = margin if math.isnan(margin) else min(worst, margin)
+            if math.isnan(margin) or margin < -tol:
+                failures.append(Failure(i, margin, _digest(instance)))
     runtime_ms = (time.perf_counter() - start) * 1e3
     return CheckReport(
         suite=name,

@@ -12,7 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import KernelObstruction, Spectrum, _first, _one_shape, as_matrix, psd_eig, zero_band
+from .matcore import (
+    KernelObstruction,
+    Spectrum,
+    _first,
+    _kron,
+    _one_shape,
+    _psd_stack,
+    _worst,
+    as_matrix,
+    psd_eig,
+    zero_band,
+)
 
 # Inputs may carry at most this relative weight on the joint kernel before
 # a resolvent solve is refused.
@@ -24,23 +35,36 @@ class SuperOpSpec:
 
     Both multipliers must be PSD (to 1e-10) and of the same dimension;
     eigenvalues are clipped at zero after validation so resolvent
-    denominators are never spuriously negative.
+    denominators are never spuriously negative.  `SuperOpSpec._stack`
+    holds a stack of maps: multipliers (n, d, d) and t of shape (n, 1, 1).
     """
 
     __slots__ = ("left", "right", "t", "left_spectrum", "right_spectrum")
 
     def __init__(self, left, right, t: float = 1.0):
-        self.left, self.left_spectrum = psd_eig(left)
-        self.right, self.right_spectrum = psd_eig(right)
-        _one_shape("multiplier shapes differ: {} vs {}", [self.left, self.right])
-        t = float(t)
-        if not (t >= 0.0) or not np.isfinite(t):
-            raise ValueError(f"t must be finite and >= 0, got {t!r}")
+        self._set(*psd_eig(left), *psd_eig(right), float(t))
+
+    @classmethod
+    def _stack(cls, left, right, t) -> "SuperOpSpec":
+        """Maps of stacked multipliers and a 1-d array of t, each checked as
+        the constructor checks one, in one call."""
+        spec = cls.__new__(cls)
+        spec._set(*_psd_stack(left, True), *_psd_stack(right, True),
+                  np.asarray(t, dtype=float)[:, None, None])
+        return spec
+
+    def _set(self, left, left_spectrum, right, right_spectrum, t) -> None:
+        self.left, self.left_spectrum = left, left_spectrum
+        self.right, self.right_spectrum = right, right_spectrum
+        _one_shape("multiplier shapes differ: {} vs {}", [left, right])
+        bad = ~((t >= 0.0) & np.isfinite(t))
+        if _worst(bad):
+            raise ValueError(f"t must be finite and >= 0, got {_first(t, bad)!r}")
         self.t = t
 
     @property
     def dim(self) -> int:
-        return self.left.shape[0]
+        return self.left.shape[-1]
 
 
 def solve_resolvent(spec: SuperOpSpec, x) -> np.ndarray:
@@ -81,7 +105,6 @@ def _resolvent(left: Spectrum, right: Spectrum, t: float, x: np.ndarray) -> np.n
 
 def superop_matrix(spec: SuperOpSpec) -> np.ndarray:
     """Dense matrix of the map under row-major vec:
-    vec(L X + t X R) = (L (x) I + t I (x) R^T) vec(X)."""
-    d = spec.dim
-    eye = np.eye(d)
-    return np.kron(spec.left, eye) + spec.t * np.kron(eye, spec.right.T)
+    vec(L X + t X R) = (L (x) I + t I (x) R^T) vec(X); one per map of a stack."""
+    eye = np.eye(spec.dim)
+    return _kron(spec.left, eye) + spec.t * _kron(eye, spec.right.swapaxes(-1, -2))

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entropion
 from entropion import Ensemble, NonConvergence, RngState, run_suite, suite_names
 from entropion import inequalities as inequalities_mod
 from entropion import suites as suites_mod
@@ -469,3 +474,152 @@ def test_every_suite_passes_briefly():
         dims = (2,) if suites_mod.SUITES[name].local_dims else (2, 3)
         rep = run_suite(name, dims=dims, trials=8, seed=42, tol=1e-8)
         assert rep.passed, f"{name}: worst={rep.worst_margin}"
+
+
+def test_homogeneity_keeps_failing_its_ill_conditioned_trial():
+    # a live defect (ROADMAP item 4): trial 12 draws Q with lambda_min 2.7e-7,
+    # and the float H(10 P, 10 Q) - 10 H(P, Q) misses tol by rounding alone
+    rep = run_suite("homogeneity", trials=25, seed=620870474)
+    assert [(f.trial, f.digest) for f in rep.failures] == [(12, "396c1ad07f1c")]
+    assert rep.failures[0].margin < -1e-9
+    assert rep.errors == ()
+
+
+BATCHED = {
+    "klein", "dephase_z", "resolvent_oracle", "monotonicity_dephase", "monotonicity_ptrace",
+    "monotonicity_unitary", "monotonicity_general", "condent_identity", "holevo_identities",
+    "concavity_condent",
+}
+
+
+def test_batched_margins_equal_per_trial_margins_bit_for_bit():
+    # run_suite checks each same-shape group of trials as one stack, and
+    # every trial keeps the bits of its own check, a stack of one
+    assert {n for n, s in suites_mod.SUITES.items() if s.batch is not None} == BATCHED
+    for name in sorted(BATCHED):
+        suite = suites_mod.SUITES[name]
+        for seed in (5, 42, 77):
+            outcomes = suites_mod._outcomes(suite, RngState(seed), [2, 3], 0, 40)
+            assert len(outcomes) == 40
+            for i, (margin, instance) in enumerate(outcomes):
+                one, again = suite(RngState(seed).child(i), (2, 3)[i % 2])
+                assert suites_mod._digest(instance) == suites_mod._digest(again)
+                assert float(margin).hex() == float(one).hex(), (name, seed, i)
+
+
+def test_klein_batch_solves_once_per_dimension_group(monkeypatch):
+    # 25 trials at dims (2, 3) are two groups, each one stacked eigvalsh of
+    # the P's and one stacked eigh of the Q's; the draws add one eigh for
+    # the root of each singular Q they build (_compatible_pair)
+    roots = sum(RngState(42).child(i).integer(4) == 0 for i in range(25))
+    calls = {"eigh": 0, "eigvalsh": 0}
+    seen = _record_solves(monkeypatch, calls)
+    assert run_suite("klein", dims=(2, 3), trials=25).passed
+    assert calls == {"eigh": 2 + roots, "eigvalsh": 2}
+    assert (len(seen["eigh"]), len(seen["eigvalsh"])) == (25 + roots, 25)
+
+
+def _negate_a_member(instance):
+    weights, states = instance
+    return weights, [states[0], -states[1], *states[2:]]
+
+
+def _joint_kernel(instance):
+    # Q = P with a 1e-14 eigenvalue: the oracle solves, the resolvent
+    # refuses X's weight on the joint kernel
+    _, _, x, t = instance
+    q = np.diag([1.0, 1.0, 1e-14]).astype(complex)
+    return q, q.copy(), x, t
+
+
+def _ground_state(instance):
+    _, gamma = instance
+    return np.diag([1.0, 0.0, 0.0]).astype(complex), gamma
+
+
+def _off_support(instance):
+    return np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 0.5, 0.5]).astype(complex)
+
+
+def _relent_psd_at_ground_state(value):
+    # the channel output's relative entropy, planted at ``value`` where P is
+    # |0><0| exactly: only the planted trial of a stack is hit
+    real = inequalities_mod._relent_psd
+    return lambda p, q: np.where(p[..., 0, 0].real == 1.0, value, real(p, q))
+
+
+@pytest.mark.parametrize("name, plant, kernel", [
+    ("holevo_identities", _negate_a_member, None),
+    ("resolvent_oracle", _joint_kernel, None),
+    ("monotonicity_dephase", _ground_state, math.inf),
+    ("monotonicity_dephase", _ground_state, math.nan),
+    ("klein", _off_support, None),
+])
+def test_a_planted_defect_lands_on_its_trial_only(monkeypatch, name, plant, kernel):
+    # trial 5 (d = 3) of a 12-trial run is replaced by a defective instance:
+    # a non-PSD member, a kernel obstruction, a one-sided infinity, a NaN
+    # and a support violation (a skip).  It is recorded against trial 5
+    # alone, as its own check records it, and no other margin moves
+    if kernel is not None:
+        monkeypatch.setattr(inequalities_mod, "_relent_psd", _relent_psd_at_ground_state(kernel))
+    suite = suites_mod.SUITES[name]
+    target = suites_mod._digest(suite.draw(RngState(42).child(5), 3))
+
+    def draw(rng, d):
+        instance = suite.draw(rng, d)
+        return plant(instance) if suites_mod._digest(instance) == target else instance
+
+    planted = suite._replace(draw=draw)
+    clean = suites_mod._outcomes(suite, RngState(42), [2, 3], 0, 12)
+    outcomes = suites_mod._outcomes(planted, RngState(42), [2, 3], 0, 12)
+    for i, ((margin, _), (want, _)) in enumerate(zip(outcomes, clean)):
+        if i != 5:
+            assert float(margin).hex() == float(want).hex(), i
+    margin, instance = outcomes[5]
+    try:
+        own = planted.check(*instance)
+    except (NonConvergence, ValueError, ArithmeticError) as exc:
+        own = exc
+    if isinstance(own, Exception):
+        assert (type(margin), str(margin)) == (type(own), str(own))
+    else:
+        assert float(margin).hex() == float(own).hex()
+
+    monkeypatch.setitem(suites_mod.SUITES, name, planted)
+    rep = run_suite(name, trials=12, seed=42)
+    bad = [(e.trial, e.error, e.message) for e in rep.errors] + [(f.trial, f.margin) for f in rep.failures]
+    if isinstance(own, KernelObstruction):
+        assert (rep.skipped_kernel, bad) == (1, [])
+    elif isinstance(own, Exception):
+        assert bad == [(5, type(own).__name__, str(own))]
+    elif own == math.inf:
+        assert (rep.skipped_infinite, bad) == (1, [])
+    else:
+        assert len(bad) == 1 and bad[0][0] == 5
+        assert float(bad[0][1]).hex() == float(own).hex() == float(-kernel).hex()
+
+
+# the stacked-against-looped bit tests; another BLAS kernel must not break them
+_BIT_TESTS = (
+    "test_matcore.py::test_stacked_linalg_equals_looped_bit_for_bit",
+    "test_entropy.py::test_stacked_kernels_equal_per_matrix_calls_bit_for_bit",
+    "test_suites.py::test_batched_margins_equal_per_trial_margins_bit_for_bit",
+)
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_stacked_bits_hold_under_other_openblas_kernels(coretype):
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except Exception:  # numpy builds without this record
+        blas = ""
+    if "openblas" not in str(blas).lower():
+        pytest.skip("numpy is not linked to OpenBLAS")
+    here = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join([str(Path(entropion.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *(str(here / t) for t in _BIT_TESTS)],
+                          cwd=here.parent, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]
