@@ -21,6 +21,7 @@ from .matcore import (
     Spectrum,
     _density,
     _finite,
+    _first,
     _from_spectrum,
     _kept_first,
     _kron,
@@ -30,7 +31,6 @@ from .matcore import (
     _worst,
     as_hermitian,
     as_matrix,
-    max_abs,
     zero_band,
 )
 
@@ -39,7 +39,10 @@ POVM_TOL = 1e-10
 
 
 class KrausMap:
-    """Completely positive map; ``kraus_ops`` stacks its Kraus operators as (r, d_out, d_in)."""
+    """Completely positive map; ``kraus_ops`` stacks its Kraus operators as
+    (r, d_out, d_in).  `KrausMap._stack` holds a stack of channels of one
+    Kraus count and shape on leading axes, (..., r, d_out, d_in); the
+    functions below then act with each channel of the stack."""
 
     __slots__ = ("kraus_ops", "d_in", "d_out")
 
@@ -53,11 +56,22 @@ class KrausMap:
             raise ValueError("need at least one Kraus operator")
         if ops.ndim != 3:
             raise ValueError(f"expected a 2-d matrix, got shape {ops.shape[1:]}")
+        self._set(ops)
+
+    @classmethod
+    def _stack(cls, kraus_ops) -> "KrausMap":
+        """Channels (..., r, d_out, d_in) of one Kraus count and shape, their
+        entries checked finite as the constructor checks one's, in one call."""
+        out = cls.__new__(cls)
+        out._set(np.asarray(kraus_ops, dtype=complex))
+        return out
+
+    def _set(self, ops: np.ndarray) -> None:
         self.kraus_ops = _finite(ops)
-        _, self.d_out, self.d_in = ops.shape
+        self.d_out, self.d_in = ops.shape[-2:]
 
     def __len__(self):
-        return len(self.kraus_ops)
+        return self.kraus_ops.shape[-3]
 
     def completeness_defect(self) -> float:
         """max-norm distance of V^dag V = sum K^dag K from the identity."""
@@ -89,13 +103,30 @@ def apply_linear(phi: KrausMap, x) -> np.ndarray:
     return _linear(phi.kraus_ops, as_matrix(x))
 
 
+# Entries of the products K_j X and K_j X K_j^dag that `_linear` forms at
+# once; a longer Kraus stack is applied in runs of operators.
+_LINEAR_ENTRIES = 1 << 14
+
+
 def _linear(k: np.ndarray, x: np.ndarray) -> np.ndarray:
     """`apply_linear` of the Kraus stack ``k`` (..., r, d_out, d_in) on a
-    complex operand or stack, one broadcast product."""
-    d_in = k.shape[-1]
+    complex operand or stack: one broadcast product per run of operators,
+    the terms added in operator order."""
+    *_, r, d_out, d_in = k.shape
     if x.shape[-2:] != (d_in, d_in):
         raise ValueError(f"operand shape {x.shape[-2:]} != ({d_in}, {d_in})")
-    return (k @ x[..., None, :, :] @ k.conj().swapaxes(-1, -2)).sum(axis=-3)
+    x = x[..., None, :, :]
+    lead = math.prod(np.broadcast_shapes(k.shape[:-3], x.shape[:-3]))
+    run = max(1, _LINEAR_ENTRIES // (lead * d_out * (d_in + d_out)))
+    total = None
+    for lo in range(0, r, run):
+        ks = k[..., lo:lo + run, :, :]
+        terms = ks @ x @ ks.conj().swapaxes(-1, -2)
+        if total is not None:
+            # the running sum comes first, so the sum runs in operator order
+            terms = np.concatenate((total[..., None, :, :], terms), axis=-3)
+        total = terms.sum(axis=-3)
+    return total
 
 
 def apply_channel(phi: KrausMap, rho) -> np.ndarray:
@@ -111,7 +142,7 @@ def _channel(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def adjoint_channel(phi: KrausMap) -> KrausMap:
     """Heisenberg-picture adjoint {K_j^dag}; unital when phi is TP."""
-    return KrausMap(phi.kraus_ops.conj().transpose(0, 2, 1))
+    return KrausMap._stack(phi.kraus_ops.conj().swapaxes(-1, -2))
 
 
 def identity_channel(d: int) -> KrausMap:
@@ -120,9 +151,8 @@ def identity_channel(d: int) -> KrausMap:
 
 def tensor_channel(phi: KrausMap, psi: KrausMap) -> KrausMap:
     """Product channel with Kraus operators K_i (x) L_j, i-major order."""
-    k, l = phi.kraus_ops, psi.kraus_ops
-    prod = _kron(k[:, None], l[None, :])
-    return KrausMap(prod.reshape(len(k) * len(l), phi.d_out * psi.d_out, -1))
+    prod = _kron(phi.kraus_ops[..., :, None, :, :], psi.kraus_ops[..., None, :, :, :])
+    return KrausMap._stack(prod.reshape(*prod.shape[:-4], -1, *prod.shape[-2:]))
 
 
 def trace_out_channel(dims, keep) -> KrausMap:
@@ -181,7 +211,8 @@ class Povm:
 
     ``effects`` is one (n, d, d) stack, and ``spectra`` the stacked
     `Spectrum` of the one ``eigh`` that validated it, so `povm_channel`
-    takes the square roots from it.
+    takes the square roots from it.  `Povm._stack` holds a stack of POVMs
+    of one effect count and dimension on leading axes, (..., n, d, d).
     """
 
     __slots__ = ("effects", "spectra")
@@ -190,10 +221,21 @@ class Povm:
         if not len(effects):
             raise ValueError("need at least one effect")
         _one_shape("effect shapes differ", effects)
-        (ops, spectra), = _psd_stacks([effects], [True])
-        defect = max_abs(ops.sum(axis=0) - np.eye(ops.shape[-1]))
-        if defect > POVM_TOL:
-            raise ValueError(f"effects do not sum to the identity (defect {defect:.3e})")
+        self._set(*_psd_stacks([effects], [True])[0])
+
+    @classmethod
+    def _stack(cls, effects) -> "Povm":
+        """POVMs (..., n, d, d), each checked as the constructor checks one,
+        in one call."""
+        out = cls.__new__(cls)
+        out._set(*_psd_stacks([effects], [True], np.ndim(effects) - 2)[0])
+        return out
+
+    def _set(self, ops: np.ndarray, spectra: Spectrum) -> None:
+        defect = np.abs(ops.sum(axis=-3) - np.eye(ops.shape[-1])).max(axis=(-2, -1))
+        off = defect > POVM_TOL
+        if _worst(off):
+            raise ValueError(f"effects do not sum to the identity (defect {_first(defect, off):.3e})")
         self.effects, self.spectra = ops, spectra
 
     @property
@@ -201,21 +243,23 @@ class Povm:
         return self.effects.shape[-1]
 
     def __len__(self):
-        return len(self.effects)
+        return self.effects.shape[-3]
 
 
 def povm_channel(povm: Povm) -> KrausMap:
-    """Measure-and-record channel rho -> sum_a Tr(rho M_a) |a><a|.
+    """Measure-and-record channel rho -> sum_a Tr(rho M_a) |a><a|, one per
+    POVM of a stack.
 
     Kraus operators |a><b| sqrt(M_a), one per (effect a, basis row b),
     a-major; output dimension is the number of effects.
     """
-    n, d = len(povm), povm.dim
     roots = _from_spectrum(povm.spectra, np.sqrt)
-    ops = np.zeros((n, d, n, d), dtype=complex)
-    # operator (a, b) holds row b of sqrt(M_a) in its output row a
-    ops[np.arange(n), :, np.arange(n), :] = roots
-    return KrausMap(ops.reshape(n * d, n, d))
+    *lead, n, d, _ = roots.shape
+    ops = np.zeros((*lead, n, d, n, d), dtype=complex)
+    # operator (a, b) holds row b of sqrt(M_a) in its output row a; the
+    # indexed axis a comes first in the selection
+    ops[..., np.arange(n), :, np.arange(n), :] = np.moveaxis(roots, -3, 0)
+    return KrausMap._stack(ops.reshape(*lead, n * d, n, d))
 
 
 @dataclass(frozen=True)
@@ -243,26 +287,39 @@ def ancilla_representation(phi: KrausMap) -> AncillaRep:
     if phi.d_in != phi.d_out:
         raise ValueError("ancilla representation needs a square channel")
     require_tp(phi)
-    d, r = phi.d_in, len(phi)
+    return AncillaRep(_dilation(phi.kraus_ops), len(phi))
+
+
+def _dilation(k: np.ndarray) -> np.ndarray:
+    """`ancilla_representation`'s unitary of a trace-preserving square Kraus
+    stack (r, d, d), or of each channel of a stack of them."""
+    *lead, r, d, _ = k.shape
     big = d * r
     # row (a, j) of the isometry is row a of K_j
-    iso = phi.kraus_ops.transpose(1, 0, 2).reshape(big, d)
-    u = np.empty((big, big), dtype=complex)
+    iso = k.swapaxes(-3, -2).reshape(*lead, big, d)
+    u = np.empty((*lead, big, big), dtype=complex)
     on_ancilla_zero = np.arange(big) % r == 0
-    u[:, on_ancilla_zero] = iso
-    u[:, ~on_ancilla_zero] = np.linalg.qr(iso, mode="complete")[0][:, d:]
-    defect = max_abs(u.conj().T @ u - np.eye(big))
-    if defect > 1e-10:
-        raise ArithmeticError(f"dilation unitary defect {defect:.3e}")
-    return AncillaRep(u, r)
+    u[..., on_ancilla_zero] = iso
+    u[..., ~on_ancilla_zero] = np.linalg.qr(iso, mode="complete")[0][..., d:]
+    defect = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(big)).max(axis=(-2, -1))
+    off = defect > 1e-10
+    if _worst(off):
+        raise ArithmeticError(f"dilation unitary defect {_first(defect, off):.3e}")
+    return u
 
 
 def apply_ancilla(rep: AncillaRep, rho) -> np.ndarray:
     """Joint system+ancilla output U (rho (x) |0><0|) U^dag = W rho W^dag,
     where W = U[:, ::anc_dim] are the columns on |i> (x) |0>, the isometry
     that `ancilla_representation` placed there."""
-    w = rep.unitary[:, :: rep.anc_dim]
-    return _symmetrize(w @ as_hermitian(rho) @ w.conj().T)
+    return _dilate(rep.unitary, rep.anc_dim, as_hermitian(rho))
+
+
+def _dilate(u: np.ndarray, anc_dim: int, rho: np.ndarray) -> np.ndarray:
+    """`apply_ancilla` of a dilation unitary and a validated operand, or of
+    each pair of two stacks of them."""
+    w = u[..., :: anc_dim]
+    return _symmetrize(w @ rho @ w.conj().swapaxes(-1, -2))
 
 
 def purify(rho) -> np.ndarray:

@@ -97,10 +97,18 @@ class Ensemble:
 
     def map(self, phi: KrausMap) -> "Ensemble":
         """Apply one channel to every member, in one product; weights
-        unchanged.  One ``eigvalsh`` checks the (exactly Hermitian) images."""
+        unchanged.  One ``eigvalsh`` checks the (exactly Hermitian) images.
+        For a stack of ensembles, ``phi`` is one channel or one per ensemble
+        (`KrausMap._stack`)."""
         out = Ensemble.__new__(Ensemble)
-        out._set(self.weights, *_psd(_channel(phi.kraus_ops, self.states), False))
+        out._set(self.weights, *_psd(_channel(phi.kraus_ops[..., None, :, :, :], self.states), False))
         return out
+
+    def _divergences(self, avg: Spectrum) -> np.ndarray:
+        """H(rho_j, A) of every member, for the PSD matrix A of spectrum
+        ``avg`` (one per ensemble of a stack)."""
+        each = Spectrum(avg.eigenvalues[..., None, :], avg.eigenvectors[..., None, :, :])
+        return _relent(self.states, self.spectra, each)
 
 
 def _check_weights(w: np.ndarray) -> None:
@@ -133,8 +141,7 @@ def yuen_ozawa_gap(ensemble: Ensemble) -> float:
     One ``eigh`` of the average serves both sides; the sum runs over the
     members in order."""
     avg = ensemble._average(True)[1]
-    each = Spectrum(avg.eigenvalues[..., None, :], avg.eigenvectors[..., None, :, :])
-    terms = ensemble.weights * _relent(ensemble.states, ensemble.spectra, each)
+    terms = ensemble.weights * ensemble._divergences(avg)
     mix = _scalar(np.add.accumulate(terms, axis=-1)[..., -1])
     return abs(_chi(ensemble, avg.eigenvalues) - mix)
 
@@ -149,11 +156,15 @@ def flagged_state(ensemble: Ensemble) -> np.ndarray:
     return out
 
 
+def _marginals(ensemble: Ensemble) -> np.ndarray:
+    """gamma_Q (x) gamma_C, the product of the flagged state's marginals."""
+    w = ensemble.weights
+    return _kron(ensemble.average(), (w[..., None] * np.eye(w.shape[-1])).astype(complex))
+
+
 def chi_via_qc(ensemble: Ensemble) -> float:
     """chi as H(gamma_QC, gamma_Q (x) gamma_C) on the flagged state."""
-    w = ensemble.weights
-    gamma_c = (w[..., None] * np.eye(w.shape[-1])).astype(complex)
-    return _relative_entropy(flagged_state(ensemble), _kron(ensemble.average(), gamma_c))
+    return _relative_entropy(flagged_state(ensemble), _marginals(ensemble))
 
 
 def check_holevo_bound(ensemble: Ensemble, channel: KrausMap) -> float:
@@ -164,7 +175,8 @@ def check_holevo_bound(ensemble: Ensemble, channel: KrausMap) -> float:
     With the record channel of a POVM (`channels.povm_channel`) this is
     the Holevo bound: no measurement extracts more than chi.  With a
     partial trace Tr_B (`channels.trace_out_channel`) it is concavity of
-    S(B|A) = S(AB) - S(A); with any other channel, concavity of f.
+    S(B|A) = S(AB) - S(A); with any other channel, concavity of f.  On a
+    stack of ensembles, ``channel`` is one channel or one per ensemble.
     """
     require_tp(channel)
     return chi(ensemble) - chi(ensemble.map(channel))
@@ -176,7 +188,8 @@ def check_partial_measurement_chain(ensemble: Ensemble, dims, povm_a: Povm,
 
         chi(E) >= chi((I (x) M_B) E) >= chi((M_A (x) M_B) E)
 
-    returned as the two successive margins."""
+    returned as the two successive margins; one pair of margins per
+    ensemble of a stack, each with its own POVMs (`Povm._stack`)."""
     d_a, d_b = (int(dims[0]), int(dims[1]))
     if d_a * d_b != ensemble.dim:
         raise ValueError(f"dims {dims!r} do not factor dimension {ensemble.dim}")

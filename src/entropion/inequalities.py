@@ -24,16 +24,15 @@ import numpy as np
 from .channels import (
     KrausMap,
     _channel,
+    _linear,
     _require_tp,
-    adjoint_channel,
-    apply_channel,
-    apply_linear,
     require_tp,
 )
 from .entropy import (
     _entropy,
     _relent,
     _relent_psd,
+    _rowdot,
     _same_shape,
     _scalar,
     _support_split,
@@ -41,40 +40,55 @@ from .entropy import (
 )
 from .matcore import (
     _density,
+    _eigh,
     _finite,
+    _first,
     _one_shape,
     _psd_stack,
     _psd_stacks,
     _spectral_function,
     _symmetrize,
+    _worst,
     as_matrix,
     as_psd,
-    hermitian_eig,
     partial_trace,
     partial_trace_pure,
     psd_eig,
     zero_band,
 )
-from .superop import SuperOpSpec, _resolvent, solve_resolvent
+from .superop import SuperOpSpec, _resolvent
 
 SIMPLEX_TOL = 1e-12
 # Weights below this are clamped to exactly zero and the rest renormalized.
 WEIGHT_CLAMP = 1e-12
 
 
-def _simplex_weights(weights) -> np.ndarray:
+def _simplex_weights(weights, lead: int = 1) -> np.ndarray:
+    """Checked simplex weights, clamped and renormalized; with ``lead`` 2, a
+    stack of weight vectors, each checked as one."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
+    if w.ndim != lead or w.size == 0:
         raise ValueError("weights must be a nonempty 1-d sequence")
     if np.any(w < -SIMPLEX_TOL):
         raise ValueError("weights must be nonnegative")
-    if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
+    total = w.sum(axis=-1)
+    off = abs(total - 1.0) > SIMPLEX_TOL
+    if _worst(off):
+        raise ValueError(f"weights must sum to 1, got {_first(total, off)!r}")
     w = np.where(w < WEIGHT_CLAMP, 0.0, w)
-    s = w.sum()
-    if s <= 0.0:
+    s = w.sum(axis=-1, keepdims=True)
+    if np.any(s <= 0.0):
         raise ValueError("all weights clamped to zero")
     return w / s
+
+
+def _matrices(a, lead: int) -> np.ndarray:
+    """`as_matrix` of every matrix of a list (``lead`` 1), or of a stack of
+    such lists (``lead`` 2), in one call."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 + lead:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape[lead:]}")
+    return _finite(a)
 
 
 class Failure(NamedTuple):
@@ -146,24 +160,37 @@ class ConvexityInstance:
 
     ``ps`` and ``qs`` stack the pairs, validated by one ``eigvalsh`` and one
     ``eigh``, and ``terms`` holds each H(P_j, Q_j) from those spectra.
+    `ConvexityInstance._stack` holds a stack of instances of one member
+    count and dimension on leading axes.
     """
 
     __slots__ = ("weights", "ps", "qs", "terms")
 
     def __init__(self, weights, pairs):
-        self.weights = _simplex_weights(weights)
+        w = _simplex_weights(weights)
         pairs = list(pairs)
-        if len(pairs) != self.weights.size:
+        if len(pairs) != w.size:
             raise ValueError("one (P, Q) pair required per weight")
         _one_shape("all pairs must share one dimension", *pairs)
-        (ps, lam_p), (qs, spec_q) = _psd_stacks([[p for p, _ in pairs], [q for _, q in pairs]],
-                                                [False, True])
-        self.ps, self.qs = ps, qs
+        self._set(w, [p for p, _ in pairs], [q for _, q in pairs])
+
+    @classmethod
+    def _stack(cls, weights, pairs) -> "ConvexityInstance":
+        """Instances of weights (..., n) and pairs (..., n, 2, d, d), each
+        checked as the constructor checks one, in one call."""
+        out = cls.__new__(cls)
+        out._set(_simplex_weights(weights, 2), pairs[..., 0, :, :], pairs[..., 1, :, :])
+        return out
+
+    def _set(self, weights: np.ndarray, ps, qs) -> None:
+        (ps, lam_p), (qs, spec_q) = _psd_stacks([ps, qs], [False, True], weights.ndim)
+        self.weights, self.ps, self.qs = weights, ps, qs
         self.terms = _relent(ps, lam_p, spec_q)
         if np.isinf(self.terms).any():
             split = _support_split(ps, spec_q)
-            j = int(np.argmax(split.infinite))
-            raise ValueError(f"pair {j}: P has weight {split.ker_mass[j]:.3e} outside supp(Q)")
+            first = int(np.argmax(split.infinite))  # over all members of the stack, in order
+            raise ValueError(f"pair {first % weights.shape[-1]}: P has weight "
+                             f"{split.ker_mass.flat[first]:.3e} outside supp(Q)")
 
 
 class JointConvexityMargins(NamedTuple):
@@ -181,16 +208,22 @@ def check_joint_convexity(inst: ConvexityInstance) -> JointConvexityMargins:
 
     the last being the homogeneity step that upgrades subadditivity to
     convexity.  Each H is the kernel's on sums or multiples of the pairs.
+    Sums over j run in member order; a stack of instances gives one triple
+    of arrays.
     """
     x = inst.weights
-    scale = x[:, None, None]
-    weighted = float(np.dot(x, inst.terms))
-    margin = weighted - _relent_psd((scale * inst.ps).sum(axis=0), (scale * inst.qs).sum(axis=0))
-    subadditive = sum(inst.terms.tolist()) - _relent_psd(inst.ps.sum(axis=0), inst.qs.sum(axis=0))
-    on = x > 0.0
-    scaled = sum(np.ravel(_relent_psd(scale[on] * inst.ps[on], scale[on] * inst.qs[on])).tolist())
-    scaling_gap = abs(scaled - weighted)
-    return JointConvexityMargins(float(margin), float(subadditive), float(scaling_gap))
+    scale = x[..., None, None]
+    weighted = _rowdot(x, inst.terms)
+    margin = weighted - _relent_psd((scale * inst.ps).sum(axis=-3), (scale * inst.qs).sum(axis=-3))
+    subadditive = _ordered_sum(inst.terms) - _relent_psd(inst.ps.sum(axis=-3), inst.qs.sum(axis=-3))
+    # a member of weight zero adds an exact 0
+    scaled = _ordered_sum(np.where(x > 0.0, _relent_psd(scale * inst.ps, scale * inst.qs), 0.0))
+    return JointConvexityMargins(*map(_scalar, (margin, subadditive, abs(scaled - weighted))))
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, left to right, as Python's ``sum`` adds."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 def check_schwarz_quadratic(a_list: Sequence, p_list: Sequence, q_list: Sequence, t: float) -> float:
@@ -200,23 +233,37 @@ def check_schwarz_quadratic(a_list: Sequence, p_list: Sequence, q_list: Sequence
     if not (len(a_list) == len(p_list) == len(q_list)) or not len(a_list):
         raise ValueError("need equally many A, P, Q entries")
     _one_shape("term shapes differ: {} vs {}", a_list, p_list, q_list)
-    (p, spec_p), (q, spec_q) = _psd_stacks([p_list, q_list], [True, True])
-    summed = SuperOpSpec(p.sum(axis=0), q.sum(axis=0), t)
-    a = np.stack([as_matrix(x) for x in a_list])
-    y = _resolvent(spec_p, spec_q, summed.t, a)
-    total = sum(np.sum(a.conj() * y, axis=(-2, -1)).real.tolist())
-    a_sum = a.sum(axis=0)
-    combined = float(np.sum(a_sum.conj() * solve_resolvent(summed, a_sum)).real)
-    return total - combined
+    return _schwarz_quadratic(a_list, p_list, q_list, t, 1)
+
+
+def _schwarz_quadratic(a, p, q, t, lead: int):
+    """`check_schwarz_quadratic` of one instance (``lead`` 1), or of a stack
+    of instances with term stacks (n_trials, n, d, d) and one t each
+    (``lead`` 2), validated in the same order."""
+    (p, spec_p), (q, spec_q) = _psd_stacks([p, q], [True, True], lead)
+    summed = SuperOpSpec._stack(p.sum(axis=-3), q.sum(axis=-3), t)
+    a = _matrices(a, lead)
+    y = _resolvent(spec_p, spec_q, summed.t[..., None, :, :], a)
+    total = _ordered_sum(np.sum(a.conj() * y, axis=(-2, -1)).real)
+    a_sum = a.sum(axis=-3)
+    y_sum = _resolvent(summed.left_spectrum, summed.right_spectrum, summed.t, a_sum)
+    return _scalar(total - np.sum(a_sum.conj() * y_sum, axis=(-2, -1)).real)
 
 
 def _inverse(spec) -> np.ndarray:
-    """P^{-1} from P's spectrum; ValueError when P is singular."""
+    """P^{-1} from P's spectrum, or of each matrix of a stack; ValueError
+    when P is singular."""
     return _spectral_function(spec, lambda x: 1.0 / x)
 
 
-def _min_eig(m) -> float:
-    return float(np.linalg.eigvalsh(_symmetrize(as_matrix(m)))[0])
+def _min_eig(m):
+    """The smallest eigenvalue of the Hermitian part of a finite matrix, or
+    of each matrix of a stack."""
+    return _scalar(np.linalg.eigvalsh(_symmetrize(_finite(m)))[..., 0])
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def check_operator_schwarz(a_list: Sequence, p_list: Sequence) -> float:
@@ -226,11 +273,18 @@ def check_operator_schwarz(a_list: Sequence, p_list: Sequence) -> float:
     if len(a_list) != len(p_list) or not len(a_list):
         raise ValueError("need equally many A and P entries")
     _one_shape("term shapes differ: {} vs {}", a_list, p_list)
-    a = np.stack([as_matrix(x) for x in a_list])
-    (p, spec), = _psd_stacks([p_list], [True])
-    lhs = (a.conj().swapaxes(-1, -2) @ _inverse(spec) @ a).sum(axis=0)
-    a_sum = a.sum(axis=0)
-    rhs = a_sum.conj().T @ _inverse(hermitian_eig(p.sum(axis=0))) @ a_sum
+    return _operator_schwarz(a_list, p_list, 1)
+
+
+def _operator_schwarz(a, p, lead: int):
+    """`check_operator_schwarz` of one instance (``lead`` 1), or of a stack
+    of instances (``lead`` 2), validated in the same order."""
+    a = _matrices(a, lead)
+    (p, spec), = _psd_stacks([p], [True], lead)
+    lhs = (_adjoint(a) @ _inverse(spec) @ a).sum(axis=-3)
+    a_sum = a.sum(axis=-3)
+    # a sum of exactly Hermitian matrices is exactly Hermitian
+    rhs = _adjoint(a_sum) @ _inverse(_eigh(p.sum(axis=-3))) @ a_sum
     return _min_eig(lhs - rhs)
 
 
@@ -241,18 +295,22 @@ def check_cp_schwarz(phi: KrausMap, a, b, p) -> tuple[float, float]:
         Phi(A^dag P^{-1} A) - Phi(A)^dag Phi(P)^{-1} Phi(A)
         Phi(A^dag A) - Phi(A^dag B) Phi(B^dag B)^{-1} Phi(B^dag A)
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    p, spec_p = psd_eig(p)
-    t1 = apply_linear(phi, a.conj().T @ _inverse(spec_p) @ a)
-    fa = apply_linear(phi, a)
-    fp_inv = _inverse(hermitian_eig(apply_channel(phi, p)))
-    m1 = _min_eig(t1 - fa.conj().T @ fp_inv @ fa)
+    return _cp_schwarz(phi.kraus_ops, as_matrix(a), as_matrix(b), *psd_eig(p))
 
-    t2 = apply_linear(phi, a.conj().T @ a)
-    g = apply_linear(phi, a.conj().T @ b)
-    h_inv = _inverse(hermitian_eig(apply_channel(phi, _symmetrize(b.conj().T @ b))))
-    m2 = _min_eig(t2 - g @ h_inv @ g.conj().T)
+
+def _cp_schwarz(k: np.ndarray, a: np.ndarray, b: np.ndarray, p: np.ndarray, spec_p):
+    """`check_cp_schwarz` of a Kraus stack and validated operands, or of
+    stacks of them (Kraus stacks (..., r, d_out, d_in))."""
+    t1 = _linear(k, _finite(_adjoint(a) @ _inverse(spec_p) @ a))
+    fa = _linear(k, a)
+    # the channel's images are exactly Hermitian
+    fp_inv = _inverse(_eigh(_finite(_channel(k, p))))
+    m1 = _min_eig(t1 - _adjoint(fa) @ fp_inv @ fa)
+
+    t2 = _linear(k, _finite(_adjoint(a) @ a))
+    g = _linear(k, _finite(_adjoint(a) @ b))
+    h_inv = _inverse(_eigh(_finite(_channel(k, _symmetrize(_adjoint(b) @ b)))))
+    m2 = _min_eig(t2 - g @ h_inv @ _adjoint(g))
     return m1, m2
 
 
@@ -261,7 +319,8 @@ class BlockContractionReport:
     """Equivalence of three positivity criteria for [[P, C], [C^dag, Q]]:
     the block matrix itself, the Schur complement Q - C^dag P^{-1} C, and
     the contraction bound on P^{-1/2} C Q^{-1/2}.  Margins within tol of
-    the boundary make the verdict indeterminate rather than failed."""
+    the boundary make the verdict indeterminate rather than failed.  With
+    arrays of criteria (a stack of instances) the verdicts are elementwise."""
 
     block_min_eig: float
     schur_min_eig: float
@@ -270,36 +329,34 @@ class BlockContractionReport:
 
     @property
     def indeterminate(self) -> bool:
-        return (
-            abs(self.block_min_eig) <= self.tol
-            or abs(self.schur_min_eig) <= self.tol
-            or abs(self.max_singular_value - 1.0) <= self.tol
-        )
+        return ((np.abs(self.block_min_eig) <= self.tol)
+                | (np.abs(self.schur_min_eig) <= self.tol)
+                | (np.abs(self.max_singular_value - 1.0) <= self.tol))
 
     @property
     def consistent(self) -> bool:
-        if self.indeterminate:
-            return True
         block = self.block_min_eig > 0.0
         schur = self.schur_min_eig > 0.0
         contraction = self.max_singular_value < 1.0
-        return block == schur == contraction
+        return self.indeterminate | ((block == schur) & (schur == contraction))
 
 
 def check_block_contraction(p, q, c, tol: float = 1e-9) -> BlockContractionReport:
-    p, spec_p = psd_eig(p)
-    q, spec_q = psd_eig(q)
-    c = as_matrix(c)
+    criteria = _block_contraction(*psd_eig(p), *psd_eig(q), as_matrix(c))
+    return BlockContractionReport(*map(float, criteria), float(tol))
+
+
+def _block_contraction(p, spec_p, q, spec_q, c):
+    """The three criteria of `check_block_contraction` for validated P, Q
+    (with their spectra) and finite C, or for stacks of them."""
     if c.shape != p.shape or p.shape != q.shape:
         raise ValueError("P, Q, C must share one square shape")
-    block = np.block([[p, c], [c.conj().T, q]])
-    block_min = _min_eig(block)
-    schur_min = _min_eig(q - c.conj().T @ _inverse(spec_p) @ c)
+    block_min = _min_eig(np.block([[p, c], [_adjoint(c), q]]))
+    schur_min = _min_eig(q - _adjoint(c) @ _inverse(spec_p) @ c)
     p_mhalf = _spectral_function(spec_p, lambda v: v ** -0.5)
     q_mhalf = _spectral_function(spec_q, lambda v: v ** -0.5)
     x = p_mhalf @ c @ q_mhalf
-    smax = float(np.linalg.svd(x, compute_uv=False)[0])
-    return BlockContractionReport(block_min, schur_min, smax, float(tol))
+    return block_min, schur_min, _scalar(np.linalg.svd(x, compute_uv=False)[..., 0])
 
 
 def check_monotonicity(rho, gamma, channel: KrausMap) -> float:
@@ -404,14 +461,17 @@ def check_adjoint_contraction(phi: KrausMap, p, q, a, t: float = 1.0) -> float:
 
     and the margin is lhs - rhs."""
     require_tp(phi)
-    p = as_psd(p)
-    q = as_psd(q)
-    a = as_matrix(a)
-    fp = apply_channel(phi, p)
-    fq = apply_channel(phi, q)
-    fa = apply_linear(phi, a)
-    x = solve_resolvent(SuperOpSpec(fp, fq, t), fa)
-    lhs = float(np.sum(x.conj() * (fp @ x + t * (x @ fq))).real)
-    back = apply_linear(adjoint_channel(phi), x)
-    rhs = float(np.sum(back.conj() * (p @ back + t * (back @ q))).real)
-    return lhs - rhs
+    return _adjoint_contraction(phi.kraus_ops, as_psd(p), as_psd(q), as_matrix(a), t)
+
+
+def _adjoint_contraction(k: np.ndarray, p: np.ndarray, q: np.ndarray, a: np.ndarray, t):
+    """`check_adjoint_contraction` of a trace-preserving Kraus stack and
+    validated operands, or of stacks of them with one t each."""
+    fp = _channel(k, p)
+    fq = _channel(k, q)
+    spec = SuperOpSpec._stack(fp, fq, t)
+    x = _resolvent(spec.left_spectrum, spec.right_spectrum, spec.t, _finite(_linear(k, a)))
+    lhs = np.sum(x.conj() * (fp @ x + spec.t * (x @ fq)), axis=(-2, -1)).real
+    back = _linear(_adjoint(k), _finite(x))
+    rhs = np.sum(back.conj() * (p @ back + spec.t * (back @ q)), axis=(-2, -1)).real
+    return _scalar(lhs - rhs)

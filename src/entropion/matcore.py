@@ -103,9 +103,14 @@ def _worst(x):
     return x.max() if x.ndim else x
 
 
-def _hermitian(a: np.ndarray) -> np.ndarray:
+# Scales from which (a + a^dag) / 2 can overflow in the sum.
+_HUGE = 2.0 ** 1022
+
+
+def _hermitian(a: np.ndarray, huge: float = _HUGE) -> np.ndarray:
     """`as_hermitian`'s checks on a complex matrix or (n, d, d) stack, each
-    matrix held to its own scale."""
+    matrix held to its own scale; scales from ``huge`` up are checked on
+    a / 4."""
     scale = float(np.abs(a).max()) if a.size else 0.0
     # |z| overflows to inf for finite entries near the float limit, so an
     # infinite scale alone does not prove a non-finite entry
@@ -114,13 +119,14 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     r, c = a.shape[-2:]
     if r != c:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not math.isfinite(scale):
+    if scale >= huge:
         if a.ndim > 2:
             return np.stack([_hermitian(m) for m in a])
-        # every entry is finite but a modulus overflowed: check a / 4, which
-        # is exact and has finite moduli (a defect is reported at that
-        # scale), then scale the result back
-        return _hermitian(a * 0.25) * 4.0
+        # every entry is finite but a modulus, or the sum a + a^dag, may
+        # overflow: check a / 4, which is exact, has finite moduli and parts
+        # below 2^1022 (a defect is reported at that scale), then scale the
+        # result back
+        return _hermitian(a * 0.25, math.inf) * 4.0
     h = a.conj().swapaxes(-1, -2)
     if a.size and np.abs(a - h).max() > HERMITICITY_TOL:
         # only a defect above the tolerance needs each matrix's own scale
@@ -185,20 +191,24 @@ def _one_shape(message: str, *lists) -> None:
         raise ValueError(message.format(*shapes[:2])) from None
 
 
-def _psd_stacks(lists, vectors) -> list:
+def _psd_stacks(lists, vectors, lead: int = 1) -> list:
     """`psd_eigvalsh` of each list of same-shape matrices as one stack, or
-    `psd_eig` where its flag in ``vectors`` is set.  On a failure the
-    matrices are validated alone, the j-th of every list before any
-    (j + 1)-th, so the error is the first defective one's own."""
+    `psd_eig` where its flag in ``vectors`` is set; with ``lead`` > 1 each
+    list is a stack of such lists, one per trial, on leading axes.  On a
+    failure the matrices are validated alone, trial by trial and the j-th
+    of every list before any (j + 1)-th, so the error is the first
+    defective one's own."""
     try:
         out = []
         for ms, vec in zip(lists, vectors):
             a = np.asarray(ms, dtype=complex)
-            if a.ndim != 3:
+            if a.ndim != 2 + lead:
                 raise ValueError(f"expected a stack of matrices, got shape {a.shape}")
             out.append(_psd_stack(a, vec))
         return out
     except ValueError:
+        if lead > 1:
+            lists = [np.reshape(ms, (-1, *np.shape(ms)[-2:])) for ms in lists]
         for members in zip(*lists):
             for m, vec in zip(members, vectors):
                 _psd(as_hermitian(m), vec)

@@ -34,7 +34,10 @@ per call for n x n matrices, so memory stays bounded in --trials and d.
 A group that raises is checked again trial by trial through ``check``, so
 each error and kernel skip lands on its own trial with its own class and
 message.  Any other registry entry, a ``Suite`` without ``batch`` or a
-plain ``(rng, d) -> (margin, instance)`` callable, runs trial by trial.
+plain ``(rng, d) -> (margin, instance)`` callable, runs trial by trial:
+here ``relent_routes``, ``scalar_identity``, ``homogeneity``, ``ssa``,
+``pure_states`` and ``purification``.  Checks that combine several
+margins take the least by `_least`, which keeps a NaN from any of them.
 """
 
 from __future__ import annotations
@@ -52,14 +55,14 @@ from .channels import (
     _channel,
     _dephase,
     _dephase_via_z,
+    _dilate,
     _purify,
     _square,
     ancilla_representation,
-    apply_ancilla,
-    apply_channel,
     identity_channel,
     povm_channel,
     purify,
+    require_tp,
     tensor_channel,
     trace_out_channel,
 )
@@ -77,6 +80,7 @@ from .entropy import (
 from .holevo import (
     Ensemble,
     _chi,
+    _marginals,
     check_holevo_bound,
     check_partial_measurement_chain,
     chi,
@@ -85,21 +89,21 @@ from .holevo import (
     yuen_ozawa_gap,
 )
 from .inequalities import (
+    BlockContractionReport,
     CheckReport,
     ConvexityInstance,
     Failure,
     TrialError,
+    _adjoint_contraction,
+    _block_contraction,
+    _cp_schwarz,
     _monotonicity,
+    _operator_schwarz,
     _pure_state_lemmas,
+    _schwarz_quadratic,
     _ssa,
-    check_adjoint_contraction,
-    check_block_contraction,
-    check_cp_schwarz,
     check_joint_convexity,
-    check_monotonicity,
-    check_operator_schwarz,
     check_pure_state_lemmas,
-    check_schwarz_quadratic,
 )
 from .matcore import (
     KernelObstruction,
@@ -107,15 +111,14 @@ from .matcore import (
     _density,
     _finite,
     _from_spectrum,
+    _hermitian,
     _kron,
     _partial_trace,
     _psd,
     _psd_stack,
     _symmetrize,
     max_abs,
-    partial_trace,
     partial_trace_pure,
-    tensor,
 )
 from .randgen import (
     RngState,
@@ -156,10 +159,11 @@ def _batched(draw, batch, local_dims: bool = False) -> Suite:
 
 
 def _least(first, *rest):
-    """``min`` of margins, elementwise over a stack of trials: the earlier
-    margin stands where a later one is equal or NaN, as in ``min``."""
+    """``min`` of margins, elementwise over a stack of trials, except that a
+    NaN from any margin is kept, so a NaN margin is a failure: otherwise the
+    earlier margin stands where a later one is equal, as in ``min``."""
     for x in rest:
-        first = np.where(x < first, x, first)
+        first = np.where((x < first) | np.isnan(x), x, first)
     return first
 
 
@@ -270,9 +274,9 @@ def _draw_joint_convexity(rng: RngState, d: int):
     return random_simplex(n, rng), [_psd_pair(rng, d) for _ in range(n)]
 
 
-def _check_joint_convexity(weights, pairs) -> float:
-    res = check_joint_convexity(ConvexityInstance(weights, pairs))
-    return min(res.margin, res.subadditive_margin, -res.scaling_gap)
+def _check_joint_convexity(weights, pairs):
+    res = check_joint_convexity(ConvexityInstance._stack(weights, pairs))
+    return _least(res.margin, res.subadditive_margin, -res.scaling_gap)
 
 
 _SCHWARZ_TS = (0.0, 0.5, 1.0, 10.0)
@@ -307,12 +311,18 @@ def _draw_block_contraction(rng: RngState, d: int):
     return p, q, _sqrt_psd(p) @ (g * (target / smax)) @ _sqrt_psd(q)
 
 
-def _check_block_contraction(p, q, c) -> float:
-    rep = check_block_contraction(p, q, c, tol=1e-9)
-    scores = (abs(rep.block_min_eig), abs(rep.schur_min_eig), abs(rep.max_singular_value - 1.0))
-    if rep.indeterminate:
-        return 0.0
-    return min(scores) if rep.consistent else -max(scores)
+def _check_cp_schwarz(kraus, a, b, p):
+    k = KrausMap._stack(kraus).kraus_ops
+    return _least(*_cp_schwarz(k, _finite(a), _finite(b), *_psd_stack(p, True)))
+
+
+def _check_block_contraction(p, q, c):
+    criteria = _block_contraction(*_psd_stack(p, True), *_psd_stack(q, True), _finite(c))
+    rep = BlockContractionReport(*criteria, 1e-9)
+    scores = (np.abs(rep.block_min_eig), np.abs(rep.schur_min_eig), np.abs(rep.max_singular_value - 1.0))
+    margin = np.where(rep.consistent, _least(*scores), _least(*(-s for s in scores)))
+    # an indeterminate verdict scores 0, unless a criterion is NaN: a failure
+    return np.where(rep.indeterminate & ~np.isnan(margin), 0.0, margin)
 
 
 def _check_monotonicity_dephase(rho, gamma):
@@ -365,6 +375,11 @@ def _draw_adjoint_quadratic(rng: RngState, d: int):
     return kraus, p, q, a, _ADJOINT_TS[rng.integer(len(_ADJOINT_TS))]
 
 
+def _check_adjoint_quadratic(kraus, p, q, a, t):
+    k = require_tp(KrausMap._stack(kraus)).kraus_ops
+    return _adjoint_contraction(k, _psd_stack(p, False)[0], _psd_stack(q, False)[0], _finite(a), t)
+
+
 def _check_holevo_identities(weights, states):
     ens = Ensemble._stack(weights, states)
     val = chi(ens)
@@ -382,31 +397,29 @@ def _draw_holevo_chain(rng: RngState, d: int):
     return weights, states, effects_a, random_povm(d, 2 + rng.integer(2), rng)
 
 
-def _check_holevo_chain(weights, states, effects_a, effects_b) -> float:
-    ens = Ensemble(weights, states)
-    dims = _bipartite(states[0])
-    return min(check_partial_measurement_chain(ens, dims, Povm(effects_a), Povm(effects_b)))
+def _check_holevo_chain(weights, states, effects_a, effects_b):
+    ens = Ensemble._stack(weights, states)
+    return _least(*check_partial_measurement_chain(ens, _bipartite(states), Povm._stack(effects_a),
+                                                   Povm._stack(effects_b)))
 
 
-def _check_holevo_routes(weights, states, effects) -> float:
-    ens = Ensemble(weights, states)
-    phi = povm_channel(Povm(effects))
+def _check_holevo_routes(weights, states, effects):
+    ens = Ensemble._stack(weights, states)
+    phi = povm_channel(Povm._stack(effects))
     out = ens.map(phi)
     # route one: member-by-member data processing, with each average
     # decomposed once and the members and images read, as one stack each,
     # through the spectra that validated them
     avg, spec_avg = ens._average(True)
     spec_out = _psd(_channel(phi.kraus_ops, avg), True)[1]
-    per_member = float(np.min(_relent(ens.states, ens.spectra, spec_avg)
-                              - _relent(out.states, out.spectra, spec_out)))
+    per_member = np.min(ens._divergences(spec_avg) - out._divergences(spec_out), axis=-1)
     # route two: data processing on the flagged state
-    product = tensor(avg, np.diag(ens.weights))
     big_phi = tensor_channel(phi, identity_channel(len(ens)))
-    qc_margin = check_monotonicity(flagged_state(ens), product, big_phi)
+    qc_margin = _monotonicity(flagged_state(ens), _marginals(ens), big_phi.kraus_ops)
     # route three: chi(E) - chi(Phi E), concavity of rho -> S(rho) - S(Phi rho),
     # with both averages read from route one's decompositions
     conc_margin = _chi(ens, spec_avg.eigenvalues) - _chi(out, spec_out.eigenvalues)
-    return min(per_member, qc_margin, conc_margin)
+    return _least(per_member, qc_margin, conc_margin)
 
 
 def _check_klein(p, q):
@@ -428,14 +441,15 @@ def _draw_ancilla(rng: RngState, d: int):
     return kraus, _mixed_rank_density(rng, d)
 
 
-def _check_ancilla(kraus, rho) -> float:
-    phi = KrausMap(kraus)
+def _check_ancilla(kraus, rho):
+    phi = KrausMap._stack(kraus)
     rep = ancilla_representation(phi)
-    joint = apply_ancilla(rep, rho)
-    reduced = partial_trace(joint, (len(rho), rep.anc_dim), (0,))
-    err = max_abs(reduced - apply_channel(phi, rho))
-    entropy_gap = abs(von_neumann_entropy(joint) - von_neumann_entropy(rho))
-    return -max(err, entropy_gap)
+    rho = _hermitian(rho)
+    joint = _dilate(rep.unitary, rep.anc_dim, rho)
+    reduced = _partial_trace(_finite(joint), (rho.shape[-1], rep.anc_dim), (0,))
+    err = _max_abs(reduced - _channel(phi.kraus_ops, rho))
+    entropies = (_entropy(_psd_stack(m, False, True)[1]) for m in (joint, rho))
+    return _least(-err, -np.abs(next(entropies) - next(entropies)))
 
 
 def _check_purification(rho) -> float:
@@ -465,12 +479,12 @@ SUITES: dict[str, Suite] = {
     "relent_routes": Suite(_psd_pair, _check_relent_routes),
     "scalar_identity": Suite(lambda rng, d: (10.0 ** (-2.0 + 4.0 * rng.uniform()),),
                              _check_scalar_identity),
-    "joint_convexity": Suite(_draw_joint_convexity, _check_joint_convexity),
-    "schwarz_quadratic": Suite(_draw_schwarz_quadratic, check_schwarz_quadratic),
-    "operator_schwarz": Suite(_draw_operator_schwarz, check_operator_schwarz),
-    "cp_schwarz": Suite(_draw_cp_schwarz,
-                        lambda kraus, a, b, p: min(check_cp_schwarz(KrausMap(kraus), a, b, p))),
-    "block_contraction": Suite(_draw_block_contraction, _check_block_contraction),
+    "joint_convexity": _batched(_draw_joint_convexity, _check_joint_convexity),
+    "schwarz_quadratic": _batched(_draw_schwarz_quadratic,
+                                  lambda a, p, q, t: _schwarz_quadratic(a, p, q, t, 2)),
+    "operator_schwarz": _batched(_draw_operator_schwarz, lambda a, p: _operator_schwarz(a, p, 2)),
+    "cp_schwarz": _batched(_draw_cp_schwarz, _check_cp_schwarz),
+    "block_contraction": _batched(_draw_block_contraction, _check_block_contraction),
     "monotonicity_dephase": _batched(_state_pair, _check_monotonicity_dephase),
     "monotonicity_ptrace": _batched(lambda rng, d: _state_pair(rng, d * d),
                                     _check_monotonicity_ptrace, local_dims=True),
@@ -484,30 +498,27 @@ SUITES: dict[str, Suite] = {
                  _check_ssa, local_dims=True),
     "concavity_condent": _batched(lambda rng, d: _ensemble(rng, d * d), _check_concavity_condent,
                                   local_dims=True),
-    "concavity_channel": Suite(
+    "concavity_channel": _batched(
         lambda rng, d: (*_ensemble(rng, d), random_cptp(d, 2 + rng.integer(3), rng)),
-        lambda weights, states, kraus: check_holevo_bound(Ensemble(weights, states),
-                                                          KrausMap(kraus)),
+        lambda weights, states, kraus: check_holevo_bound(Ensemble._stack(weights, states),
+                                                          KrausMap._stack(kraus)),
     ),
     "pure_states": Suite(lambda rng, d: (random_unit_vector(d * (d + rng.integer(3)), rng),),
                          _check_pure_states, local_dims=True),
-    "adjoint_quadratic": Suite(
-        _draw_adjoint_quadratic,
-        lambda kraus, p, q, a, t: check_adjoint_contraction(KrausMap(kraus), p, q, a, t),
-    ),
+    "adjoint_quadratic": _batched(_draw_adjoint_quadratic, _check_adjoint_quadratic),
     "holevo_identities": _batched(_ensemble, _check_holevo_identities),
-    "holevo_bound": Suite(
+    "holevo_bound": _batched(
         _ensemble_povm,
-        lambda weights, states, effects: check_holevo_bound(Ensemble(weights, states),
-                                                            povm_channel(Povm(effects))),
+        lambda weights, states, effects: check_holevo_bound(Ensemble._stack(weights, states),
+                                                            povm_channel(Povm._stack(effects))),
     ),
-    "holevo_chain": Suite(_draw_holevo_chain, _check_holevo_chain, local_dims=True),
-    "holevo_routes": Suite(_ensemble_povm, _check_holevo_routes),
+    "holevo_chain": _batched(_draw_holevo_chain, _check_holevo_chain, local_dims=True),
+    "holevo_routes": _batched(_ensemble_povm, _check_holevo_routes),
     "klein": _batched(_psd_pair, _check_klein),
     "homogeneity": Suite(lambda rng, d: (_scaled_psd(rng, d), _scaled_psd(rng, d)),
                          _check_homogeneity),
     "dephase_z": _batched(lambda rng, d: (random_matrix(d, d, rng),), _check_dephase_z),
-    "ancilla": Suite(_draw_ancilla, _check_ancilla),
+    "ancilla": _batched(_draw_ancilla, _check_ancilla),
     "purification": Suite(lambda rng, d: (_mixed_rank_density(rng, d),), _check_purification),
     "condent_identity": _batched(lambda rng, d: (_mixed_rank_density(rng, d * d),),
                                  _check_condent_identity, local_dims=True),

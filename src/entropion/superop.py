@@ -46,11 +46,12 @@ class SuperOpSpec:
 
     @classmethod
     def _stack(cls, left, right, t) -> "SuperOpSpec":
-        """Maps of stacked multipliers and a 1-d array of t, each checked as
-        the constructor checks one, in one call."""
+        """Maps of stacked multipliers and an array of t, one per map (a
+        float t for one map is held as shape (1, 1)), each checked as the
+        constructor checks one, in one call."""
         spec = cls.__new__(cls)
         spec._set(*_psd_stack(left, True), *_psd_stack(right, True),
-                  np.asarray(t, dtype=float)[:, None, None])
+                  np.asarray(t, dtype=float)[..., None, None])
         return spec
 
     def _set(self, left, left_spectrum, right, right_spectrum, t) -> None:

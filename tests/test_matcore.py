@@ -97,6 +97,13 @@ def test_as_hermitian_near_the_float_limit():
     assert np.array_equal(h, big)
 
 
+def test_as_hermitian_keeps_finite_entries_whose_sum_overflows():
+    # every modulus is finite here, but a + a^dag is not: 2^1023 + 2^1023
+    big = 2.0 ** 1023 * np.array([[1.5, 0.3], [0.3, 1.0]]) / 1.5
+    h = as_hermitian(big)  # a RuntimeWarning is an error in this test suite
+    assert np.array_equal(h.view(np.uint64), big.astype(complex).view(np.uint64))
+
+
 def test_as_psd_and_density():
     as_psd([[1, 0], [0, 0]])
     with pytest.raises(ValueError):

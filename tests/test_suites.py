@@ -387,7 +387,8 @@ def test_holevo_chain_forms_no_kronecker_products(monkeypatch):
 
 def test_flagged_state_forms_no_kronecker_products(monkeypatch):
     # gamma_QC is block diagonal: its blocks are written in place, never
-    # built as one np.kron per member
+    # built as one np.kron per member; one flagged state per stacked call,
+    # that is per group of same-shape trials
     calls = {"inside": 0, "flagged": 0}
     kron, flagged_state = np.kron, suites_mod.flagged_state
     inside = []
@@ -406,9 +407,11 @@ def test_flagged_state_forms_no_kronecker_products(monkeypatch):
 
     monkeypatch.setattr(np, "kron", counted)
     monkeypatch.setattr(suites_mod, "flagged_state", traced)
-    rep = run_suite("holevo_routes", trials=4)
+    groups = {(d, *map(np.shape, suites_mod.SUITES["holevo_routes"].draw(RngState(42).child(i), d)))
+              for i, d in enumerate((2, 3) * 20)}
+    rep = run_suite("holevo_routes", trials=40)
     assert rep.passed
-    assert calls == {"inside": 0, "flagged": 4}
+    assert calls == {"inside": 0, "flagged": len(groups)} and len(groups) < 40
 
 
 def test_ssa_and_pure_states_trials_decompose_nothing_twice(monkeypatch):
@@ -488,7 +491,9 @@ def test_homogeneity_keeps_failing_its_ill_conditioned_trial():
 BATCHED = {
     "klein", "dephase_z", "resolvent_oracle", "monotonicity_dephase", "monotonicity_ptrace",
     "monotonicity_unitary", "monotonicity_general", "condent_identity", "holevo_identities",
-    "concavity_condent",
+    "concavity_condent", "holevo_chain", "holevo_routes", "joint_convexity", "holevo_bound",
+    "schwarz_quadratic", "cp_schwarz", "adjoint_quadratic", "concavity_channel", "ancilla",
+    "block_contraction", "operator_schwarz",
 }
 
 
@@ -519,6 +524,55 @@ def test_klein_batch_solves_once_per_dimension_group(monkeypatch):
     assert (len(seen["eigh"]), len(seen["eigvalsh"])) == (25 + roots, 25)
 
 
+def test_holevo_bound_batch_solves_once_per_shape_group(monkeypatch):
+    # per group of same (d, member count, effect count): one eigvalsh of the
+    # members, of their images and of each average, and one eigh of the
+    # effects, whatever the number of trials in the group; the draws add
+    # their own solves (random_povm), counted apart
+    suite = suites_mod.SUITES["holevo_bound"]
+    calls = {"eigh": 0, "eigvalsh": 0}
+    _record_solves(monkeypatch, calls)
+    instances = [suite.draw(RngState(42).child(i), (2, 3)[i % 2]) for i in range(25)]
+    drawn = dict(calls)
+    groups = {((2, 3)[i % 2], *map(np.shape, x)) for i, x in enumerate(instances)}
+    calls.update(eigh=0, eigvalsh=0)
+    assert run_suite("holevo_bound", dims=(2, 3), trials=25).passed
+    assert len(groups) < 25
+    assert calls == {"eigh": drawn["eigh"] + len(groups), "eigvalsh": drawn["eigvalsh"] + 4 * len(groups)}
+
+
+@pytest.mark.parametrize("name, target, plant", [
+    ("joint_convexity", "check_joint_convexity",
+     lambda real: lambda inst: real(inst)._replace(subadditive_margin=real(inst).margin * math.nan)),
+    ("holevo_routes", "_monotonicity", lambda real: lambda *args: real(*args) * math.nan),
+    ("block_contraction", "_block_contraction",
+     lambda real: lambda *args: (*real(*args)[:2], real(*args)[2] * math.nan)),
+    ("cp_schwarz", "_cp_schwarz", lambda real: lambda *args: (real(*args)[0], real(*args)[1] * math.nan)),
+    ("holevo_chain", "check_partial_measurement_chain",
+     lambda real: lambda *args: (real(*args)[0], real(*args)[1] * math.nan)),
+    ("holevo_identities", "chi_via_qc", lambda real: lambda ens: real(ens) * math.nan),
+])
+def test_a_nan_in_a_later_margin_is_a_failure(monkeypatch, name, target, plant):
+    # min() would pass over a NaN that is not its first argument; the checks
+    # that combine margins keep it, so every trial fails with a NaN margin
+    monkeypatch.setattr(suites_mod, target, plant(getattr(suites_mod, target)))
+    rep = run_suite(name, dims=(2,), trials=6, seed=42)
+    assert [f.trial for f in rep.failures] == list(range(6))
+    assert all(math.isnan(f.margin) for f in rep.failures)
+    assert math.isnan(rep.worst_margin) and rep.errors == ()
+
+
+def test_least_keeps_min_bits_and_any_nan():
+    least = suites_mod._least
+    assert float(least(0.5, 0.25, 0.75)) == 0.25
+    assert math.copysign(1.0, float(least(0.0, -0.0))) == 1.0  # the earlier of equal margins
+    assert math.copysign(1.0, float(least(-0.0, 0.0))) == -1.0
+    for args in ((math.nan, 1.0), (1.0, math.nan), (1.0, 0.5, math.nan), (1.0, math.nan, -1.0)):
+        assert math.isnan(float(least(*args))), args
+    got = least(np.array([1.0, 2.0, 3.0]), np.array([0.5, math.nan, 4.0]))
+    assert got[0] == 0.5 and math.isnan(got[1]) and got[2] == 3.0
+
+
 def _negate_a_member(instance):
     weights, states = instance
     return weights, [states[0], -states[1], *states[2:]]
@@ -541,6 +595,27 @@ def _off_support(instance):
     return np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 0.5, 0.5]).astype(complex)
 
 
+def _povm_off_identity(instance):
+    weights, states, effects = instance
+    return weights, states, [1.5 * effects[0], *effects[1:]]
+
+
+def _support_violating_pair(instance):
+    weights, pairs = instance
+    bad = np.diag([1.0, 0.0, 0.0]).astype(complex), np.diag([0.0, 0.5, 0.5]).astype(complex)
+    return weights, [pairs[0], bad, *pairs[2:]]
+
+
+def _not_trace_preserving(instance):
+    weights, states, kraus = instance
+    return weights, states, 1.1 * np.asarray(kraus)
+
+
+def _singular_p(instance):
+    a, ps = instance
+    return a, [ps[0], np.diag([1.0, 0.0, 0.0]).astype(complex), *ps[2:]]
+
+
 def _relent_psd_at_ground_state(value):
     # the channel output's relative entropy, planted at ``value`` where P is
     # |0><0| exactly: only the planted trial of a stack is hit
@@ -548,18 +623,29 @@ def _relent_psd_at_ground_state(value):
     return lambda p, q: np.where(p[..., 0, 0].real == 1.0, value, real(p, q))
 
 
-@pytest.mark.parametrize("name, plant, kernel", [
-    ("holevo_identities", _negate_a_member, None),
-    ("resolvent_oracle", _joint_kernel, None),
-    ("monotonicity_dephase", _ground_state, math.inf),
-    ("monotonicity_dephase", _ground_state, math.nan),
-    ("klein", _off_support, None),
+@pytest.mark.parametrize("name, plant, kernel, error", [
+    ("holevo_identities", _negate_a_member, None, None),
+    ("resolvent_oracle", _joint_kernel, None, None),
+    ("monotonicity_dephase", _ground_state, math.inf, None),
+    ("monotonicity_dephase", _ground_state, math.nan, None),
+    ("klein", _off_support, None, None),
+    ("holevo_bound", _povm_off_identity, None,
+     ("ValueError", "effects do not sum to the identity (defect 9.524e-02)")),
+    ("joint_convexity", _support_violating_pair, None,
+     ("ValueError", "pair 1: P has weight 1.000e+00 outside supp(Q)")),
+    ("concavity_channel", _not_trace_preserving, None,
+     ("ValueError", "channel is not trace preserving (defect 2.100e-01)")),
+    ("operator_schwarz", _singular_p, None,
+     ("ValueError", "eigenvalue 0.0 outside the domain of f: float division by zero")),
 ])
-def test_a_planted_defect_lands_on_its_trial_only(monkeypatch, name, plant, kernel):
+def test_a_planted_defect_lands_on_its_trial_only(monkeypatch, name, plant, kernel, error):
     # trial 5 (d = 3) of a 12-trial run is replaced by a defective instance:
-    # a non-PSD member, a kernel obstruction, a one-sided infinity, a NaN
-    # and a support violation (a skip).  It is recorded against trial 5
-    # alone, as its own check records it, and no other margin moves
+    # a non-PSD member, a kernel obstruction, a one-sided infinity, a NaN,
+    # a support violation (a skip), POVM effects that do not sum to I, a
+    # support-violating convex pair, a non-trace-preserving channel and a
+    # singular P.  It is recorded against trial 5 alone, as its own check
+    # records it (``error``: the class and message that the trial-by-trial
+    # checks of the previous release gave), and no other margin moves
     if kernel is not None:
         monkeypatch.setattr(inequalities_mod, "_relent_psd", _relent_psd_at_ground_state(kernel))
     suite = suites_mod.SUITES[name]
@@ -582,6 +668,7 @@ def test_a_planted_defect_lands_on_its_trial_only(monkeypatch, name, plant, kern
         own = exc
     if isinstance(own, Exception):
         assert (type(margin), str(margin)) == (type(own), str(own))
+        assert error is None or (type(own).__name__, str(own)) == error
     else:
         assert float(margin).hex() == float(own).hex()
 
