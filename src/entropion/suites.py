@@ -448,8 +448,8 @@ def _check_ancilla(kraus, rho):
     joint = _dilate(rep.unitary, rep.anc_dim, rho)
     reduced = _partial_trace(_finite(joint), (rho.shape[-1], rep.anc_dim), (0,))
     err = _max_abs(reduced - _channel(phi.kraus_ops, rho))
-    entropies = (_entropy(_psd_stack(m, False, True)[1]) for m in (joint, rho))
-    return _least(-err, -np.abs(next(entropies) - next(entropies)))
+    s_joint, s_rho = (_entropy(_psd_stack(m, False, True)[1]) for m in (joint, rho))
+    return _least(-err, -np.abs(s_joint - s_rho))
 
 
 def _check_purification(rho) -> float:
