@@ -40,6 +40,7 @@ from .holevo import (
     check_partial_measurement_chain,
     chi,
     chi_via_qc,
+    flagged_marginals,
     flagged_state,
     yuen_ozawa_gap,
 )
@@ -69,7 +70,6 @@ from .matcore import (
     as_hermitian,
     as_matrix,
     as_psd,
-    hermitian_eig,
     matrix_from_json,
     matrix_function,
     matrix_to_json,

@@ -19,18 +19,18 @@ import numpy as np
 
 from .matcore import (
     Spectrum,
+    _array,
     _density,
     _finite,
     _first,
     _from_spectrum,
+    _hermitian,
     _kept_first,
     _kron,
     _one_shape,
     _psd_stacks,
     _symmetrize,
     _worst,
-    as_hermitian,
-    as_matrix,
     zero_band,
 )
 
@@ -40,9 +40,12 @@ POVM_TOL = 1e-10
 
 class KrausMap:
     """Completely positive map; ``kraus_ops`` stacks its Kraus operators as
-    (r, d_out, d_in).  `KrausMap._stack` holds a stack of channels of one
-    Kraus count and shape on leading axes, (..., r, d_out, d_in); the
-    functions below then act with each channel of the stack."""
+    (r, d_out, d_in).  The constructor takes one channel and refuses a 4-d
+    array, which a list of operator stacks would give: a stack of channels
+    has no shape of its own to tell it from that error.  So a stack of
+    channels of one Kraus count and shape, (..., r, d_out, d_in), is held
+    by `KrausMap._stack`, the one stacked constructor; the functions below
+    then act with each channel of the stack."""
 
     __slots__ = ("kraus_ops", "d_in", "d_out")
 
@@ -86,21 +89,18 @@ def _tp_defect(k: np.ndarray) -> np.ndarray:
 
 
 def require_tp(phi: KrausMap) -> KrausMap:
-    """The one trace-preservation check: raises unless sum K^dag K = I to TP_TOL."""
-    _require_tp(phi.kraus_ops)
+    """The one trace-preservation check: raises unless sum K^dag K = I to
+    TP_TOL, for a channel or for every channel of a stack."""
+    defect = _worst(_tp_defect(phi.kraus_ops))
+    if defect > TP_TOL:
+        raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
     return phi
 
 
-def _require_tp(k: np.ndarray) -> None:
-    """`require_tp` on a Kraus stack, or on every channel of a stack of them."""
-    defect = _worst(_tp_defect(k))
-    if defect > TP_TOL:
-        raise ValueError(f"channel is not trace preserving (defect {defect:.3e})")
-
-
 def apply_linear(phi: KrausMap, x) -> np.ndarray:
-    """sum_j K_j X K_j^dag on an arbitrary (square) operand."""
-    return _linear(phi.kraus_ops, as_matrix(x))
+    """sum_j K_j X K_j^dag on an arbitrary (square) operand, or on each of
+    a stack (..., d, d)."""
+    return _linear(phi.kraus_ops, _finite(_array(x)))
 
 
 # Entries of the products K_j X and K_j X K_j^dag that `_linear` forms at
@@ -130,14 +130,9 @@ def _linear(k: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def apply_channel(phi: KrausMap, rho) -> np.ndarray:
-    """Channel action on a Hermitian operand; output is re-symmetrized."""
-    return _channel(phi.kraus_ops, as_hermitian(rho))
-
-
-def _channel(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """`apply_channel` of the Kraus stack ``k`` on a validated operand or
-    stack: exactly Hermitian."""
-    return _symmetrize(_linear(k, rho))
+    """Channel action on a Hermitian operand, or on each of a stack
+    (..., d, d); the output is re-symmetrized, so exactly Hermitian."""
+    return _symmetrize(_linear(phi.kraus_ops, _hermitian(_array(rho))))
 
 
 def adjoint_channel(phi: KrausMap) -> KrausMap:
@@ -171,32 +166,27 @@ def trace_out_channel(dims, keep) -> KrausMap:
 
 
 def dephase(x) -> np.ndarray:
-    """Kill all off-diagonal entries (measurement in the standard basis)."""
-    return _dephase(_square(as_matrix(x), "dephase"))
-
-
-def _square(x: np.ndarray, name: str) -> np.ndarray:
-    if x.shape[-2] != x.shape[-1]:
-        raise ValueError(f"{name} needs a square matrix")
-    return x
-
-
-def _dephase(x: np.ndarray) -> np.ndarray:
-    """`dephase` of a square matrix or of each matrix of a stack."""
+    """Kill all off-diagonal entries (measurement in the standard basis), of
+    a square matrix or of each matrix of a stack."""
+    x = _square(x, "dephase")
     out = np.zeros_like(x)
     diag = np.arange(x.shape[-1])
     out[..., diag, diag] = x[..., diag, diag]
     return out
 
 
+def _square(x, name: str) -> np.ndarray:
+    x = _finite(_array(x))
+    if x.shape[-2] != x.shape[-1]:
+        raise ValueError(f"{name} needs a square matrix")
+    return x
+
+
 def dephase_via_z(x) -> np.ndarray:
     """Same projection as the average (1/d) sum_j Z^j X Z^{-j} over the
-    clock unitary Z = diag(1, w, ..., w^{d-1}), w = exp(2 pi i / d)."""
-    return _dephase_via_z(_square(as_matrix(x), "dephase_via_z"))
-
-
-def _dephase_via_z(x: np.ndarray) -> np.ndarray:
-    """`dephase_via_z` of a square matrix or of each matrix of a stack."""
+    clock unitary Z = diag(1, w, ..., w^{d-1}), w = exp(2 pi i / d); of a
+    square matrix or of each matrix of a stack."""
+    x = _square(x, "dephase_via_z")
     d = x.shape[-1]
     z = np.array([cmath.exp(2j * math.pi * k / d) for k in range(d)])
     out = np.zeros_like(x)
@@ -211,8 +201,9 @@ class Povm:
 
     ``effects`` is one (n, d, d) stack, and ``spectra`` the stacked
     `Spectrum` of the one ``eigh`` that validated it, so `povm_channel`
-    takes the square roots from it.  `Povm._stack` holds a stack of POVMs
-    of one effect count and dimension on leading axes, (..., n, d, d).
+    takes the square roots from it.  Effects (..., n, d, d) hold a stack
+    of POVMs of one effect count and dimension on leading axes, each
+    checked as one is.
     """
 
     __slots__ = ("effects", "spectra")
@@ -221,17 +212,9 @@ class Povm:
         if not len(effects):
             raise ValueError("need at least one effect")
         _one_shape("effect shapes differ", effects)
-        self._set(*_psd_stacks([effects], [True])[0])
-
-    @classmethod
-    def _stack(cls, effects) -> "Povm":
-        """POVMs (..., n, d, d), each checked as the constructor checks one,
-        in one call."""
-        out = cls.__new__(cls)
-        out._set(*_psd_stacks([effects], [True], np.ndim(effects) - 2)[0])
-        return out
-
-    def _set(self, ops: np.ndarray, spectra: Spectrum) -> None:
+        if np.ndim(effects) < 3:
+            raise ValueError(f"expected a stack of matrices, got shape {np.shape(effects)}")
+        ops, spectra = _psd_stacks([effects], [True])[0]
         defect = np.abs(ops.sum(axis=-3) - np.eye(ops.shape[-1])).max(axis=(-2, -1))
         off = defect > POVM_TOL
         if _worst(off):
@@ -311,15 +294,10 @@ def _dilation(k: np.ndarray) -> np.ndarray:
 def apply_ancilla(rep: AncillaRep, rho) -> np.ndarray:
     """Joint system+ancilla output U (rho (x) |0><0|) U^dag = W rho W^dag,
     where W = U[:, ::anc_dim] are the columns on |i> (x) |0>, the isometry
-    that `ancilla_representation` placed there."""
-    return _dilate(rep.unitary, rep.anc_dim, as_hermitian(rho))
-
-
-def _dilate(u: np.ndarray, anc_dim: int, rho: np.ndarray) -> np.ndarray:
-    """`apply_ancilla` of a dilation unitary and a validated operand, or of
-    each pair of two stacks of them."""
-    w = u[..., :: anc_dim]
-    return _symmetrize(w @ rho @ w.conj().swapaxes(-1, -2))
+    that `ancilla_representation` placed there; for a stack of dilations
+    or operands, one output per leading index."""
+    w = rep.unitary[..., :: rep.anc_dim]
+    return _symmetrize(w @ _hermitian(_array(rho)) @ w.conj().swapaxes(-1, -2))
 
 
 def purify(rho) -> np.ndarray:

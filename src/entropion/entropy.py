@@ -69,14 +69,13 @@ from .matcore import (
     Spectrum,
     _density,
     _from_spectrum,
-    _partial_trace,
     _psd,
     _psd_stack,
     _symmetrize,
     _worst,
     as_density,
+    partial_trace,
     psd_eig,
-    psd_eigvalsh,
     zero_band,
 )
 
@@ -185,16 +184,9 @@ def _relent(p: np.ndarray, lam_p: np.ndarray, q: Spectrum):
 
 
 def relative_entropy(p, q) -> float:
-    """H(P, Q) = Tr P (ln P - ln Q) on PSD pairs; +inf on support violation."""
-    p, lam_p = psd_eigvalsh(p)
-    q, spec_q = psd_eig(q)
-    _same_shape(p, q)
-    return _relent(p, lam_p, spec_q)
-
-
-def _relative_entropy(p, q):
-    """`relative_entropy` of one pair, or of each pair of two stacks, each
-    stack validated in one call."""
+    """H(P, Q) = Tr P (ln P - ln Q) on PSD pairs; +inf on support violation.
+    For stacks (..., d, d) of pairs, one value per pair, each stack
+    validated in one call."""
     p, lam_p = _psd_stack(p, False)
     q, spec_q = _psd_stack(q, True)
     _same_shape(p, q)
@@ -395,7 +387,7 @@ def conditional_entropy(rho_ab, dims) -> float:
 def _conditional(rho: np.ndarray, lam: np.ndarray, dims) -> float:
     """`conditional_entropy` of a validated density matrix, or of each of a
     stack, from its clipped eigenvalues."""
-    return _entropy(lam) - _entropy(_psd_stack(_partial_trace(rho, dims, (0,)), False, True)[1])
+    return _entropy(lam) - _entropy(_psd_stack(partial_trace(rho, dims, (0,)), False, True)[1])
 
 
 def bures_distance(p, q) -> float:

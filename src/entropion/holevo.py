@@ -18,21 +18,21 @@ import numpy as np
 from .channels import (
     KrausMap,
     Povm,
-    _channel,
+    _linear,
     identity_channel,
     povm_channel,
     require_tp,
     tensor_channel,
 )
-from .entropy import _entropy, _relative_entropy, _relent, _rowdot, _scalar
+from .entropy import _entropy, _relent, _rowdot, _scalar, relative_entropy
 from .matcore import (
     Spectrum,
     _first,
     _kron,
     _one_shape,
     _psd,
-    _psd_stack,
     _psd_stacks,
+    _symmetrize,
     _worst,
     require_unit_trace,
 )
@@ -43,40 +43,24 @@ class Ensemble:
 
     ``states`` is one (n, d, d) stack and ``spectra`` the (n, d) eigenvalues
     of the one ``eigvalsh`` that validated it, so the member entropies
-    decompose nothing again.  `Ensemble._stack` holds a stack of ensembles
-    of one member count and dimension on leading axes, weights (..., n) and
-    states (..., n, d, d); every function below then gives one value per
-    ensemble.
+    decompose nothing again.  Weights (..., n) and states (..., n, d, d)
+    hold a stack of ensembles of one member count and dimension on leading
+    axes, each checked as one is; every function below then gives one
+    value per ensemble.
     """
 
     __slots__ = ("weights", "states", "spectra")
 
     def __init__(self, weights, states):
         w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
+        if w.ndim < 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
         _check_weights(w)
-        if len(states) != w.size:
-            raise ValueError("one state per weight")
         _one_shape("ensemble states must share one dimension", states)
-        self._set(w, *_psd_stacks([states], [False])[0])
-
-    @classmethod
-    def _stack(cls, weights, states) -> "Ensemble":
-        """Ensembles (weights (..., n), states (..., n, d, d)) each checked
-        as the constructor checks one, in one call."""
-        w = np.asarray(weights, dtype=float)
-        _check_weights(w)
         if np.shape(states)[:-2] != w.shape:
             raise ValueError("one state per weight")
-        out = cls.__new__(cls)
-        out._set(w, *_psd_stack(states, False))
-        return out
-
-    def _set(self, weights: np.ndarray, states: np.ndarray, spectra: np.ndarray) -> None:
-        self.weights = weights
-        self.states = require_unit_trace(states)
-        self.spectra = spectra
+        states, self.spectra = _psd_stacks([states], [False])[0]
+        self.weights, self.states = w, require_unit_trace(states)
 
     @property
     def dim(self) -> int:
@@ -100,9 +84,8 @@ class Ensemble:
         unchanged.  One ``eigvalsh`` checks the (exactly Hermitian) images.
         For a stack of ensembles, ``phi`` is one channel or one per ensemble
         (`KrausMap._stack`)."""
-        out = Ensemble.__new__(Ensemble)
-        out._set(self.weights, *_psd(_channel(phi.kraus_ops[..., None, :, :, :], self.states), False))
-        return out
+        images = _symmetrize(_linear(phi.kraus_ops[..., None, :, :, :], self.states))
+        return Ensemble(self.weights, images)
 
     def _divergences(self, avg: Spectrum) -> np.ndarray:
         """H(rho_j, A) of every member, for the PSD matrix A of spectrum
@@ -156,7 +139,7 @@ def flagged_state(ensemble: Ensemble) -> np.ndarray:
     return out
 
 
-def _marginals(ensemble: Ensemble) -> np.ndarray:
+def flagged_marginals(ensemble: Ensemble) -> np.ndarray:
     """gamma_Q (x) gamma_C, the product of the flagged state's marginals."""
     w = ensemble.weights
     return _kron(ensemble.average(), (w[..., None] * np.eye(w.shape[-1])).astype(complex))
@@ -164,7 +147,7 @@ def _marginals(ensemble: Ensemble) -> np.ndarray:
 
 def chi_via_qc(ensemble: Ensemble) -> float:
     """chi as H(gamma_QC, gamma_Q (x) gamma_C) on the flagged state."""
-    return _relative_entropy(flagged_state(ensemble), _marginals(ensemble))
+    return relative_entropy(flagged_state(ensemble), flagged_marginals(ensemble))
 
 
 def check_holevo_bound(ensemble: Ensemble, channel: KrausMap) -> float:
@@ -189,7 +172,7 @@ def check_partial_measurement_chain(ensemble: Ensemble, dims, povm_a: Povm,
         chi(E) >= chi((I (x) M_B) E) >= chi((M_A (x) M_B) E)
 
     returned as the two successive margins; one pair of margins per
-    ensemble of a stack, each with its own POVMs (`Povm._stack`)."""
+    ensemble of a stack, each with its own POVMs (a `Povm` of stacked effects)."""
     d_a, d_b = (int(dims[0]), int(dims[1]))
     if d_a * d_b != ensemble.dim:
         raise ValueError(f"dims {dims!r} do not factor dimension {ensemble.dim}")

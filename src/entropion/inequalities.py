@@ -23,9 +23,10 @@ import numpy as np
 
 from .channels import (
     KrausMap,
-    _channel,
     _linear,
-    _require_tp,
+    adjoint_channel,
+    apply_channel,
+    apply_linear,
     require_tp,
 )
 from .entropy import (
@@ -39,35 +40,34 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .matcore import (
+    _array,
     _density,
     _eigh,
     _finite,
     _first,
+    _from_spectrum,
     _one_shape,
     _psd_stack,
     _psd_stacks,
     _spectral_function,
     _symmetrize,
     _worst,
-    as_matrix,
-    as_psd,
     partial_trace,
     partial_trace_pure,
-    psd_eig,
     zero_band,
 )
-from .superop import SuperOpSpec, _resolvent
+from .superop import SuperOpSpec, solve_resolvent
 
 SIMPLEX_TOL = 1e-12
 # Weights below this are clamped to exactly zero and the rest renormalized.
 WEIGHT_CLAMP = 1e-12
 
 
-def _simplex_weights(weights, lead: int = 1) -> np.ndarray:
-    """Checked simplex weights, clamped and renormalized; with ``lead`` 2, a
-    stack of weight vectors, each checked as one."""
+def _simplex_weights(weights) -> np.ndarray:
+    """Checked simplex weights, clamped and renormalized; a stack of weight
+    vectors (..., n) is checked as each one is."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != lead or w.size == 0:
+    if w.ndim < 1 or w.size == 0:
         raise ValueError("weights must be a nonempty 1-d sequence")
     if np.any(w < -SIMPLEX_TOL):
         raise ValueError("weights must be nonnegative")
@@ -82,12 +82,12 @@ def _simplex_weights(weights, lead: int = 1) -> np.ndarray:
     return w / s
 
 
-def _matrices(a, lead: int) -> np.ndarray:
-    """`as_matrix` of every matrix of a list (``lead`` 1), or of a stack of
-    such lists (``lead`` 2), in one call."""
+def _matrices(a) -> np.ndarray:
+    """`as_matrix` of every matrix of a list, or of a stack of such lists
+    on leading axes, in one call."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 + lead:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape[lead:]}")
+    if a.ndim < 3:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape[1:]}")
     return _finite(a)
 
 
@@ -160,8 +160,9 @@ class ConvexityInstance:
 
     ``ps`` and ``qs`` stack the pairs, validated by one ``eigvalsh`` and one
     ``eigh``, and ``terms`` holds each H(P_j, Q_j) from those spectra.
-    `ConvexityInstance._stack` holds a stack of instances of one member
-    count and dimension on leading axes.
+    Weights (..., n) and pairs (..., n, 2, d, d) hold a stack of instances
+    of one member count and dimension on leading axes, each checked as one
+    is.
     """
 
     __slots__ = ("weights", "ps", "qs", "terms")
@@ -169,27 +170,18 @@ class ConvexityInstance:
     def __init__(self, weights, pairs):
         w = _simplex_weights(weights)
         pairs = list(pairs)
-        if len(pairs) != w.size:
-            raise ValueError("one (P, Q) pair required per weight")
         _one_shape("all pairs must share one dimension", *pairs)
-        self._set(w, [p for p, _ in pairs], [q for _, q in pairs])
-
-    @classmethod
-    def _stack(cls, weights, pairs) -> "ConvexityInstance":
-        """Instances of weights (..., n) and pairs (..., n, 2, d, d), each
-        checked as the constructor checks one, in one call."""
-        out = cls.__new__(cls)
-        out._set(_simplex_weights(weights, 2), pairs[..., 0, :, :], pairs[..., 1, :, :])
-        return out
-
-    def _set(self, weights: np.ndarray, ps, qs) -> None:
-        (ps, lam_p), (qs, spec_q) = _psd_stacks([ps, qs], [False, True], weights.ndim)
-        self.weights, self.ps, self.qs = weights, ps, qs
+        pairs = np.asarray(pairs, dtype=complex)
+        if pairs.shape[:-2] != (*w.shape, 2):
+            raise ValueError("one (P, Q) pair required per weight")
+        (ps, lam_p), (qs, spec_q) = _psd_stacks([pairs[..., 0, :, :], pairs[..., 1, :, :]],
+                                                [False, True])
+        self.weights, self.ps, self.qs = w, ps, qs
         self.terms = _relent(ps, lam_p, spec_q)
         if np.isinf(self.terms).any():
             split = _support_split(ps, spec_q)
             first = int(np.argmax(split.infinite))  # over all members of the stack, in order
-            raise ValueError(f"pair {first % weights.shape[-1]}: P has weight "
+            raise ValueError(f"pair {first % w.shape[-1]}: P has weight "
                              f"{split.ker_mass.flat[first]:.3e} outside supp(Q)")
 
 
@@ -229,31 +221,35 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
 def check_schwarz_quadratic(a_list: Sequence, p_list: Sequence, q_list: Sequence, t: float) -> float:
     """Convexity of the resolvent quadratic form: the termwise sum
     sum_j Tr A_j^dag (L_{P_j} + t R_{Q_j})^{-1} A_j dominates the same form
-    at the summed data; the terms are one stacked solve."""
+    at the summed data; the terms are one stacked solve.  For stacks of
+    term lists (..., n, d, d) and t of the leading shape, one margin per
+    instance."""
     if not (len(a_list) == len(p_list) == len(q_list)) or not len(a_list):
         raise ValueError("need equally many A, P, Q entries")
     _one_shape("term shapes differ: {} vs {}", a_list, p_list, q_list)
-    return _schwarz_quadratic(a_list, p_list, q_list, t, 1)
-
-
-def _schwarz_quadratic(a, p, q, t, lead: int):
-    """`check_schwarz_quadratic` of one instance (``lead`` 1), or of a stack
-    of instances with term stacks (n_trials, n, d, d) and one t each
-    (``lead`` 2), validated in the same order."""
-    (p, spec_p), (q, spec_q) = _psd_stacks([p, q], [True, True], lead)
-    summed = SuperOpSpec._stack(p.sum(axis=-3), q.sum(axis=-3), t)
-    a = _matrices(a, lead)
-    y = _resolvent(spec_p, spec_q, summed.t[..., None, :, :], a)
+    t = np.asarray(t, dtype=float)
+    terms = SuperOpSpec(p_list, q_list, t[..., None])
+    summed = SuperOpSpec(terms.left.sum(axis=-3), terms.right.sum(axis=-3), t)
+    a = _matrices(a_list)
+    y = solve_resolvent(terms, a)
     total = _ordered_sum(np.sum(a.conj() * y, axis=(-2, -1)).real)
     a_sum = a.sum(axis=-3)
-    y_sum = _resolvent(summed.left_spectrum, summed.right_spectrum, summed.t, a_sum)
+    y_sum = solve_resolvent(summed, a_sum)
     return _scalar(total - np.sum(a_sum.conj() * y_sum, axis=(-2, -1)).real)
 
 
 def _inverse(spec) -> np.ndarray:
-    """P^{-1} from P's spectrum, or of each matrix of a stack; ValueError
-    when P is singular."""
-    return _spectral_function(spec, lambda x: 1.0 / x)
+    """P^{-1} from P's spectrum, or of each matrix of a stack, in one
+    vectorized call: 1 / x on an array has the bits of 1 / x on each float.
+    Where an entry is not finite (P singular), `_spectral_function`'s loop
+    gives the result, or its ValueError naming the eigenvalue."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _from_spectrum(spec, _reciprocal)
+    return out if np.isfinite(out).all() else _spectral_function(spec, _reciprocal)
+
+
+def _reciprocal(x):
+    return 1.0 / x
 
 
 def _min_eig(m):
@@ -269,18 +265,13 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def check_operator_schwarz(a_list: Sequence, p_list: Sequence) -> float:
     """Operator Schwarz inequality
     sum_k A_k^dag P_k^{-1} A_k >= (sum A)^dag (sum P)^{-1} (sum A),
-    reported as the smallest eigenvalue of the difference."""
+    reported as the smallest eigenvalue of the difference; for stacks of
+    term lists (..., n, d, d), one per instance."""
     if len(a_list) != len(p_list) or not len(a_list):
         raise ValueError("need equally many A and P entries")
     _one_shape("term shapes differ: {} vs {}", a_list, p_list)
-    return _operator_schwarz(a_list, p_list, 1)
-
-
-def _operator_schwarz(a, p, lead: int):
-    """`check_operator_schwarz` of one instance (``lead`` 1), or of a stack
-    of instances (``lead`` 2), validated in the same order."""
-    a = _matrices(a, lead)
-    (p, spec), = _psd_stacks([p], [True], lead)
+    a = _matrices(a_list)
+    (p, spec), = _psd_stacks([p_list], [True])
     lhs = (_adjoint(a) @ _inverse(spec) @ a).sum(axis=-3)
     a_sum = a.sum(axis=-3)
     # a sum of exactly Hermitian matrices is exactly Hermitian
@@ -294,22 +285,21 @@ def check_cp_schwarz(phi: KrausMap, a, b, p) -> tuple[float, float]:
 
         Phi(A^dag P^{-1} A) - Phi(A)^dag Phi(P)^{-1} Phi(A)
         Phi(A^dag A) - Phi(A^dag B) Phi(B^dag B)^{-1} Phi(B^dag A)
+
+    For stacks of channels (`KrausMap._stack`) or operands, one pair of
+    margins per leading index.
     """
-    return _cp_schwarz(phi.kraus_ops, as_matrix(a), as_matrix(b), *psd_eig(p))
-
-
-def _cp_schwarz(k: np.ndarray, a: np.ndarray, b: np.ndarray, p: np.ndarray, spec_p):
-    """`check_cp_schwarz` of a Kraus stack and validated operands, or of
-    stacks of them (Kraus stacks (..., r, d_out, d_in))."""
-    t1 = _linear(k, _finite(_adjoint(a) @ _inverse(spec_p) @ a))
-    fa = _linear(k, a)
+    a, b = _finite(_array(a)), _finite(_array(b))
+    p, spec_p = _psd_stack(p, True)
+    t1 = apply_linear(phi, _adjoint(a) @ _inverse(spec_p) @ a)
+    fa = apply_linear(phi, a)
     # the channel's images are exactly Hermitian
-    fp_inv = _inverse(_eigh(_finite(_channel(k, p))))
+    fp_inv = _inverse(_eigh(_finite(apply_channel(phi, p))))
     m1 = _min_eig(t1 - _adjoint(fa) @ fp_inv @ fa)
 
-    t2 = _linear(k, _finite(_adjoint(a) @ a))
-    g = _linear(k, _finite(_adjoint(a) @ b))
-    h_inv = _inverse(_eigh(_finite(_channel(k, _symmetrize(_adjoint(b) @ b)))))
+    t2 = apply_linear(phi, _adjoint(a) @ a)
+    g = apply_linear(phi, _adjoint(a) @ b)
+    h_inv = _inverse(_eigh(_finite(apply_channel(phi, _symmetrize(_adjoint(b) @ b)))))
     m2 = _min_eig(t2 - g @ h_inv @ _adjoint(g))
     return m1, m2
 
@@ -342,21 +332,23 @@ class BlockContractionReport:
 
 
 def check_block_contraction(p, q, c, tol: float = 1e-9) -> BlockContractionReport:
-    criteria = _block_contraction(*psd_eig(p), *psd_eig(q), as_matrix(c))
-    return BlockContractionReport(*map(float, criteria), float(tol))
-
-
-def _block_contraction(p, spec_p, q, spec_q, c):
-    """The three criteria of `check_block_contraction` for validated P, Q
-    (with their spectra) and finite C, or for stacks of them."""
+    """The three criteria of `BlockContractionReport` for PSD P, Q and a
+    matrix C of one square shape, or for stacks of them (arrays of
+    criteria)."""
+    p, spec_p = _psd_stack(p, True)
+    q, spec_q = _psd_stack(q, True)
+    c = _finite(_array(c))
     if c.shape != p.shape or p.shape != q.shape:
         raise ValueError("P, Q, C must share one square shape")
     block_min = _min_eig(np.block([[p, c], [_adjoint(c), q]]))
     schur_min = _min_eig(q - _adjoint(c) @ _inverse(spec_p) @ c)
+    # v ** -0.5 stays on the scalar loop: numpy's vectorized power can round
+    # the last bit other than the C library's pow does
     p_mhalf = _spectral_function(spec_p, lambda v: v ** -0.5)
     q_mhalf = _spectral_function(spec_q, lambda v: v ** -0.5)
     x = p_mhalf @ c @ q_mhalf
-    return block_min, schur_min, _scalar(np.linalg.svd(x, compute_uv=False)[..., 0])
+    smax = _scalar(np.linalg.svd(x, compute_uv=False)[..., 0])
+    return BlockContractionReport(block_min, schur_min, smax, float(tol))
 
 
 def check_monotonicity(rho, gamma, channel: KrausMap) -> float:
@@ -367,36 +359,19 @@ def check_monotonicity(rho, gamma, channel: KrausMap) -> float:
     `channels.trace_out_channel`).  Returns +inf (trial skipped) when the
     input relative entropy is infinite, and -inf (a failure: data
     processing cannot break the support inclusion) when only the output
-    one is.
+    one is.  For stacks of states (..., d, d), one margin per pair, under
+    one channel or one per pair (`KrausMap._stack`).
     """
     require_tp(channel)
-    rho, lam_rho = _density(rho, False)
-    gamma, spec_gamma = _density(gamma, True)
-    _same_shape(rho, gamma)
-    return _data_processing(rho, lam_rho, gamma, spec_gamma, channel.kraus_ops)
-
-
-def _monotonicity(rho, gamma, kraus) -> np.ndarray:
-    """`check_monotonicity` of each pair of two stacks of states (n, d, d),
-    under each pair's channel, a stack of Kraus stacks (n, r, d_out, d), or
-    under one channel's Kraus stack (r, d_out, d) for every pair."""
-    kraus = _finite(np.asarray(kraus, dtype=complex))
-    _require_tp(kraus)
     rho, lam_rho = _psd_stack(rho, False, True)
     gamma, spec_gamma = _psd_stack(gamma, True, True)
     _same_shape(rho, gamma)
-    return _data_processing(rho, lam_rho, gamma, spec_gamma, kraus)
-
-
-def _data_processing(rho, lam_rho, gamma, spec_gamma, kraus):
-    """The margin of `check_monotonicity` on validated states, one pair or
-    stacks, and the Kraus stack of a trace-preserving channel: +inf where
-    the input relative entropy is."""
     h_in = _relent(rho, lam_rho, spec_gamma)
     if np.isinf(h_in).all():
         return h_in
     # the images are symmetrized, exactly Hermitian: the kernel takes them
-    images = _channel(kraus[..., None, :, :, :], np.stack((rho, gamma), axis=-3))
+    pair = np.stack((rho, gamma), axis=-3)
+    images = _symmetrize(_linear(channel.kraus_ops[..., None, :, :, :], pair))
     h_out = _relent_psd(images[..., 0, :, :], images[..., 1, :, :])
     return _scalar(np.where(np.isinf(h_in), math.inf, h_in - h_out))
 
@@ -459,19 +434,17 @@ def check_adjoint_contraction(phi: KrausMap, p, q, a, t: float = 1.0) -> float:
         Tr X^dag (Phi(P) X + t X Phi(Q))
           >= Tr Phi^*(X)^dag (P Phi^*(X) + t Phi^*(X) Q)
 
-    and the margin is lhs - rhs."""
+    and the margin is lhs - rhs; for stacks of channels (`KrausMap._stack`)
+    and operands, with t of the leading shape, one margin each."""
     require_tp(phi)
-    return _adjoint_contraction(phi.kraus_ops, as_psd(p), as_psd(q), as_matrix(a), t)
-
-
-def _adjoint_contraction(k: np.ndarray, p: np.ndarray, q: np.ndarray, a: np.ndarray, t):
-    """`check_adjoint_contraction` of a trace-preserving Kraus stack and
-    validated operands, or of stacks of them with one t each."""
-    fp = _channel(k, p)
-    fq = _channel(k, q)
-    spec = SuperOpSpec._stack(fp, fq, t)
-    x = _resolvent(spec.left_spectrum, spec.right_spectrum, spec.t, _finite(_linear(k, a)))
+    p = _psd_stack(p, False)[0]
+    q = _psd_stack(q, False)[0]
+    a = _finite(_array(a))
+    fp = apply_channel(phi, p)
+    fq = apply_channel(phi, q)
+    spec = SuperOpSpec(fp, fq, t)
+    x = solve_resolvent(spec, apply_linear(phi, a))
     lhs = np.sum(x.conj() * (fp @ x + spec.t * (x @ fq)), axis=(-2, -1)).real
-    back = _linear(_adjoint(k), _finite(x))
+    back = apply_linear(adjoint_channel(phi), x)
     rhs = np.sum(back.conj() * (p @ back + spec.t * (back @ q)), axis=(-2, -1)).real
     return _scalar(lhs - rhs)

@@ -20,11 +20,14 @@ used throughout the package:
   functions validate at the boundary, internal calls reuse that spectrum,
   and a function of a matrix (inverse, root) is rebuilt from it by
   ``_from_spectrum`` (``_spectral_function`` for a scalar f);
-* a list of same-shape operands is one (n, d, d) stack: ``_one_shape``
-  refuses mixed shapes, ``_psd_stacks`` validates it in one call (each
-  matrix at its own scale, an error naming the first defective one) and
-  the kernels reduce it in one call; a stack of trials (any leading axes)
-  is validated by ``_psd_stack``;
+* an operand is one matrix or a stack of them on leading axes,
+  ``(..., d, d)``, as in ``numpy.linalg``: the public checks and
+  operations validate it once (``_array``, ``_psd_stack``) and return one
+  value per leading index, a float for one matrix.  A list of same-shape
+  operands is one (n, d, d) stack: ``_one_shape`` refuses mixed shapes,
+  ``_psd_stacks`` validates it in one call (each matrix at its own scale,
+  an error naming the first defective one) and the kernels reduce it in
+  one call;
 * reductions of a pure state go through ``partial_trace_pure`` on the
   state vector, never through the projector ``|psi><psi|``.
 
@@ -67,6 +70,15 @@ def as_matrix(m) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     return _finite(a)
+
+
+def _array(m) -> np.ndarray:
+    """``m`` as a complex matrix or stack of matrices (any leading axes):
+    `as_matrix`'s dimension check, with leading axes allowed."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    return a
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -158,11 +170,10 @@ def _psd(a: np.ndarray, vectors: bool):
 
 
 def _psd_stack(a, vectors: bool, density: bool = False):
-    """`_psd` of a complex matrix or of every matrix of a stack (any leading
-    axes), Hermiticity checked as `as_hermitian` checks each matrix, and
-    `_density`'s trace condition with ``density``: the validation of a
-    stack of trials in one call."""
-    a, spec = _psd(_hermitian(np.asarray(a, dtype=complex)), vectors)
+    """`_psd` of a matrix or of every matrix of a stack (any leading axes),
+    each checked as `as_hermitian` checks one, and `_density`'s trace
+    condition with ``density``: the validation of a stack in one call."""
+    a, spec = _psd(_hermitian(_array(a)), vectors)
     return (require_unit_trace(a) if density else a), spec
 
 
@@ -191,25 +202,16 @@ def _one_shape(message: str, *lists) -> None:
         raise ValueError(message.format(*shapes[:2])) from None
 
 
-def _psd_stacks(lists, vectors, lead: int = 1) -> list:
-    """`psd_eigvalsh` of each list of same-shape matrices as one stack, or
-    `psd_eig` where its flag in ``vectors`` is set; with ``lead`` > 1 each
-    list is a stack of such lists, one per trial, on leading axes.  On a
-    failure the matrices are validated alone, trial by trial and the j-th
-    of every list before any (j + 1)-th, so the error is the first
-    defective one's own."""
+def _psd_stacks(operands, vectors) -> list:
+    """`_psd_stack` of each operand, a matrix, a list of same-shape
+    matrices or a stack of such lists, with eigenvectors where its flag in
+    ``vectors`` is set.  On a failure the matrices are validated alone, in
+    C order over the leading axes and the j-th of every operand before any
+    (j + 1)-th, so the error is the first defective one's own."""
     try:
-        out = []
-        for ms, vec in zip(lists, vectors):
-            a = np.asarray(ms, dtype=complex)
-            if a.ndim != 2 + lead:
-                raise ValueError(f"expected a stack of matrices, got shape {a.shape}")
-            out.append(_psd_stack(a, vec))
-        return out
+        return [_psd_stack(a, vec) for a, vec in zip(operands, vectors)]
     except ValueError:
-        if lead > 1:
-            lists = [np.reshape(ms, (-1, *np.shape(ms)[-2:])) for ms in lists]
-        for members in zip(*lists):
+        for members in zip(*(np.reshape(a, (-1, *np.shape(a)[-2:])) for a in operands)):
             for m, vec in zip(members, vectors):
                 _psd(as_hermitian(m), vec)
         raise
@@ -263,15 +265,6 @@ def _eigh(a: np.ndarray, clip: bool = False) -> Spectrum:
     return Spectrum(_clip_psd(w) if clip else w, u)
 
 
-def hermitian_eig(m) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Validates Hermiticity first; raises NonConvergence if the underlying
-    solver fails to converge (essentially never at these dimensions).
-    """
-    return _eigh(as_hermitian(m))
-
-
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     """(A + A^dag) / 2 of a matrix or stack: exactly Hermitian."""
     return (a + a.conj().swapaxes(-1, -2)) / 2
@@ -310,7 +303,7 @@ def _spectral_function(spec: Spectrum, f: Callable[[float], float]) -> np.ndarra
 def matrix_function(m, f: Callable[[float], float]) -> np.ndarray:
     """Apply a real scalar function to a Hermitian matrix spectrally
     (see `_spectral_function` for the kernel policy)."""
-    return _spectral_function(hermitian_eig(m), f)
+    return _spectral_function(_eigh(as_hermitian(m)), f)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -344,20 +337,16 @@ def _kept_first(dims: Sequence[int], keep: Sequence[int], total: int | None = No
 
 
 def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Trace out all tensor factors not listed in ``keep``.
+    """Trace out all tensor factors not listed in ``keep``, of a square
+    matrix or of each matrix of a stack (..., n, n).
 
     Kept factors stay in their original order.  ``dims`` lists every factor
     dimension, slowest first, matching the `tensor` convention.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("partial trace needs a square matrix")
-    return _partial_trace(a, dims, keep)
-
-
-def _partial_trace(a: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """`partial_trace` of a square matrix or of each matrix of a stack."""
+    a = _finite(_array(m))
     n = a.shape[-1]
+    if a.shape[-2] != n:
+        raise ValueError("partial trace needs a square matrix")
     ds, order, d_keep = _kept_first(dims, keep, n)
     lead = a.shape[:-2]
     axes = [len(lead) + i for i in order]

@@ -25,11 +25,14 @@ Trial i uses dims[i % len(dims)].
 Batched trials.  A suite with ``batch`` checks many trials in one call:
 ``batch`` takes the instances' fields stacked on a leading trial axis and
 returns one margin per trial, and its ``check`` is ``batch`` applied to a
-stack of one trial, so each claim has one implementation.  `run_suite`
-draws ``_CHUNK`` trials at a time, each from its own stream, groups them
-by dimension and by the shape of every field (ensembles and channels of
-different member or Kraus counts fall into groups of their own), and
-calls ``batch`` once per group, at most ``_STACK_ENTRIES // n**4`` trials
+stack of one trial, so each claim has one implementation.  A ``batch``
+hands its stacks to the package's public checks, operations and
+constructors, which take operands with leading axes and return one
+value per leading index (a channel per trial is a `KrausMap._stack`).
+`run_suite` draws ``_CHUNK`` trials at a time, each from its own stream,
+groups them by dimension and by the shape of every field (ensembles and
+channels of different member or Kraus counts fall into groups of their
+own), and calls ``batch`` once per group, at most ``_STACK_ENTRIES // n**4`` trials
 per call for n x n matrices, so memory stays bounded in --trials and d.
 A group that raises is checked again trial by trial through ``check``, so
 each error and kernel skip lands on its own trial with its own class and
@@ -52,24 +55,21 @@ import numpy as np
 from .channels import (
     KrausMap,
     Povm,
-    _channel,
-    _dephase,
-    _dephase_via_z,
-    _dilate,
     _purify,
-    _square,
     ancilla_representation,
+    apply_ancilla,
+    apply_channel,
+    dephase,
+    dephase_via_z,
     identity_channel,
     povm_channel,
     purify,
-    require_tp,
     tensor_channel,
     trace_out_channel,
 )
 from .entropy import (
     _conditional,
     _entropy,
-    _relative_entropy,
     _relent,
     relative_entropy,
     relative_entropy_integral,
@@ -80,44 +80,41 @@ from .entropy import (
 from .holevo import (
     Ensemble,
     _chi,
-    _marginals,
     check_holevo_bound,
     check_partial_measurement_chain,
     chi,
     chi_via_qc,
+    flagged_marginals,
     flagged_state,
     yuen_ozawa_gap,
 )
 from .inequalities import (
-    BlockContractionReport,
     CheckReport,
     ConvexityInstance,
     Failure,
     TrialError,
-    _adjoint_contraction,
-    _block_contraction,
-    _cp_schwarz,
-    _monotonicity,
-    _operator_schwarz,
     _pure_state_lemmas,
-    _schwarz_quadratic,
     _ssa,
+    check_adjoint_contraction,
+    check_block_contraction,
+    check_cp_schwarz,
     check_joint_convexity,
+    check_monotonicity,
+    check_operator_schwarz,
     check_pure_state_lemmas,
+    check_schwarz_quadratic,
 )
 from .matcore import (
     KernelObstruction,
     NonConvergence,
     _density,
-    _finite,
     _from_spectrum,
-    _hermitian,
     _kron,
-    _partial_trace,
     _psd,
     _psd_stack,
     _symmetrize,
     max_abs,
+    partial_trace,
     partial_trace_pure,
 )
 from .randgen import (
@@ -130,7 +127,7 @@ from .randgen import (
     random_unit_vector,
     random_unitary,
 )
-from .superop import SuperOpSpec, _resolvent, superop_matrix
+from .superop import SuperOpSpec, solve_resolvent, superop_matrix
 
 
 class Suite(NamedTuple):
@@ -180,6 +177,7 @@ def _digest(instance: tuple) -> str:
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """The root of a package-built PSD matrix, from its one eigensolve."""
     return _from_spectrum(_psd(m, True)[1], np.sqrt)
 
 
@@ -248,10 +246,9 @@ def _draw_resolvent(rng: RngState, d: int):
 
 
 def _check_resolvent(q, p, x, t):
-    spec = SuperOpSpec._stack(q, p, t)
+    spec = SuperOpSpec(q, p, t)
     y_oracle = np.linalg.solve(superop_matrix(spec), x.reshape(len(x), -1, 1)).reshape(x.shape)
-    x = _finite(np.asarray(x, dtype=complex))
-    return -_max_abs(_resolvent(spec.left_spectrum, spec.right_spectrum, spec.t, x) - y_oracle)
+    return -_max_abs(solve_resolvent(spec, x) - y_oracle)
 
 
 def _check_relent_routes(p, q) -> float:
@@ -275,7 +272,7 @@ def _draw_joint_convexity(rng: RngState, d: int):
 
 
 def _check_joint_convexity(weights, pairs):
-    res = check_joint_convexity(ConvexityInstance._stack(weights, pairs))
+    res = check_joint_convexity(ConvexityInstance(weights, pairs))
     return _least(res.margin, res.subadditive_margin, -res.scaling_gap)
 
 
@@ -312,13 +309,11 @@ def _draw_block_contraction(rng: RngState, d: int):
 
 
 def _check_cp_schwarz(kraus, a, b, p):
-    k = KrausMap._stack(kraus).kraus_ops
-    return _least(*_cp_schwarz(k, _finite(a), _finite(b), *_psd_stack(p, True)))
+    return _least(*check_cp_schwarz(KrausMap._stack(kraus), a, b, p))
 
 
 def _check_block_contraction(p, q, c):
-    criteria = _block_contraction(*_psd_stack(p, True), *_psd_stack(q, True), _finite(c))
-    rep = BlockContractionReport(*criteria, 1e-9)
+    rep = check_block_contraction(p, q, c)
     scores = (np.abs(rep.block_min_eig), np.abs(rep.schur_min_eig), np.abs(rep.max_singular_value - 1.0))
     margin = np.where(rep.consistent, _least(*scores), _least(*(-s for s in scores)))
     # an indeterminate verdict scores 0, unless a criterion is NaN: a failure
@@ -326,15 +321,15 @@ def _check_block_contraction(p, q, c):
 
 
 def _check_monotonicity_dephase(rho, gamma):
-    return _monotonicity(rho, gamma, [np.diag(e) for e in np.eye(rho.shape[-1])])
+    return check_monotonicity(rho, gamma, KrausMap([np.diag(e) for e in np.eye(rho.shape[-1])]))
 
 
 def _check_monotonicity_ptrace(rho, gamma):
-    return _monotonicity(rho, gamma, trace_out_channel(_bipartite(rho), (0,)).kraus_ops)
+    return check_monotonicity(rho, gamma, trace_out_channel(_bipartite(rho), (0,)))
 
 
 def _check_monotonicity_unitary(rho, gamma, u):
-    margin = _monotonicity(rho, gamma, np.asarray(u)[:, None])
+    margin = check_monotonicity(rho, gamma, KrausMap._stack(u[:, None]))
     # unitaries preserve relative entropy: the margin must vanish
     return np.where(margin == math.inf, margin, -np.abs(margin))
 
@@ -376,18 +371,17 @@ def _draw_adjoint_quadratic(rng: RngState, d: int):
 
 
 def _check_adjoint_quadratic(kraus, p, q, a, t):
-    k = require_tp(KrausMap._stack(kraus)).kraus_ops
-    return _adjoint_contraction(k, _psd_stack(p, False)[0], _psd_stack(q, False)[0], _finite(a), t)
+    return check_adjoint_contraction(KrausMap._stack(kraus), p, q, a, t)
 
 
 def _check_holevo_identities(weights, states):
-    ens = Ensemble._stack(weights, states)
+    ens = Ensemble(weights, states)
     val = chi(ens)
     return _least(val, -yuen_ozawa_gap(ens), -abs(chi_via_qc(ens) - val))
 
 
 def _check_concavity_condent(weights, states):
-    ens = Ensemble._stack(weights, states)
+    ens = Ensemble(weights, states)
     return check_holevo_bound(ens, trace_out_channel(_bipartite(ens.states), (0,)))
 
 
@@ -398,24 +392,24 @@ def _draw_holevo_chain(rng: RngState, d: int):
 
 
 def _check_holevo_chain(weights, states, effects_a, effects_b):
-    ens = Ensemble._stack(weights, states)
-    return _least(*check_partial_measurement_chain(ens, _bipartite(states), Povm._stack(effects_a),
-                                                   Povm._stack(effects_b)))
+    ens = Ensemble(weights, states)
+    return _least(*check_partial_measurement_chain(ens, _bipartite(states), Povm(effects_a),
+                                                   Povm(effects_b)))
 
 
 def _check_holevo_routes(weights, states, effects):
-    ens = Ensemble._stack(weights, states)
-    phi = povm_channel(Povm._stack(effects))
+    ens = Ensemble(weights, states)
+    phi = povm_channel(Povm(effects))
     out = ens.map(phi)
     # route one: member-by-member data processing, with each average
     # decomposed once and the members and images read, as one stack each,
     # through the spectra that validated them
     avg, spec_avg = ens._average(True)
-    spec_out = _psd(_channel(phi.kraus_ops, avg), True)[1]
+    spec_out = _psd(apply_channel(phi, avg), True)[1]
     per_member = np.min(ens._divergences(spec_avg) - out._divergences(spec_out), axis=-1)
     # route two: data processing on the flagged state
     big_phi = tensor_channel(phi, identity_channel(len(ens)))
-    qc_margin = _monotonicity(flagged_state(ens), _marginals(ens), big_phi.kraus_ops)
+    qc_margin = check_monotonicity(flagged_state(ens), flagged_marginals(ens), big_phi)
     # route three: chi(E) - chi(Phi E), concavity of rho -> S(rho) - S(Phi rho),
     # with both averages read from route one's decompositions
     conc_margin = _chi(ens, spec_avg.eigenvalues) - _chi(out, spec_out.eigenvalues)
@@ -424,7 +418,7 @@ def _check_holevo_routes(weights, states, effects):
 
 def _check_klein(p, q):
     # an infinite H stays +inf: a skip
-    h = _relative_entropy(p, q)
+    h = relative_entropy(p, q)
     return h - (np.trace(p, axis1=-2, axis2=-1).real - np.trace(q, axis1=-2, axis2=-1).real)
 
 
@@ -444,10 +438,9 @@ def _draw_ancilla(rng: RngState, d: int):
 def _check_ancilla(kraus, rho):
     phi = KrausMap._stack(kraus)
     rep = ancilla_representation(phi)
-    rho = _hermitian(rho)
-    joint = _dilate(rep.unitary, rep.anc_dim, rho)
-    reduced = _partial_trace(_finite(joint), (rho.shape[-1], rep.anc_dim), (0,))
-    err = _max_abs(reduced - _channel(phi.kraus_ops, rho))
+    joint = apply_ancilla(rep, rho)
+    reduced = partial_trace(joint, (rho.shape[-1], rep.anc_dim), (0,))
+    err = _max_abs(reduced - apply_channel(phi, rho))
     s_joint, s_rho = (_entropy(_psd_stack(m, False, True)[1]) for m in (joint, rho))
     return _least(-err, -np.abs(s_joint - s_rho))
 
@@ -464,14 +457,13 @@ def _check_condent_identity(rho):
     # one eigvalsh of rho serves S(AB) and H(rho, rho_A (x) I/d)
     rho, lam = _psd_stack(rho, False, True)
     value = _conditional(rho, lam, (d, d))
-    product = _kron(_partial_trace(rho, (d, d), (0,)), np.eye(d, dtype=complex) / d)
+    product = _kron(partial_trace(rho, (d, d), (0,)), np.eye(d, dtype=complex) / d)
     rhs = math.log(d) - _relent(rho, lam, _psd_stack(product, True)[1])
     return -np.abs(value - rhs)
 
 
 def _check_dephase_z(x):
-    x = _square(_finite(np.asarray(x, dtype=complex)), "dephase")
-    return -_max_abs(_dephase(x) - _dephase_via_z(x))
+    return -_max_abs(dephase(x) - dephase_via_z(x))
 
 
 SUITES: dict[str, Suite] = {
@@ -481,8 +473,8 @@ SUITES: dict[str, Suite] = {
                              _check_scalar_identity),
     "joint_convexity": _batched(_draw_joint_convexity, _check_joint_convexity),
     "schwarz_quadratic": _batched(_draw_schwarz_quadratic,
-                                  lambda a, p, q, t: _schwarz_quadratic(a, p, q, t, 2)),
-    "operator_schwarz": _batched(_draw_operator_schwarz, lambda a, p: _operator_schwarz(a, p, 2)),
+                                  lambda a, p, q, t: check_schwarz_quadratic(a, p, q, t)),
+    "operator_schwarz": _batched(_draw_operator_schwarz, lambda a, p: check_operator_schwarz(a, p)),
     "cp_schwarz": _batched(_draw_cp_schwarz, _check_cp_schwarz),
     "block_contraction": _batched(_draw_block_contraction, _check_block_contraction),
     "monotonicity_dephase": _batched(_state_pair, _check_monotonicity_dephase),
@@ -490,7 +482,7 @@ SUITES: dict[str, Suite] = {
                                     _check_monotonicity_ptrace, local_dims=True),
     "monotonicity_general": _batched(
         lambda rng, d: (*_state_pair(rng, d), random_cptp(d, 2 + rng.integer(3), rng)),
-        _monotonicity,
+        lambda rho, gamma, kraus: check_monotonicity(rho, gamma, KrausMap._stack(kraus)),
     ),
     "monotonicity_unitary": _batched(lambda rng, d: (*_state_pair(rng, d), random_unitary(d, rng)),
                                      _check_monotonicity_unitary),
@@ -500,7 +492,7 @@ SUITES: dict[str, Suite] = {
                                   local_dims=True),
     "concavity_channel": _batched(
         lambda rng, d: (*_ensemble(rng, d), random_cptp(d, 2 + rng.integer(3), rng)),
-        lambda weights, states, kraus: check_holevo_bound(Ensemble._stack(weights, states),
+        lambda weights, states, kraus: check_holevo_bound(Ensemble(weights, states),
                                                           KrausMap._stack(kraus)),
     ),
     "pure_states": Suite(lambda rng, d: (random_unit_vector(d * (d + rng.integer(3)), rng),),
@@ -509,8 +501,8 @@ SUITES: dict[str, Suite] = {
     "holevo_identities": _batched(_ensemble, _check_holevo_identities),
     "holevo_bound": _batched(
         _ensemble_povm,
-        lambda weights, states, effects: check_holevo_bound(Ensemble._stack(weights, states),
-                                                            povm_channel(Povm._stack(effects))),
+        lambda weights, states, effects: check_holevo_bound(Ensemble(weights, states),
+                                                            povm_channel(Povm(effects))),
     ),
     "holevo_chain": _batched(_draw_holevo_chain, _check_holevo_chain, local_dims=True),
     "holevo_routes": _batched(_ensemble_povm, _check_holevo_routes),

@@ -14,14 +14,13 @@ import numpy as np
 
 from .matcore import (
     KernelObstruction,
-    Spectrum,
+    _array,
+    _finite,
     _first,
     _kron,
     _one_shape,
-    _psd_stack,
+    _psd_stacks,
     _worst,
-    as_matrix,
-    psd_eig,
     zero_band,
 )
 
@@ -35,29 +34,19 @@ class SuperOpSpec:
 
     Both multipliers must be PSD (to 1e-10) and of the same dimension;
     eigenvalues are clipped at zero after validation so resolvent
-    denominators are never spuriously negative.  `SuperOpSpec._stack`
-    holds a stack of maps: multipliers (n, d, d) and t of shape (n, 1, 1).
+    denominators are never spuriously negative.  Multipliers (..., d, d)
+    and t of the leading shape hold a stack of maps, one per leading
+    index; t is held as shape (..., 1, 1).  A defective multiplier raises
+    its own error, left before right, the first in order winning.
     """
 
     __slots__ = ("left", "right", "t", "left_spectrum", "right_spectrum")
 
-    def __init__(self, left, right, t: float = 1.0):
-        self._set(*psd_eig(left), *psd_eig(right), float(t))
-
-    @classmethod
-    def _stack(cls, left, right, t) -> "SuperOpSpec":
-        """Maps of stacked multipliers and an array of t, one per map (a
-        float t for one map is held as shape (1, 1)), each checked as the
-        constructor checks one, in one call."""
-        spec = cls.__new__(cls)
-        spec._set(*_psd_stack(left, True), *_psd_stack(right, True),
-                  np.asarray(t, dtype=float)[..., None, None])
-        return spec
-
-    def _set(self, left, left_spectrum, right, right_spectrum, t) -> None:
-        self.left, self.left_spectrum = left, left_spectrum
-        self.right, self.right_spectrum = right, right_spectrum
-        _one_shape("multiplier shapes differ: {} vs {}", [left, right])
+    def __init__(self, left, right, t=1.0):
+        (self.left, self.left_spectrum), (self.right, self.right_spectrum) = _psd_stacks(
+            [left, right], [True, True])
+        _one_shape("multiplier shapes differ: {} vs {}", [self.left, self.right])
+        t = np.asarray(t, dtype=float)[..., None, None]
         bad = ~((t >= 0.0) & np.isfinite(t))
         if _worst(bad):
             raise ValueError(f"t must be finite and >= 0, got {_first(t, bad)!r}")
@@ -69,26 +58,23 @@ class SuperOpSpec:
 
 
 def solve_resolvent(spec: SuperOpSpec, x) -> np.ndarray:
-    """Solve left Y + t Y right = X on the support of the map.
+    """Solve left Y + t Y right = X on the support of the map, for one map
+    and operand or for stacks of them (leading axes broadcast).
 
     Denominators l_m + t r_n in the zero band of all of them (relative
     to the largest, lambda_max(left) + t lambda_max(right)) are joint
     kernel: Y is set to zero there, pseudo-inverse style, provided X
     carries no more than KERNEL_MASS_TOL relative weight on those modes.
-    Otherwise raises KernelObstruction.
+    Otherwise raises KernelObstruction (the first obstructed map of a
+    stack raising).
     """
-    return _resolvent(spec.left_spectrum, spec.right_spectrum, spec.t, as_matrix(x))
-
-
-def _resolvent(left: Spectrum, right: Spectrum, t: float, x: np.ndarray) -> np.ndarray:
-    """`solve_resolvent` from the multipliers' spectra, or for a stack of
-    maps and operands at once (the first obstructed map raising)."""
-    u = left.eigenvectors
-    v = right.eigenvectors
+    x = _finite(_array(x))
+    left, right = spec.left_spectrum, spec.right_spectrum
+    u, v = left.eigenvectors, right.eigenvectors
     if x.shape[-2:] != u.shape[-2:]:
         raise ValueError(f"operand shape {x.shape[-2:]} != {u.shape[-2:]}")
     xt = u.conj().swapaxes(-1, -2) @ x @ v
-    denom = left.eigenvalues[..., :, None] + t * right.eigenvalues[..., None, :]
+    denom = left.eigenvalues[..., :, None] + spec.t * right.eigenvalues[..., None, :]
     # one band per map, over all of its denominators
     kernel = denom <= zero_band(denom.reshape(*denom.shape[:-2], -1))[..., None]
     if kernel.any():

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,46 @@ def test_spread_is_quartile_range_over_median(better):
     m = bench_record.summarize(runs, spec)["m"]
     assert m["spread"] == {"parent": pytest.approx(2.0 / 3.0), "change": 0.0}
     assert m["parent_iqr"] == pytest.approx(2.0)
+
+
+def _git(root, *args):
+    subprocess.run(["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   check=True, capture_output=True)
+
+
+def _checkout(root):
+    (root / "src" / "entropion").mkdir(parents=True)
+    (root / "src" / "entropion" / "a.py").write_text("x = 1\n")
+    _git(root, "init", "-q")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "one")
+    return root
+
+
+def test_a_side_without_a_revision_is_refused_before_any_run(tmp_path, monkeypatch):
+    checkout = _checkout(tmp_path / "change")
+    plain = tmp_path / "plain"
+    (plain / "src" / "entropion").mkdir(parents=True)
+    assert len(bench_record.git_rev(checkout)) == 40
+    for bad in (plain, checkout / "src"):  # no checkout, and a directory inside one
+        with pytest.raises(SystemExit, match="not the top of a git checkout"):
+            bench_record.git_rev(bad)
+
+    def run_once(*args):
+        raise AssertionError("ran a workload")
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="not the top of a git checkout"):
+        bench_record.main(["--parent", str(plain), "--change", str(checkout), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_the_source_digest_names_an_uncommitted_edit(tmp_path):
+    checkout = _checkout(tmp_path / "side")
+    clean = bench_record.source_digest(checkout)
+    assert clean == bench_record.source_digest(checkout)
+    (checkout / "README.md").write_text("not source\n")
+    assert bench_record.source_digest(checkout) == clean
+    (checkout / "src" / "entropion" / "a.py").write_text("x = 2\n")
+    assert bench_record.source_digest(checkout) != clean

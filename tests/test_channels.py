@@ -127,6 +127,8 @@ def test_povm_validation():
         Povm([half])  # does not resolve the identity
     with pytest.raises(ValueError):
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # negative effect
+    with pytest.raises(ValueError, match=r"^expected a stack of matrices, got shape \(2, 2\)$"):
+        Povm(np.eye(2))  # one matrix, not a list of effects
 
 
 def test_povm_names_its_first_defective_effect():

@@ -13,7 +13,6 @@ from entropion import (
     as_hermitian,
     as_matrix,
     as_psd,
-    hermitian_eig,
     matrix_from_json,
     matrix_function,
     matrix_to_json,
@@ -111,19 +110,6 @@ def test_as_psd_and_density():
     as_density([[0.5, 0], [0, 0.5]])
     with pytest.raises(ValueError):
         as_density([[1.0, 0], [0, 0.5]])  # trace 1.5
-
-
-def test_hermitian_eig_reconstructs():
-    rng = RngState(3)
-    for d in (2, 3, 5, 8):
-        h = _rand_herm(d, rng.child(d))
-        spec = hermitian_eig(h)
-        v = spec.eigenvectors
-        rebuilt = (v * spec.eigenvalues) @ v.conj().T
-        assert np.allclose(rebuilt, h, atol=1e-12)
-        assert np.allclose(v.conj().T @ v, np.eye(d), atol=1e-12)
-        # ascending order
-        assert np.all(np.diff(spec.eigenvalues) >= 0)
 
 
 def test_matrix_function_known_values():

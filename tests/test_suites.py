@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -544,10 +545,11 @@ def test_holevo_bound_batch_solves_once_per_shape_group(monkeypatch):
 @pytest.mark.parametrize("name, target, plant", [
     ("joint_convexity", "check_joint_convexity",
      lambda real: lambda inst: real(inst)._replace(subadditive_margin=real(inst).margin * math.nan)),
-    ("holevo_routes", "_monotonicity", lambda real: lambda *args: real(*args) * math.nan),
-    ("block_contraction", "_block_contraction",
-     lambda real: lambda *args: (*real(*args)[:2], real(*args)[2] * math.nan)),
-    ("cp_schwarz", "_cp_schwarz", lambda real: lambda *args: (real(*args)[0], real(*args)[1] * math.nan)),
+    ("holevo_routes", "check_monotonicity", lambda real: lambda *args: real(*args) * math.nan),
+    ("block_contraction", "check_block_contraction",
+     lambda real: lambda *args: dataclasses.replace(
+         real(*args), max_singular_value=real(*args).max_singular_value * math.nan)),
+    ("cp_schwarz", "check_cp_schwarz", lambda real: lambda *args: (real(*args)[0], real(*args)[1] * math.nan)),
     ("holevo_chain", "check_partial_measurement_chain",
      lambda real: lambda *args: (real(*args)[0], real(*args)[1] * math.nan)),
     ("holevo_identities", "chi_via_qc", lambda real: lambda ens: real(ens) * math.nan),

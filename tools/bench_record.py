@@ -2,10 +2,13 @@
 
     python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_<n>.json
 
-Each DIR is the root of a checkout (its ``perfbench/`` and ``src/``), one
-at the parent commit and one at the change.  The workloads and the run
-length come from the change's ``BENCHMARK.json`` (``workloads[].name``,
-``run_seconds``).  For every workload, pair k of ``PAIRS`` runs
+Each DIR is the root of a git checkout (its ``perfbench/`` and ``src/``),
+one at the parent commit and one at the change.  The record names each
+side by its ``git rev-parse HEAD`` and by a sha256 over its
+``src/entropion/*.py``, so uncommitted edits are named too; a side that
+is not the top of a git checkout is refused before any run.  The
+workloads and the run length come from the change's ``BENCHMARK.json``
+(``workloads[].name``, ``run_seconds``).  For every workload, pair k of ``PAIRS`` runs
 ``perfbench/run.py --trace 0`` at seed ``SEED + k`` on both, the parent
 first on even k and the change first on odd k, one run at a time.  Then
 each side gets one traced run (``--trace 1``, ``TRACE_SECONDS`` long) per
@@ -34,6 +37,7 @@ made.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -118,10 +122,27 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
-def git_rev(root: Path):
-    done = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+def git_rev(root: Path) -> str:
+    """The commit checked out at ``root``, which must be the top of a git
+    checkout (a directory inside another checkout would name that one's
+    commit); SystemExit otherwise."""
+    done = subprocess.run(["git", "-C", str(root), "rev-parse", "--show-toplevel", "HEAD"],
                           capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+    lines = done.stdout.split()
+    if done.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != root.resolve():
+        raise SystemExit(f"{root} is not the top of a git checkout with a commit; "
+                         f"a record must name the revisions it timed")
+    return lines[1]
+
+
+def source_digest(root: Path) -> str:
+    """sha256 over the name and bytes of each ``src/entropion/*.py`` at
+    ``root``, in name order."""
+    h = hashlib.sha256()
+    for path in sorted((root / "src" / "entropion").glob("*.py")):
+        h.update(f"{path.name}\0{path.stat().st_size}\0".encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def machine() -> dict:
@@ -152,12 +173,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    revisions = {side: git_rev(root) for side, root in roots.items()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = float(bench["run_seconds"])
 
     record = {
         "command": " ".join(["python3", "tools/bench_record.py"] + (argv or sys.argv[1:])),
-        "revisions": {side: git_rev(root) for side, root in roots.items()},
+        "revisions": revisions,
+        "sources_sha256": {side: source_digest(root) for side, root in roots.items()},
         "pairs": PAIRS,
         "seconds": seconds,
         "trace_seconds": TRACE_SECONDS,
