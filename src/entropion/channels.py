@@ -20,7 +20,8 @@ import numpy as np
 from .matcore import (
     Spectrum,
     _array,
-    _density,
+    _by_rank,
+    _rank,
     _finite,
     _first,
     _from_spectrum,
@@ -28,10 +29,10 @@ from .matcore import (
     _kept_first,
     _kron,
     _one_shape,
+    _psd_stack,
     _psd_stacks,
     _symmetrize,
     _worst,
-    zero_band,
 )
 
 TP_TOL = 1e-10
@@ -305,17 +306,25 @@ def purify(rho) -> np.ndarray:
 
     The ancilla dimension is the rank of rho (eigenvalues above the zero
     band), and the ancilla basis enumerates those eigenvalues in ascending
-    order; psi.size // d recovers the ancilla dimension.  One ``eigh``
-    validates rho; `_purify` is the kernel on its spectrum.
+    order; psi.size // d recovers the ancilla dimension.  A stack (..., d, d)
+    of density matrices of one rank gives one vector per leading index.
+    One ``eigh`` validates rho; `_purify` is the kernel on its spectrum.
     """
-    return _purify(_density(rho, True)[1])
+    return _purify(_psd_stack(rho, True, True)[1])
 
 
 def _purify(spec: Spectrum) -> np.ndarray:
-    """`purify` from a validated density matrix's spectrum, clipped at zero."""
+    """`purify` from a validated density matrix's spectrum, clipped at zero,
+    or from a stack of spectra of one rank."""
     lam = spec.eigenvalues
-    sel = lam > zero_band(lam)
-    lam = lam[sel]
-    vecs = spec.eigenvectors[:, sel]
-    psi = (vecs * np.sqrt(lam)).reshape(-1)  # index (i, k) -> i * rank + k
-    return psi / float(np.linalg.norm(psi))
+    ranks = _by_rank(_rank(lam))
+    if len(ranks) != 1:
+        raise ValueError(f"the states of a stack must share one rank, got ranks {sorted(r for r, in ranks)}")
+    (rank,), = ranks
+    # the eigenvalues ascend, so the support is the last rank of them
+    keep = slice(lam.shape[-1] - rank, None)
+    psi = spec.eigenvectors[..., keep] * np.sqrt(lam[..., None, keep])
+    psi = psi.reshape(*lam.shape[:-1], -1)  # index (i, k) -> i * rank + k
+    # each vector's own norm, as np.linalg.norm gives it for one vector
+    norms = [float(np.linalg.norm(v)) for v in psi.reshape(-1, psi.shape[-1])]
+    return psi / np.reshape(norms, (*psi.shape[:-1], 1))

@@ -60,6 +60,7 @@ route calls another.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -67,6 +68,7 @@ import numpy as np
 
 from .matcore import (
     Spectrum,
+    _by_rank,
     _density,
     _from_spectrum,
     _psd,
@@ -75,7 +77,6 @@ from .matcore import (
     _worst,
     as_density,
     partial_trace,
-    psd_eig,
     zero_band,
 )
 
@@ -144,8 +145,9 @@ def _entropy(lam: np.ndarray):
 
 
 def von_neumann_entropy(rho) -> float:
-    """S(rho) = -Tr rho ln rho, in nats, over the support of rho."""
-    return _entropy(_density(rho, False)[1])
+    """S(rho) = -Tr rho ln rho, in nats, over the support of rho; for a
+    stack (..., d, d) of density matrices, one value each."""
+    return _entropy(_psd_stack(rho, False, True)[1])
 
 
 def _same_shape(p: np.ndarray, q: np.ndarray) -> None:
@@ -220,74 +222,102 @@ def _log_measure(u: np.ndarray, jac: float) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(np.minimum(u, 709.0)), jac * decay / (1.0 + decay) ** 2
 
 
-class _IntegralData:
-    """Shared spectral preparation for the integral and kernel routes.
+def _integrand(weights: np.ndarray, q_eigs: np.ndarray, p_eigs: np.ndarray,
+               u: np.ndarray, jac: float) -> np.ndarray:
+    """jac g(u) of one pair's weights and eigenvalues: over the line in u it
+    integrates to the resolvent integral over t = e^u."""
+    t, measure = _log_measure(u, jac)  # t p < 2 e^709: finite
+    terms = weights[:, None] / (q_eigs[:, None] + t[None, :] * p_eigs[:, None])
+    return measure * terms.sum(axis=0)
 
-    Weights and eigenvalues are those of (P, Q) / ``scale``, a power of two
-    in (lambda / 2, lambda] for lambda = max(lambda_max(P), lambda_max(Q)),
-    so the pair's resolvent integral is ``scale`` times theirs.  ``half_width``
-    is the cut L of the integral route's range u in [-L, L].
+
+class _IntegralData:
+    """Shared spectral preparation for the integral and kernel routes, of one
+    pair or of each pair of a stack, each operand stack validated and
+    decomposed in one call.
+
+    Per pair, weights and eigenvalues are those of (P, Q) / scale, a power
+    of two in (lambda / 2, lambda] for lambda = max(lambda_max(P),
+    lambda_max(Q)), so the pair's resolvent integral is scale times theirs.
+    ``scale``, ``trace_correction``, ``violated`` and ``half_width`` (the
+    cut L of the integral route's range u in [-L, L]) hold one entry per
+    pair, over the leading axes ``lead`` flattened.  Rows in ker Q are
+    dropped, so the pairs whose Q has one rank share a row length:
+    ``groups`` holds, per rank, the pairs' flat indices and their weights,
+    Q eigenvalues and P eigenvalues, one row per pair.
     """
 
-    __slots__ = ("weights", "q_eigs", "p_eigs", "scale", "trace_correction", "violated", "half_width")
+    __slots__ = ("lead", "scale", "trace_correction", "violated", "half_width", "groups")
 
     def __init__(self, p, q):
-        p, sp = psd_eig(p)
-        q, sq = psd_eig(q)
+        p, sp = _psd_stack(p, True)
+        q, sq = _psd_stack(q, True)
         _same_shape(p, q)
-        self.scale = math.ldexp(1.0, math.frexp(max(sp.eigenvalues[-1], sq.eigenvalues[-1]))[1] - 1)
-        xt = sq.eigenvectors.conj().T @ (q - p) @ sp.eigenvectors
+        self.lead, d = p.shape[:-2], p.shape[-1]
+        lam_p, lam_q = sp.eigenvalues.reshape(-1, d), sq.eigenvalues.reshape(-1, d)
+        scale = np.array([math.ldexp(1.0, math.frexp(max(a, b))[1] - 1)
+                          for a, b in zip(lam_p[:, -1].tolist(), lam_q[:, -1].tolist())])
         split = _support_split(p, sq)
-        self.violated = bool(split.infinite)
-        lam_p = np.where(sp.eigenvalues > zero_band(sp.eigenvalues), sp.eigenvalues, 0.0)
-        lam_q = sq.eigenvalues[split.on_q]
-        if self.scale != 1.0:
-            # exact division: in range the bits are those at scale 1, and
-            # |xt| < 4; at scale 1 it would change nothing, so it is skipped
-            xt, lam_p, lam_q = xt / self.scale, lam_p / self.scale, lam_q / self.scale
+        # exact divisions: in range the bits are those at scale 1, and |xt| < 4
+        xt = (sq.eigenvectors.conj().swapaxes(-1, -2) @ (q - p) @ sp.eigenvectors).reshape(-1, d, d)
+        xt = xt / scale[:, None, None]
         w2 = (xt.conj() * xt).real
+        lam_p = np.where(lam_p > zero_band(lam_p), lam_p, 0.0) / scale[:, None]
+        lam_q = lam_q / scale[:, None]
+        self.scale = scale
+        self.trace_correction = (p.trace(0, -2, -1).real - q.trace(0, -2, -1).real).reshape(-1)
+        self.violated = split.infinite.reshape(-1)
         # rows in ker(Q) carry no true contribution once supports are
-        # compatible; drop them so denominators stay bounded away from zero
-        self.weights = w2[split.on_q, :].ravel()
-        self.q_eigs = np.repeat(lam_q, lam_p.size)
-        self.p_eigs = np.tile(lam_p, int(split.on_q.sum()))
-        self.trace_correction = float(np.trace(p).real) - float(np.trace(q).real)
-        # g(u) <= C e^{-|u|}; C overflows only once Q / scale leaves the normal range
-        with np.errstate(over="ignore", divide="ignore"):
-            self.half_width = _half_width(float(np.sum(self.weights / self.q_eigs)), self.scale)
+        # compatible; drop them so denominators stay bounded away from zero.
+        # Q's eigenvalues ascend, so its support is its last rank of them
+        self.groups, bound = [], np.empty(len(scale))
+        for (r,), rows in _by_rank(split.on_q.sum(axis=-1)).items():
+            weights = w2[rows, d - r:].reshape(-1, r * d)
+            q_eigs = lam_q[rows, d - r:].repeat(d, axis=-1)
+            p_eigs = lam_p[rows, None, :].repeat(r, axis=-2).reshape(weights.shape)
+            # g(u) <= C e^{-|u|}; C overflows only once Q / scale leaves the normal range
+            with np.errstate(over="ignore", divide="ignore"):
+                bound[rows] = np.sum(weights / q_eigs, axis=-1)
+            self.groups.append((rows, weights, q_eigs, p_eigs))
+        self.half_width = np.array([_half_width(c, s) for c, s in zip(bound.tolist(), scale.tolist())])
 
-    def integrand(self, u: np.ndarray, jac: float) -> np.ndarray:
-        """jac g(u): over the line in u it integrates to the resolvent
-        integral over t = e^u."""
-        t, measure = _log_measure(u, jac)  # t p < 2 e^709: finite
-        terms = self.weights[:, None] / (self.q_eigs[:, None] + t[None, :] * self.p_eigs[:, None])
-        return measure * terms.sum(axis=0)
+    def value(self, integral: np.ndarray):
+        """H = Tr(P - Q) + scale * integral of each pair, +inf where the
+        supports are incompatible: a float for one pair."""
+        h = self.trace_correction + self.scale * integral
+        h[self.violated] = math.inf
+        return _scalar(h.reshape(self.lead))
 
 
 def relative_entropy_integral(p, q) -> float:
-    """H(P, Q) by one trapezoid pass over the resolvent quadratic form."""
+    """H(P, Q) by one trapezoid pass over the resolvent quadratic form; for
+    stacks (..., d, d) of pairs, one pass per pair, each at its own cut and
+    step, and one value per pair."""
     data = _IntegralData(p, q)
-    if data.violated:
-        return math.inf
-    half = data.half_width
-    return data.trace_correction + data.scale * _trapezoid(data.integrand, half, _step(half))
+    integral = np.empty(len(data.scale))
+    for rows, weights, q_eigs, p_eigs in data.groups:
+        integral[rows] = [0.0 if violated else _trapezoid(functools.partial(_integrand, w, qe, pe), half, _step(half))
+                          for w, qe, pe, half, violated in zip(weights, q_eigs, p_eigs, data.half_width[rows].tolist(),
+                                                                data.violated[rows].tolist())]
+    return data.value(integral)
 
 
 def relative_entropy_integral_steps(p, q) -> list[tuple[float, float]]:
     """The integral route's trapezoid pass at steps h 2^k, for convergence
-    studies: (step, value) pairs from the largest such step not above the
-    cut L down to the route's own step h, whose value is
+    studies of one pair: (step, value) pairs from the largest such step not
+    above the cut L down to the route's own step h, whose value is
     ``relative_entropy_integral(p, q)``.  Values are +inf on a support
     violation."""
     data = _IntegralData(p, q)
-    half = data.half_width
+    if data.lead:
+        raise ValueError(f"expected a 2-d matrix, got shape {np.shape(p)}")
+    (_, (weights,), (q_eigs,), (p_eigs,)), = data.groups
+    half = data.half_width[0]
     steps = [_step(half)]
     while 2.0 * steps[-1] <= half:
         steps.append(2.0 * steps[-1])
-    if data.violated:
-        return [(h, math.inf) for h in reversed(steps)]
-    return [(h, data.trace_correction + data.scale * _trapezoid(data.integrand, half, h))
-            for h in reversed(steps)]
+    integrand = functools.partial(_integrand, weights, q_eigs, p_eigs)
+    return [(h, data.value(np.array(_trapezoid(integrand, half, h)))) for h in reversed(steps)]
 
 
 # --------------------------------------------------------------------------
@@ -341,15 +371,17 @@ def _kernel_k_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def relative_entropy_spectral_kernel(p, q) -> float:
     """H(P, Q) with the resolvent integral evaluated per eigenpair:
-    H = Tr(P - Q) + sum_{mn} |(U^dag (Q-P) V)_{mn}|^2 k(q_m, p_n)."""
+    H = Tr(P - Q) + sum_{mn} |(U^dag (Q-P) V)_{mn}|^2 k(q_m, p_n); for
+    stacks (..., d, d) of pairs, one value per pair."""
     data = _IntegralData(p, q)
-    if data.violated:
-        return math.inf
-    total = float(np.dot(data.weights, _kernel_k_arrays(data.q_eigs, data.p_eigs)))
-    return data.trace_correction + data.scale * total
+    integral = np.zeros(len(data.scale))
+    for rows, weights, q_eigs, p_eigs in data.groups:
+        if not data.violated[rows].all():
+            integral[rows] = _rowdot(weights, _kernel_k_arrays(q_eigs, p_eigs))
+    return data.value(integral)
 
 
-def scalar_log_identity(w: float) -> tuple[float, float, float]:
+def scalar_log_identity(w) -> tuple[float, float, float]:
     """The 1x1 sanity chain behind the integral route.
 
     Returns (-ln w, quadrature of int_0^inf [1/(w+t) - 1/(1+t)] dt,
@@ -357,19 +389,27 @@ def scalar_log_identity(w: float) -> tuple[float, float, float]:
     agree for w > 0.  Both integrals run on the integral route's trapezoid
     in u = ln t: the second is that route on P = 1, Q = w, and the first,
     (1-w)/((w+t)(1+t)), has the bound in the module docstring, so the cost
-    grows with |ln w| only through L.
+    grows with |ln w| only through L.  For an array of w, each of the three
+    is an array of one value per w: the first integral is one pass per w,
+    at its own cut, and the second the integral route on the (..., 1, 1)
+    pairs.
     """
-    w = float(w)
-    if not (w > 0.0) or not np.isfinite(w):
-        raise ValueError(f"w must be positive and finite, got {w!r}")
-    lhs = -math.log(w)
-    half = _half_width(abs(1.0 - w) * max(1.0, 1.0 / w))
+    ws = np.asarray(w, dtype=float)
+    lhs, first = [], []
+    for x in ws.ravel().tolist():
+        if not (x > 0.0) or not math.isfinite(x):
+            raise ValueError(f"w must be positive and finite, got {x!r}")
+        half = _half_width(abs(1.0 - x) * max(1.0, 1.0 / x))
+        lhs.append(-math.log(x))
+        first.append(_trapezoid(functools.partial(_log_identity_integrand, x), half, _step(half)))
+    second = relative_entropy_integral(np.ones(ws.shape + (1, 1)), ws[..., None, None])
+    return _scalar(np.reshape(lhs, ws.shape)), _scalar(np.reshape(first, ws.shape)), second
 
-    def g1(u: np.ndarray, jac: float) -> np.ndarray:
-        t, measure = _log_measure(u, jac)
-        return measure * (1.0 - w) * (1.0 + t) / (w + t)
 
-    return lhs, _trapezoid(g1, half, _step(half)), relative_entropy_integral([[1.0]], [[w]])
+def _log_identity_integrand(w: float, u: np.ndarray, jac: float) -> np.ndarray:
+    """`scalar_log_identity`'s first integrand at w, times jac, over u = ln t."""
+    t, measure = _log_measure(u, jac)
+    return measure * (1.0 - w) * (1.0 + t) / (w + t)
 
 
 def conditional_entropy(rho_ab, dims) -> float:

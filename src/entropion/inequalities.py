@@ -41,7 +41,6 @@ from .entropy import (
 )
 from .matcore import (
     _array,
-    _density,
     _eigh,
     _finite,
     _first,
@@ -387,42 +386,58 @@ def check_ssa(rho_abc, dims) -> SsaMargins:
     primary = S(AB) + S(BC) - S(ABC) - S(B);
     alt     = S(AB) + S(AC) - S(B) - S(C), the concave functional F with
     the third factor in the purifying role; it vanishes on pure states.
+    For a stack (..., d, d) of states, one margin of each per state.
     One ``eigvalsh`` validates the state; `_ssa` is the kernel.
     """
-    rho, lam = _density(rho_abc, False)
+    rho, lam = _psd_stack(rho_abc, False, True)
     if len(dims) != 3:
         raise ValueError(f"dims must list three factors, got {dims!r}")
     return _ssa(rho, lam, dims)
 
 
 def _ssa(rho: np.ndarray, lam: np.ndarray, ds: Sequence[int]) -> SsaMargins:
-    """`check_ssa` on a validated density matrix and its clipped eigenvalues."""
-    s_ab, s_bc, s_ac, s_b, s_c = (von_neumann_entropy(partial_trace(rho, ds, keep))
-                                  for keep in ((0, 1), (1, 2), (0, 2), (1,), (2,)))
-    return SsaMargins(float(s_ab + s_bc - _entropy(lam) - s_b), float(s_ab + s_ac - s_b - s_c))
+    """`check_ssa` on a validated density matrix, or stack, and its clipped
+    eigenvalues: the marginals of one shape are one stacked entropy."""
+    s_ab, s_bc, s_ac, s_b, s_c = (*_stacked_entropies(rho, ds, ((0, 1), (1, 2), (0, 2))),
+                                  *_stacked_entropies(rho, ds, ((1,), (2,))))
+    return SsaMargins(s_ab + s_bc - _entropy(lam) - s_b, s_ab + s_ac - s_b - s_c)
+
+
+def _stacked_entropies(state: np.ndarray, dims: Sequence[int], keeps, reduce=partial_trace) -> list:
+    """The entropies of ``reduce(state, dims, keep)`` for each of ``keeps``,
+    reductions of one shape, as one stacked `von_neumann_entropy`."""
+    return [_scalar(s) for s in von_neumann_entropy(np.stack([reduce(state, dims, keep) for keep in keeps]))]
 
 
 def check_pure_state_lemmas(psi, dims) -> float:
     """Both reductions of a bipartite pure state share one nonzero
     spectrum; returns the max deviation between the sorted spectra
-    (padded with zeros to a common length)."""
+    (padded with zeros to a common length), for a stack (..., n) of
+    vectors one per vector."""
     return _pure_state_lemmas(psi, dims)[0]
 
 
 def _pure_state_lemmas(psi, dims) -> tuple[float, list[np.ndarray]]:
-    """The gap and the two nonzero spectra, descending, one ``eigvalsh`` each."""
-    v = np.asarray(psi, dtype=complex).ravel()
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > 1e-12:
-        raise ValueError(f"state vector must be normalized, got norm {n!r}")
+    """The gap and the two reductions' spectra, ascending and clipped at
+    zero, one stacked ``eigvalsh`` each."""
+    v = np.asarray(psi, dtype=complex)
+    norms = np.linalg.norm(v, axis=-1)
+    if _worst(np.abs(norms - 1.0)) > 0.5e-12:
+        # the bound above is cheap; each vector's own norm decides
+        for row in v.reshape(-1, v.shape[-1]):
+            n = float(np.linalg.norm(row))
+            if abs(n - 1.0) > 1e-12:
+                raise ValueError(f"state vector must be normalized, got norm {n!r}")
     if len(dims) != 2:
         raise ValueError(f"dims must list two factors, got {dims!r}")
     lams = [np.maximum(np.linalg.eigvalsh(partial_trace_pure(v, dims, keep)), 0.0)
             for keep in ((0,), (1,))]
-    a, b = spectra = [lam[lam > zero_band(lam)][::-1] for lam in lams]  # eigvalsh ascends
-    k = max(a.size, b.size)
-    gap = np.abs(np.pad(a, (0, k - a.size)) - np.pad(b, (0, k - b.size)))
-    return (float(gap.max()) if k else 0.0), spectra
+    # the nonzero spectra descend from the front, zeros after them, so
+    # padding both to one length lines them up
+    k = max(lam.shape[-1] for lam in lams)
+    a, b = (np.pad(np.where(lam > zero_band(lam), lam, 0.0)[..., ::-1],
+                   [(0, 0)] * (lam.ndim - 1) + [(0, k - lam.shape[-1])]) for lam in lams)
+    return _scalar(np.abs(a - b).max(axis=-1, initial=0.0)), lams
 
 
 def check_adjoint_contraction(phi: KrausMap, p, q, a, t: float = 1.0) -> float:

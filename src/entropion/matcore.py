@@ -248,6 +248,25 @@ def zero_band(eigenvalues: np.ndarray) -> np.ndarray:
     return KERNEL_ETA * np.abs(eigenvalues).max(axis=-1, keepdims=True, initial=0.0)
 
 
+def _rank(lam: np.ndarray) -> np.ndarray:
+    """The rank of an ascending spectrum, or of each of a stack: its count
+    of eigenvalues above the zero band, which are its last ones."""
+    return (lam > zero_band(lam)).sum(axis=-1)
+
+
+def _by_rank(*ranks: np.ndarray) -> dict[tuple[int, ...], np.ndarray | slice]:
+    """The members of a stack grouped by their ranks, one array of ranks
+    per operand: flat indices per tuple of ranks, in order of first
+    appearance, or ``slice(None)`` when all members share one tuple."""
+    keys = list(zip(*(np.ravel(r).tolist() for r in ranks)))
+    if len(set(keys)) == 1:
+        return {keys[0]: slice(None)}
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
+    return {key: np.array(rows) for key, rows in groups.items()}
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (real, ascending) and matching eigenvector columns."""
@@ -355,7 +374,8 @@ def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
 
 
 def partial_trace_pure(psi, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """``partial_trace(|psi><psi|, dims, keep)`` without forming the projector.
+    """``partial_trace(|psi><psi|, dims, keep)`` without forming the projector,
+    of a state vector or of each vector of a stack (..., n).
 
     The state vector is reshaped into its factors, the kept factors are
     moved to the front in ascending order, and with M the resulting
@@ -364,13 +384,15 @@ def partial_trace_pure(psi, dims: Sequence[int], keep: Sequence[int]) -> np.ndar
     full dimension.
     """
     v = np.asarray(psi, dtype=complex)
-    if v.ndim != 1:
+    if v.ndim < 1:
         raise ValueError(f"expected a state vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("state vector entries must be finite")
-    ds, order, d_keep = _kept_first(dims, keep, v.size)
-    m = np.transpose(v.reshape(ds), order).reshape(d_keep, -1)
-    return m @ m.conj().T
+    ds, order, d_keep = _kept_first(dims, keep, v.shape[-1])
+    lead = v.shape[:-1]
+    axes = (*range(len(lead)), *(len(lead) + i for i in order))
+    m = np.transpose(v.reshape(*lead, *ds), axes).reshape(*lead, d_keep, -1)
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Randomized verification suites.
 
-Each suite is a table entry ``Suite(draw, check, local_dims, batch)``.
+Each suite is a table entry ``Suite(draw, batch, local_dims)``.
 ``draw(rng, d)`` builds one trial's instance, a tuple of arrays, lists of
 same-shape arrays and floats, from the deterministic child stream
-``RngState(seed).child(trial_index)``; ``check(*instance)`` reduces it to
-one float margin.  So trials are reproducible in isolation, the run order
-(or any parallel execution) cannot change the report, and a replayed
-instance can be checked on its own.  The pass rule is uniform:
+``RngState(seed).child(trial_index)``; ``Suite.check(*instance)`` reduces
+it to one float margin.  So trials are reproducible in isolation, the run
+order (or any parallel execution) cannot change the report, and a
+replayed instance can be checked on its own.  The pass rule is uniform:
 
     margin >= -tol        inequality holds / expressions agree
     margin = +inf         trial skipped (the claim is infinite on both sides)
@@ -22,25 +22,27 @@ entry as the local factor dimension; its check reads the factors back from
 the instance's shapes.  All others read it as the full matrix dimension.
 Trial i uses dims[i % len(dims)].
 
-Batched trials.  A suite with ``batch`` checks many trials in one call:
-``batch`` takes the instances' fields stacked on a leading trial axis and
-returns one margin per trial, and its ``check`` is ``batch`` applied to a
-stack of one trial, so each claim has one implementation.  A ``batch``
-hands its stacks to the package's public checks, operations and
-constructors, which take operands with leading axes and return one
-value per leading index (a channel per trial is a `KrausMap._stack`).
-`run_suite` draws ``_CHUNK`` trials at a time, each from its own stream,
-groups them by dimension and by the shape of every field (ensembles and
-channels of different member or Kraus counts fall into groups of their
-own), and calls ``batch`` once per group, at most ``_STACK_ENTRIES // n**4`` trials
-per call for n x n matrices, so memory stays bounded in --trials and d.
-A group that raises is checked again trial by trial through ``check``, so
-each error and kernel skip lands on its own trial with its own class and
-message.  Any other registry entry, a ``Suite`` without ``batch`` or a
-plain ``(rng, d) -> (margin, instance)`` callable, runs trial by trial:
-here ``relent_routes``, ``scalar_identity``, ``homogeneity``, ``ssa``,
-``pure_states`` and ``purification``.  Checks that combine several
-margins take the least by `_least`, which keeps a NaN from any of them.
+Batched trials.  ``batch`` takes the instances' fields stacked on a leading
+trial axis and returns one margin per trial, and ``check`` is ``batch``
+applied to a stack of one trial, so each claim has one implementation.  A
+``batch`` hands its stacks to the package's public checks, operations and
+constructors, which take operands with leading axes and return one value
+per leading index (a channel per trial is a `KrausMap._stack`).  Where a
+kernel's shape depends on a rank found inside the batch (the
+purifications of ``ssa`` and ``purification``, the nonzero spectra of
+``pure_states``, the integral and kernel routes' rows on supp Q), the
+stack is split by rank.  `run_suite` draws ``_CHUNK`` trials at a time,
+each from its own stream, groups them by dimension and by the shape of
+every field (ensembles and channels of different member or Kraus counts
+fall into groups of their own), and calls ``batch`` once per group, at
+most ``_STACK_ENTRIES // n**4`` trials per call for n x n matrices, so
+memory stays bounded in --trials and d.  A group that raises is checked
+again trial by trial through ``check``, so each error and kernel skip
+lands on its own trial with its own class and message.  Only a plain
+``(rng, d) -> (margin, instance)`` callable put into ``SUITES`` runs trial
+by trial: it draws and checks in one call, so there is no instance to
+stack before its check.  Checks that combine several margins take the
+least by `_least`, which keeps a NaN from any of them.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .channels import (
     dephase_via_z,
     identity_channel,
     povm_channel,
-    purify,
     tensor_channel,
     trace_out_channel,
 )
@@ -95,6 +96,7 @@ from .inequalities import (
     TrialError,
     _pure_state_lemmas,
     _ssa,
+    _stacked_entropies,
     check_adjoint_contraction,
     check_block_contraction,
     check_cp_schwarz,
@@ -107,13 +109,14 @@ from .inequalities import (
 from .matcore import (
     KernelObstruction,
     NonConvergence,
-    _density,
+    Spectrum,
+    _by_rank,
     _from_spectrum,
     _kron,
     _psd,
     _psd_stack,
+    _rank,
     _symmetrize,
-    max_abs,
     partial_trace,
     partial_trace_pure,
 )
@@ -131,14 +134,17 @@ from .superop import SuperOpSpec, solve_resolvent, superop_matrix
 
 
 class Suite(NamedTuple):
-    """One randomized claim: ``draw(rng, d)`` builds an instance and
-    ``check(*instance)`` returns its margin; ``batch``, where set, is the
-    check on stacked instances (see the module docstring)."""
+    """One randomized claim: ``draw(rng, d)`` builds an instance, and
+    ``batch`` checks instances stacked on a leading trial axis, one margin
+    per trial (see the module docstring)."""
 
     draw: Callable[[RngState, int], tuple]
-    check: Callable[..., float]
+    batch: Callable[..., np.ndarray]
     local_dims: bool = False
-    batch: Callable[..., np.ndarray] | None = None
+
+    def check(self, *instance) -> float:
+        """The margin of one instance: ``batch`` on a stack of one trial."""
+        return float(self.batch(*_stack([instance]))[0])
 
     def __call__(self, rng: RngState, d: int) -> tuple[float, tuple]:
         instance = self.draw(rng, d)
@@ -148,11 +154,6 @@ class Suite(NamedTuple):
 def _stack(instances) -> tuple:
     """Same-shape instances as one, each field stacked on a leading trial axis."""
     return tuple(np.stack(field) for field in zip(*instances))
-
-
-def _batched(draw, batch, local_dims: bool = False) -> Suite:
-    """The suite whose check is ``batch`` on a stack of one trial."""
-    return Suite(draw, lambda *instance: float(batch(*_stack([instance]))[0]), local_dims, batch)
 
 
 def _least(first, *rest):
@@ -251,19 +252,20 @@ def _check_resolvent(q, p, x, t):
     return -_max_abs(solve_resolvent(spec, x) - y_oracle)
 
 
-def _check_relent_routes(p, q) -> float:
+def _check_relent_routes(p, q):
     h1 = relative_entropy(p, q)
     h2 = relative_entropy_integral(p, q)
     h3 = relative_entropy_spectral_kernel(p, q)
-    if any(math.isinf(h) for h in (h1, h2, h3)):
-        # a skip when all three find the supports incompatible, else a failure
-        return math.inf if h1 == h2 == h3 else -math.inf
-    return -max(abs(h1 - h2), abs(h1 - h3), abs(h2 - h3))
+    with np.errstate(invalid="ignore"):  # inf - inf, where the infinite branch is taken
+        gap = _least(-np.abs(h1 - h2), -np.abs(h1 - h3), -np.abs(h2 - h3))
+    # a skip when all three find the supports incompatible, else a failure
+    infinite = np.where((h1 == h2) & (h2 == h3), math.inf, -math.inf)
+    return np.where(np.isinf(h1) | np.isinf(h2) | np.isinf(h3), infinite, gap)
 
 
-def _check_scalar_identity(w) -> float:
+def _check_scalar_identity(w):
     lhs, rhs1, rhs2 = scalar_log_identity(w)
-    return -max(abs(lhs - rhs1), abs(lhs - rhs2))
+    return _least(-np.abs(lhs - rhs1), -np.abs(lhs - rhs2))
 
 
 def _draw_joint_convexity(rng: RngState, d: int):
@@ -334,29 +336,36 @@ def _check_monotonicity_unitary(rho, gamma, u):
     return np.where(margin == math.inf, margin, -np.abs(margin))
 
 
-def _check_ssa(rho) -> float:
-    big = len(rho)
+def _check_ssa(rho):
+    big = rho.shape[-1]
     d = round(big ** (1 / 3))
     if d ** 3 != big:
         raise ValueError(f"ssa needs a dimension d^3, got {big}")
-    rho, spec = _density(rho, True)  # one eigh serves the kernels _ssa and _purify
+    rho, spec = _psd_stack(rho, True, True)  # one eigh serves the kernels _ssa and _purify
     margins = _ssa(rho, spec.eigenvalues, (d, d, d))
     # the functional on ABD, purifying D in the third role: S(AB) + S(AD) - S(B) - S(D).
-    # psi is pure, so S(AD) = S(BC) (Schmidt), read from the d^2 x d^2 BC marginal
-    psi = _purify(spec)
-    dims = (d, d, d, psi.size // big)
-    s_ab, s_ad, s_b, s_d = (von_neumann_entropy(partial_trace_pure(psi, dims, keep))
-                            for keep in ((0, 1), (1, 2), (1,), (3,)))
-    equiv_gap = abs(s_ab + s_ad - s_b - s_d - margins.primary)
-    return min(margins.primary, margins.alt, -equiv_gap)
+    # psi is pure, so S(AD) = S(BC) (Schmidt), read from the d^2 x d^2 BC marginal.
+    # The purifications of one rank, one size, form one stack
+    functional = np.empty(len(rho))
+    for rows in _by_rank(_rank(spec.eigenvalues)).values():
+        psi = _purify(Spectrum(spec.eigenvalues[rows], spec.eigenvectors[rows]))
+        dims = (d, d, d, psi.shape[-1] // big)
+        s_ab, s_ad = _stacked_entropies(psi, dims, ((0, 1), (1, 2)), partial_trace_pure)
+        s_b, s_d = (von_neumann_entropy(partial_trace_pure(psi, dims, keep)) for keep in ((1,), (3,)))
+        functional[rows] = s_ab + s_ad - s_b - s_d
+    return _least(margins.primary, margins.alt, -np.abs(functional - margins.primary))
 
 
-def _check_pure_states(psi) -> float:
+def _check_pure_states(psi):
     # d_B = d_A + k with k < 3, so d_A d_B < (d_A + 1)^2 and isqrt gives d_A
-    d = math.isqrt(psi.size)
-    dims = (d, psi.size // d)
-    dist, (lam_a, lam_b) = _pure_state_lemmas(psi, dims)
-    return -max(dist, abs(_entropy(lam_a) - _entropy(lam_b)))
+    d = math.isqrt(psi.shape[-1])
+    gap, (lam_a, lam_b) = _pure_state_lemmas(psi, (d, psi.shape[-1] // d))
+    # each entropy from its nonzero spectrum, descending, one stack per pair of ranks
+    entropy_gap = np.empty(len(psi))
+    for (r_a, r_b), rows in _by_rank(_rank(lam_a), _rank(lam_b)).items():
+        s_a, s_b = (_entropy(lam[rows, lam.shape[-1] - r:][:, ::-1]) for lam, r in ((lam_a, r_a), (lam_b, r_b)))
+        entropy_gap[rows] = np.abs(s_a - s_b)
+    return _least(-gap, -entropy_gap)
 
 
 _ADJOINT_TS = (0.5, 1.0, 2.0)
@@ -425,9 +434,9 @@ def _check_klein(p, q):
 _HOMOGENEITY_XS = (0.1, 0.5, 2.0, 10.0)
 
 
-def _check_homogeneity(p, q) -> float:
+def _check_homogeneity(p, q):
     h = relative_entropy(p, q)
-    return -max(abs(relative_entropy(x * p, x * q) - x * h) for x in _HOMOGENEITY_XS)
+    return _least(*(-np.abs(relative_entropy(x * p, x * q) - x * h) for x in _HOMOGENEITY_XS))
 
 
 def _draw_ancilla(rng: RngState, d: int):
@@ -445,11 +454,15 @@ def _check_ancilla(kraus, rho):
     return _least(-err, -np.abs(s_joint - s_rho))
 
 
-def _check_purification(rho) -> float:
-    psi = purify(rho)
-    dims = (len(rho), psi.size // len(rho))
-    err = max_abs(partial_trace_pure(psi, dims, (0,)) - rho)
-    return -max(err, check_pure_state_lemmas(psi, dims))
+def _check_purification(rho):
+    spec = _psd_stack(rho, True, True)[1]  # purify's validation and eigh
+    margins = np.empty(len(rho))
+    for rows in _by_rank(_rank(spec.eigenvalues)).values():
+        psi = _purify(Spectrum(spec.eigenvalues[rows], spec.eigenvectors[rows]))
+        dims = (rho.shape[-1], psi.shape[-1] // rho.shape[-1])
+        err = _max_abs(partial_trace_pure(psi, dims, (0,)) - rho[rows])
+        margins[rows] = _least(-err, -check_pure_state_lemmas(psi, dims))
+    return margins
 
 
 def _check_condent_identity(rho):
@@ -467,52 +480,52 @@ def _check_dephase_z(x):
 
 
 SUITES: dict[str, Suite] = {
-    "resolvent_oracle": _batched(_draw_resolvent, _check_resolvent),
+    "resolvent_oracle": Suite(_draw_resolvent, _check_resolvent),
     "relent_routes": Suite(_psd_pair, _check_relent_routes),
     "scalar_identity": Suite(lambda rng, d: (10.0 ** (-2.0 + 4.0 * rng.uniform()),),
                              _check_scalar_identity),
-    "joint_convexity": _batched(_draw_joint_convexity, _check_joint_convexity),
-    "schwarz_quadratic": _batched(_draw_schwarz_quadratic,
+    "joint_convexity": Suite(_draw_joint_convexity, _check_joint_convexity),
+    "schwarz_quadratic": Suite(_draw_schwarz_quadratic,
                                   lambda a, p, q, t: check_schwarz_quadratic(a, p, q, t)),
-    "operator_schwarz": _batched(_draw_operator_schwarz, lambda a, p: check_operator_schwarz(a, p)),
-    "cp_schwarz": _batched(_draw_cp_schwarz, _check_cp_schwarz),
-    "block_contraction": _batched(_draw_block_contraction, _check_block_contraction),
-    "monotonicity_dephase": _batched(_state_pair, _check_monotonicity_dephase),
-    "monotonicity_ptrace": _batched(lambda rng, d: _state_pair(rng, d * d),
+    "operator_schwarz": Suite(_draw_operator_schwarz, lambda a, p: check_operator_schwarz(a, p)),
+    "cp_schwarz": Suite(_draw_cp_schwarz, _check_cp_schwarz),
+    "block_contraction": Suite(_draw_block_contraction, _check_block_contraction),
+    "monotonicity_dephase": Suite(_state_pair, _check_monotonicity_dephase),
+    "monotonicity_ptrace": Suite(lambda rng, d: _state_pair(rng, d * d),
                                     _check_monotonicity_ptrace, local_dims=True),
-    "monotonicity_general": _batched(
+    "monotonicity_general": Suite(
         lambda rng, d: (*_state_pair(rng, d), random_cptp(d, 2 + rng.integer(3), rng)),
         lambda rho, gamma, kraus: check_monotonicity(rho, gamma, KrausMap._stack(kraus)),
     ),
-    "monotonicity_unitary": _batched(lambda rng, d: (*_state_pair(rng, d), random_unitary(d, rng)),
+    "monotonicity_unitary": Suite(lambda rng, d: (*_state_pair(rng, d), random_unitary(d, rng)),
                                      _check_monotonicity_unitary),
     "ssa": Suite(lambda rng, d: (random_density(d ** 3, 1 + rng.integer(d ** 3), rng),),
                  _check_ssa, local_dims=True),
-    "concavity_condent": _batched(lambda rng, d: _ensemble(rng, d * d), _check_concavity_condent,
+    "concavity_condent": Suite(lambda rng, d: _ensemble(rng, d * d), _check_concavity_condent,
                                   local_dims=True),
-    "concavity_channel": _batched(
+    "concavity_channel": Suite(
         lambda rng, d: (*_ensemble(rng, d), random_cptp(d, 2 + rng.integer(3), rng)),
         lambda weights, states, kraus: check_holevo_bound(Ensemble(weights, states),
                                                           KrausMap._stack(kraus)),
     ),
     "pure_states": Suite(lambda rng, d: (random_unit_vector(d * (d + rng.integer(3)), rng),),
                          _check_pure_states, local_dims=True),
-    "adjoint_quadratic": _batched(_draw_adjoint_quadratic, _check_adjoint_quadratic),
-    "holevo_identities": _batched(_ensemble, _check_holevo_identities),
-    "holevo_bound": _batched(
+    "adjoint_quadratic": Suite(_draw_adjoint_quadratic, _check_adjoint_quadratic),
+    "holevo_identities": Suite(_ensemble, _check_holevo_identities),
+    "holevo_bound": Suite(
         _ensemble_povm,
         lambda weights, states, effects: check_holevo_bound(Ensemble(weights, states),
                                                             povm_channel(Povm(effects))),
     ),
-    "holevo_chain": _batched(_draw_holevo_chain, _check_holevo_chain, local_dims=True),
-    "holevo_routes": _batched(_ensemble_povm, _check_holevo_routes),
-    "klein": _batched(_psd_pair, _check_klein),
+    "holevo_chain": Suite(_draw_holevo_chain, _check_holevo_chain, local_dims=True),
+    "holevo_routes": Suite(_ensemble_povm, _check_holevo_routes),
+    "klein": Suite(_psd_pair, _check_klein),
     "homogeneity": Suite(lambda rng, d: (_scaled_psd(rng, d), _scaled_psd(rng, d)),
                          _check_homogeneity),
-    "dephase_z": _batched(lambda rng, d: (random_matrix(d, d, rng),), _check_dephase_z),
-    "ancilla": _batched(_draw_ancilla, _check_ancilla),
+    "dephase_z": Suite(lambda rng, d: (random_matrix(d, d, rng),), _check_dephase_z),
+    "ancilla": Suite(_draw_ancilla, _check_ancilla),
     "purification": Suite(lambda rng, d: (_mixed_rank_density(rng, d),), _check_purification),
-    "condent_identity": _batched(lambda rng, d: (_mixed_rank_density(rng, d * d),),
+    "condent_identity": Suite(lambda rng, d: (_mixed_rank_density(rng, d * d),),
                                  _check_condent_identity, local_dims=True),
 }
 
@@ -542,9 +555,10 @@ def _attempt(fn, *args):
 def _outcomes(suite, root: RngState, dims: list[int], start: int, stop: int) -> list:
     """Trials start .. stop - 1 of ``suite`` as (margin, or the exception
     the trial raised; its instance, or None if the draw raised), in index
-    order: trial by trial, or with ``suite.batch`` one stacked call per
-    group of same-shape instances (see the module docstring)."""
-    if not (isinstance(suite, Suite) and suite.batch is not None):
+    order: one stacked ``suite.batch`` call per group of same-shape
+    instances, or trial by trial for a plain callable (see the module
+    docstring)."""
+    if not isinstance(suite, Suite):
         trials = (_attempt(suite, root.child(i), dims[i % len(dims)]) for i in range(start, stop))
         return [(t, None) if isinstance(t, Exception) else t for t in trials]
     done, groups = {}, {}

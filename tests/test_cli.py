@@ -237,7 +237,7 @@ def test_convergence_csv(qubit_pair, tmp_path):
     assert len(steps) > 3 and all(a == 2.0 * b for a, b in zip(steps, steps[1:]))
     p_m, q_m = entropion.read_matrix(p), entropion.read_matrix(q)
     data = entropion.entropy._IntegralData(p_m, q_m)
-    assert steps[-1] == entropion.entropy._step(data.half_width)
+    assert steps[-1] == entropion.entropy._step(data.half_width[0])
     value = entropion.relative_entropy_integral(p_m, q_m)
     assert errs[-1] == abs(value - entropion.relative_entropy_spectral_kernel(p_m, q_m))
     assert errs[-1] < 1e-12

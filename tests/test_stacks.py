@@ -1,7 +1,8 @@
 """The public checks, operations and constructors take operands with
-leading axes, (..., d, d), and give one value per leading index: each
-member of a stack gets, bit for bit, the value of its own call, and one
-instance (2-d matrices or lists of them) still gets Python floats."""
+leading axes, (..., d, d) or (..., n) for state vectors, and give one value
+per leading index: each member of a stack gets, bit for bit, the value of
+its own call, and one instance (2-d matrices, vectors or lists of them)
+still gets Python floats."""
 
 import dataclasses
 
@@ -25,20 +26,29 @@ from entropion import (
     check_joint_convexity,
     check_monotonicity,
     check_operator_schwarz,
+    check_pure_state_lemmas,
     check_schwarz_quadratic,
+    check_ssa,
     chi,
     dephase,
     dephase_via_z,
     partial_trace,
+    partial_trace_pure,
     povm_channel,
+    purify,
     random_cptp,
     random_density,
     random_matrix,
     random_povm,
     random_simplex,
+    random_unit_vector,
     relative_entropy,
+    relative_entropy_integral,
+    relative_entropy_spectral_kernel,
+    scalar_log_identity,
     solve_resolvent,
     superop_matrix,
+    von_neumann_entropy,
 )
 from entropion.channels import require_tp
 
@@ -53,6 +63,13 @@ def _channel(kraus) -> KrausMap:
 
 def _psd(rng):
     return (0.5 + rng.uniform()) * random_density(D, D, rng)
+
+
+def _compatible(rng):
+    # P of random rank, and Q whose support holds P's, of random rank too:
+    # the integral and kernel routes group pairs by the rank of Q
+    p = random_density(D, 1 + rng.integer(D), rng)
+    return p, p + (0.5 + rng.uniform()) * random_density(D, 1 + rng.integer(D), rng)
 
 
 def _terms(rng, n=3):
@@ -98,6 +115,18 @@ CASES = {
     "Povm": (lambda rng: (random_povm(D, 3, rng),), lambda e: povm_channel(Povm(e)).kraus_ops),
     "ConvexityInstance": (lambda rng: (random_simplex(2, rng), [(_psd(rng), _psd(rng)) for _ in range(2)]),
                           lambda w, pairs: check_joint_convexity(ConvexityInstance(w, pairs))),
+    "von_neumann_entropy": (lambda rng: (random_density(D, 1 + rng.integer(D), rng),), von_neumann_entropy),
+    "check_ssa": (lambda rng: (random_density(8, 1 + rng.integer(8), rng),),
+                  lambda rho: check_ssa(rho, (2, 2, 2))),
+    "check_pure_state_lemmas": (lambda rng: (random_unit_vector(D * 5, rng),),
+                                lambda psi: check_pure_state_lemmas(psi, (D, 5))),
+    # a stack of states of one rank purifies on one ancilla dimension
+    "purify": (lambda rng: (random_density(D, 2, rng),), purify),
+    "partial_trace_pure": (lambda rng: (random_unit_vector(D * 4, rng),),
+                           lambda psi: partial_trace_pure(psi, (D, 2, 2), (0, 2))),
+    "relative_entropy_integral": (_compatible, relative_entropy_integral),
+    "relative_entropy_spectral_kernel": (_compatible, relative_entropy_spectral_kernel),
+    "scalar_log_identity": (lambda rng: (10.0 ** (-2.0 + 4.0 * rng.uniform()),), scalar_log_identity),
 }
 
 
@@ -119,7 +148,7 @@ def test_a_stack_gives_each_member_the_bits_of_its_own_call(name):
         assert len(one) == len(stacked)
         for got, want in zip(stacked, one):
             if isinstance(want, np.ndarray):
-                assert want.ndim in (2, 3)  # a matrix, or a channel's Kraus stack
+                assert want.ndim in (1, 2, 3)  # a state vector, a matrix, or a channel's Kraus stack
                 assert got[j].tobytes() == want.tobytes(), (name, j)
             else:
                 # one instance gives Python floats; a report's tol stays one float
@@ -146,3 +175,15 @@ def test_a_stack_raises_the_error_of_its_first_defective_member():
         relative_entropy(rhos, bad)
     with pytest.raises(ValueError, match="^expected a 2-d matrix, got shape \\(3,\\)$"):
         relative_entropy(rhos[0][0], rhos[0][0])
+
+
+def test_stacks_of_states_of_mixed_rank_purify_apart():
+    # one purification per rank: a stack whose ranks differ has no one
+    # ancilla dimension, and purify says so
+    rhos = np.stack([random_density(D, 1 + i % 2, RngState(9).child(i)) for i in range(4)])
+    with pytest.raises(ValueError, match=r"^the states of a stack must share one rank, got ranks \[1, 2\]$"):
+        purify(rhos)
+    for rank in (1, 2):
+        psi = purify(rhos[rank - 1::2])
+        assert psi.shape == (2, D * rank)
+        assert np.abs(partial_trace_pure(psi, (D, rank), (0,)) - rhos[rank - 1::2]).max() < 1e-15

@@ -249,7 +249,8 @@ def test_a_one_sided_infinity_fails(monkeypatch, module, name, suite):
 
 def test_relent_routes_skip_when_every_route_is_infinite(monkeypatch):
     for name in ("relative_entropy", "relative_entropy_integral", "relative_entropy_spectral_kernel"):
-        monkeypatch.setattr(suites_mod, name, lambda *args: math.inf)
+        # +inf for each pair of the stack the batch checks
+        monkeypatch.setattr(suites_mod, name, lambda p, q: np.full(np.shape(p)[:-2], math.inf))
     rep = run_suite("relent_routes", trials=4)
     assert (rep.skipped_infinite, rep.failures) == (4, ())
 
@@ -447,7 +448,8 @@ def test_ssa_sees_a_bad_purification(monkeypatch):
     purify_spectrum = suites_mod._purify
 
     def mixed(spec):
-        lam = (1 - 1e-6) * spec.eigenvalues + 1e-6 / len(spec.eigenvalues)
+        # the spectra of a stack of states of one rank, one row per state
+        lam = (1 - 1e-6) * spec.eigenvalues + 1e-6 / spec.eigenvalues.shape[-1]
         return purify_spectrum(Spectrum(lam, spec.eigenvectors))
 
     monkeypatch.setattr(suites_mod, "_purify", mixed)
@@ -494,7 +496,8 @@ BATCHED = {
     "monotonicity_unitary", "monotonicity_general", "condent_identity", "holevo_identities",
     "concavity_condent", "holevo_chain", "holevo_routes", "joint_convexity", "holevo_bound",
     "schwarz_quadratic", "cp_schwarz", "adjoint_quadratic", "concavity_channel", "ancilla",
-    "block_contraction", "operator_schwarz",
+    "block_contraction", "operator_schwarz", "relent_routes", "scalar_identity", "homogeneity",
+    "ssa", "pure_states", "purification",
 }
 
 
@@ -553,6 +556,15 @@ def test_holevo_bound_batch_solves_once_per_shape_group(monkeypatch):
     ("holevo_chain", "check_partial_measurement_chain",
      lambda real: lambda *args: (real(*args)[0], real(*args)[1] * math.nan)),
     ("holevo_identities", "chi_via_qc", lambda real: lambda ens: real(ens) * math.nan),
+    ("relent_routes", "relative_entropy_spectral_kernel", lambda real: lambda p, q: real(p, q) * math.nan),
+    ("scalar_identity", "scalar_log_identity", lambda real: lambda w: (*real(w)[:2], real(w)[2] * math.nan)),
+    # H(x P, x Q) at x = 10 alone, the last of the four: Tr 10 P >= 5
+    ("homogeneity", "relative_entropy", lambda real: lambda p, q: np.where(
+        np.trace(p, axis1=-2, axis2=-1).real >= 5.0, math.nan, real(p, q))),
+    # the entropies of the purification, behind the third margin
+    ("ssa", "von_neumann_entropy", lambda real: lambda rho: real(rho) * math.nan),
+    ("pure_states", "_entropy", lambda real: lambda lam: real(lam) * math.nan),
+    ("purification", "check_pure_state_lemmas", lambda real: lambda *args: real(*args) * math.nan),
 ])
 def test_a_nan_in_a_later_margin_is_a_failure(monkeypatch, name, target, plant):
     # min() would pass over a NaN that is not its first argument; the checks
