@@ -12,7 +12,7 @@ def test_seed_ranges_parse():
 
 
 def test_a_checkout_against_itself_differs_nowhere(capsys):
-    # one batched and one trial-by-trial suite, each side in its own process
+    # two suites, each side in its own process
     argv = ["--parent", str(_ROOT), "--change", str(_ROOT), "--suites", "holevo_bound,relent_routes",
             "--seeds", "5,77", "--dims", "2,3", "--trials", "12"]
     assert margin_diff.main(argv) == 0
