@@ -20,7 +20,6 @@ import numpy as np
 from .matcore import (
     Spectrum,
     _array,
-    _by_rank,
     _rank,
     _finite,
     _first,
@@ -317,10 +316,10 @@ def _purify(spec: Spectrum) -> np.ndarray:
     """`purify` from a validated density matrix's spectrum, clipped at zero,
     or from a stack of spectra of one rank."""
     lam = spec.eigenvalues
-    ranks = _by_rank(_rank(lam))
+    ranks = sorted(set(np.ravel(_rank(lam)).tolist()))
     if len(ranks) != 1:
-        raise ValueError(f"the states of a stack must share one rank, got ranks {sorted(r for r, in ranks)}")
-    (rank,), = ranks
+        raise ValueError(f"the states of a stack must share one rank, got ranks {ranks}")
+    rank, = ranks
     # the eigenvalues ascend, so the support is the last rank of them
     keep = slice(lam.shape[-1] - rank, None)
     psi = spec.eigenvectors[..., keep] * np.sqrt(lam[..., None, keep])

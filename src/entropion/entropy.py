@@ -68,9 +68,9 @@ import numpy as np
 
 from .matcore import (
     Spectrum,
-    _by_rank,
     _density,
     _from_spectrum,
+    _per_rank,
     _psd,
     _psd_stack,
     _symmetrize,
@@ -111,6 +111,8 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     product."""
     if x.ndim == 1 == y.ndim:
         return np.dot(np.ascontiguousarray(x), y)
+    if x.shape[:-1] == (1,) == y.shape[:-1]:  # a stack of one row: that row's dot
+        return np.dot(np.ascontiguousarray(x[0]), y[0])[None]
     return (_aligned_rows(x)[..., None, :] @ _aligned_rows(y)[..., None])[..., 0, 0]
 
 
@@ -239,15 +241,15 @@ class _IntegralData:
     Per pair, weights and eigenvalues are those of (P, Q) / scale, a power
     of two in (lambda / 2, lambda] for lambda = max(lambda_max(P),
     lambda_max(Q)), so the pair's resolvent integral is scale times theirs.
-    ``scale``, ``trace_correction``, ``violated`` and ``half_width`` (the
-    cut L of the integral route's range u in [-L, L]) hold one entry per
-    pair, over the leading axes ``lead`` flattened.  Rows in ker Q are
-    dropped, so the pairs whose Q has one rank share a row length:
-    ``groups`` holds, per rank, the pairs' flat indices and their weights,
-    Q eigenvalues and P eigenvalues, one row per pair.
+    ``scale``, ``trace_correction``, ``violated``, ``ranks`` (of Q) and
+    ``half_width`` (the cut L of the integral route's range u in [-L, L])
+    hold one entry per pair, over the leading axes ``lead`` flattened.  Rows
+    in ker Q are dropped, so the pairs whose Q has one rank share a row
+    length: ``groups`` holds, per rank, the pairs' flat indices and their
+    weights, Q eigenvalues and P eigenvalues, one row per pair.
     """
 
-    __slots__ = ("lead", "scale", "trace_correction", "violated", "half_width", "groups")
+    __slots__ = ("lead", "scale", "trace_correction", "violated", "half_width", "ranks", "groups")
 
     def __init__(self, p, q):
         p, sp = _psd_stack(p, True)
@@ -255,36 +257,44 @@ class _IntegralData:
         _same_shape(p, q)
         self.lead, d = p.shape[:-2], p.shape[-1]
         lam_p, lam_q = sp.eigenvalues.reshape(-1, d), sq.eigenvalues.reshape(-1, d)
-        scale = np.array([math.ldexp(1.0, math.frexp(max(a, b))[1] - 1)
-                          for a, b in zip(lam_p[:, -1].tolist(), lam_q[:, -1].tolist())])
+        top = np.maximum(lam_p[:, -1], lam_q[:, -1]).tolist()
+        self.scale = np.array([math.ldexp(1.0, math.frexp(x)[1] - 1) for x in top])
+        column = self.scale[:, None]
         split = _support_split(p, sq)
         # exact divisions: in range the bits are those at scale 1, and |xt| < 4
         xt = (sq.eigenvectors.conj().swapaxes(-1, -2) @ (q - p) @ sp.eigenvectors).reshape(-1, d, d)
-        xt = xt / scale[:, None, None]
+        xt = xt / column[..., None]
         w2 = (xt.conj() * xt).real
-        lam_p = np.where(lam_p > zero_band(lam_p), lam_p, 0.0) / scale[:, None]
-        lam_q = lam_q / scale[:, None]
-        self.scale = scale
+        lam_p = np.where(lam_p > zero_band(lam_p), lam_p, 0.0) / column
+        lam_q = lam_q / column
         self.trace_correction = (p.trace(0, -2, -1).real - q.trace(0, -2, -1).real).reshape(-1)
         self.violated = split.infinite.reshape(-1)
+        self.ranks, self.groups = split.on_q.sum(axis=-1).reshape(-1), {}
+
         # rows in ker(Q) carry no true contribution once supports are
         # compatible; drop them so denominators stay bounded away from zero.
         # Q's eigenvalues ascend, so its support is its last rank of them
-        self.groups, bound = [], np.empty(len(scale))
-        for (r,), rows in _by_rank(split.on_q.sum(axis=-1)).items():
-            weights = w2[rows, d - r:].reshape(-1, r * d)
+        def group(rows, key):
+            r, = key
+            weights = np.ascontiguousarray(w2[rows, d - r:]).reshape(-1, r * d)
             q_eigs = lam_q[rows, d - r:].repeat(d, axis=-1)
             p_eigs = lam_p[rows, None, :].repeat(r, axis=-2).reshape(weights.shape)
-            # g(u) <= C e^{-|u|}; C overflows only once Q / scale leaves the normal range
-            with np.errstate(over="ignore", divide="ignore"):
-                bound[rows] = np.sum(weights / q_eigs, axis=-1)
-            self.groups.append((rows, weights, q_eigs, p_eigs))
-        self.half_width = np.array([_half_width(c, s) for c, s in zip(bound.tolist(), scale.tolist())])
+            self.groups[key] = rows, weights, q_eigs, p_eigs
+            return (weights / q_eigs).sum(axis=-1)
 
-    def value(self, integral: np.ndarray):
+        # g(u) <= C e^{-|u|}; C overflows only once Q / scale leaves the normal range
+        with np.errstate(over="ignore", divide="ignore"):
+            bound = _per_rank(group, self.ranks)
+        self.half_width = np.array([_half_width(c, s) for c, s in zip(bound.tolist(), self.scale.tolist())])
+
+    def value(self, integral: Callable[..., np.ndarray]):
         """H = Tr(P - Q) + scale * integral of each pair, +inf where the
-        supports are incompatible: a float for one pair."""
-        h = self.trace_correction + self.scale * integral
+        supports are incompatible: a float for one pair.  ``integral(rows,
+        weights, q_eigs, p_eigs)`` gives the integrals of one rank group."""
+        values = np.empty(len(self.scale))
+        for group in self.groups.values():
+            values[group[0]] = 0.0 if self.violated[group[0]].all() else integral(*group)
+        h = self.trace_correction + self.scale * values
         h[self.violated] = math.inf
         return _scalar(h.reshape(self.lead))
 
@@ -294,11 +304,12 @@ def relative_entropy_integral(p, q) -> float:
     stacks (..., d, d) of pairs, one pass per pair, each at its own cut and
     step, and one value per pair."""
     data = _IntegralData(p, q)
-    integral = np.empty(len(data.scale))
-    for rows, weights, q_eigs, p_eigs in data.groups:
-        integral[rows] = [0.0 if violated else _trapezoid(functools.partial(_integrand, w, qe, pe), half, _step(half))
-                          for w, qe, pe, half, violated in zip(weights, q_eigs, p_eigs, data.half_width[rows].tolist(),
-                                                                data.violated[rows].tolist())]
+
+    def integral(rows, weights, q_eigs, p_eigs):
+        return [0.0 if violated else _trapezoid(functools.partial(_integrand, w, qe, pe), half, _step(half))
+                for w, qe, pe, half, violated in zip(weights, q_eigs, p_eigs, data.half_width[rows].tolist(),
+                                                      data.violated[rows].tolist())]
+
     return data.value(integral)
 
 
@@ -311,13 +322,16 @@ def relative_entropy_integral_steps(p, q) -> list[tuple[float, float]]:
     data = _IntegralData(p, q)
     if data.lead:
         raise ValueError(f"expected a 2-d matrix, got shape {np.shape(p)}")
-    (_, (weights,), (q_eigs,), (p_eigs,)), = data.groups
     half = data.half_width[0]
     steps = [_step(half)]
     while 2.0 * steps[-1] <= half:
         steps.append(2.0 * steps[-1])
-    integrand = functools.partial(_integrand, weights, q_eigs, p_eigs)
-    return [(h, data.value(np.array(_trapezoid(integrand, half, h)))) for h in reversed(steps)]
+
+    def integral_at(h):
+        return lambda rows, weights, q_eigs, p_eigs: [
+            _trapezoid(functools.partial(_integrand, weights[0], q_eigs[0], p_eigs[0]), half, h)]
+
+    return [(h, data.value(integral_at(h))) for h in reversed(steps)]
 
 
 # --------------------------------------------------------------------------
@@ -374,11 +388,7 @@ def relative_entropy_spectral_kernel(p, q) -> float:
     H = Tr(P - Q) + sum_{mn} |(U^dag (Q-P) V)_{mn}|^2 k(q_m, p_n); for
     stacks (..., d, d) of pairs, one value per pair."""
     data = _IntegralData(p, q)
-    integral = np.zeros(len(data.scale))
-    for rows, weights, q_eigs, p_eigs in data.groups:
-        if not data.violated[rows].all():
-            integral[rows] = _rowdot(weights, _kernel_k_arrays(q_eigs, p_eigs))
-    return data.value(integral)
+    return data.value(lambda rows, weights, q_eigs, p_eigs: _rowdot(weights, _kernel_k_arrays(q_eigs, p_eigs)))
 
 
 def scalar_log_identity(w) -> tuple[float, float, float]:

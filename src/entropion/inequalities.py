@@ -397,16 +397,21 @@ def check_ssa(rho_abc, dims) -> SsaMargins:
 
 def _ssa(rho: np.ndarray, lam: np.ndarray, ds: Sequence[int]) -> SsaMargins:
     """`check_ssa` on a validated density matrix, or stack, and its clipped
-    eigenvalues: the marginals of one shape are one stacked entropy."""
-    s_ab, s_bc, s_ac, s_b, s_c = (*_stacked_entropies(rho, ds, ((0, 1), (1, 2), (0, 2))),
-                                  *_stacked_entropies(rho, ds, ((1,), (2,))))
+    eigenvalues."""
+    s_ab, s_bc, s_ac, s_b, s_c = _stacked_entropies(rho, ds, ((0, 1), (1, 2), (0, 2), (1,), (2,)))
     return SsaMargins(s_ab + s_bc - _entropy(lam) - s_b, s_ab + s_ac - s_b - s_c)
 
 
 def _stacked_entropies(state: np.ndarray, dims: Sequence[int], keeps, reduce=partial_trace) -> list:
-    """The entropies of ``reduce(state, dims, keep)`` for each of ``keeps``,
-    reductions of one shape, as one stacked `von_neumann_entropy`."""
-    return [_scalar(s) for s in von_neumann_entropy(np.stack([reduce(state, dims, keep) for keep in keeps]))]
+    """The entropies of ``reduce(state, dims, keep)`` for each of ``keeps``:
+    the reductions of one shape as one stacked `von_neumann_entropy`."""
+    reductions = [reduce(state, dims, keep) for keep in keeps]
+    entropies = [None] * len(keeps)
+    for shape in dict.fromkeys(r.shape for r in reductions):
+        js = [j for j, r in enumerate(reductions) if r.shape == shape]
+        for j, s in zip(js, von_neumann_entropy(np.stack([reductions[j] for j in js]))):
+            entropies[j] = _scalar(s)
+    return entropies
 
 
 def check_pure_state_lemmas(psi, dims) -> float:

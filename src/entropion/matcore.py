@@ -254,17 +254,22 @@ def _rank(lam: np.ndarray) -> np.ndarray:
     return (lam > zero_band(lam)).sum(axis=-1)
 
 
-def _by_rank(*ranks: np.ndarray) -> dict[tuple[int, ...], np.ndarray | slice]:
-    """The members of a stack grouped by their ranks, one array of ranks
-    per operand: flat indices per tuple of ranks, in order of first
-    appearance, or ``slice(None)`` when all members share one tuple."""
+def _per_rank(fn: Callable[[np.ndarray | slice, tuple[int, ...]], np.ndarray], *ranks) -> np.ndarray:
+    """``fn(rows, key)`` on each group of a stack's members that share one
+    tuple of ranks ``key`` (one array of ranks per operand), its values, one
+    per member of ``rows``, scattered back to one per member.  Groups come in
+    order of first appearance; when all members share one key, ``rows`` is
+    ``slice(None)`` and ``fn``'s values are returned as they are."""
     keys = list(zip(*(np.ravel(r).tolist() for r in ranks)))
     if len(set(keys)) == 1:
-        return {keys[0]: slice(None)}
+        return fn(slice(None), keys[0])
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, key in enumerate(keys):
         groups.setdefault(key, []).append(j)
-    return {key: np.array(rows) for key, rows in groups.items()}
+    out = np.empty(len(keys))
+    for key, rows in groups.items():
+        out[rows] = fn(np.array(rows), key)
+    return out
 
 
 @dataclass(frozen=True)
@@ -273,6 +278,10 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __getitem__(self, rows) -> Spectrum:
+        """The spectra of the members ``rows`` of a stack of spectra."""
+        return Spectrum(self.eigenvalues[rows], self.eigenvectors[rows])
 
 
 def _eigh(a: np.ndarray, clip: bool = False) -> Spectrum:

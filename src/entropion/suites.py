@@ -109,11 +109,10 @@ from .inequalities import (
 from .matcore import (
     KernelObstruction,
     NonConvergence,
-    Spectrum,
-    _by_rank,
     _from_spectrum,
     _kron,
     _psd,
+    _per_rank,
     _psd_stack,
     _rank,
     _symmetrize,
@@ -346,14 +345,16 @@ def _check_ssa(rho):
     # the functional on ABD, purifying D in the third role: S(AB) + S(AD) - S(B) - S(D).
     # psi is pure, so S(AD) = S(BC) (Schmidt), read from the d^2 x d^2 BC marginal.
     # The purifications of one rank, one size, form one stack
-    functional = np.empty(len(rho))
-    for rows in _by_rank(_rank(spec.eigenvalues)).values():
-        psi = _purify(Spectrum(spec.eigenvalues[rows], spec.eigenvectors[rows]))
+
+    def functional(rows, key):
+        psi = _purify(spec[rows])
         dims = (d, d, d, psi.shape[-1] // big)
         s_ab, s_ad = _stacked_entropies(psi, dims, ((0, 1), (1, 2)), partial_trace_pure)
         s_b, s_d = (von_neumann_entropy(partial_trace_pure(psi, dims, keep)) for keep in ((1,), (3,)))
-        functional[rows] = s_ab + s_ad - s_b - s_d
-    return _least(margins.primary, margins.alt, -np.abs(functional - margins.primary))
+        return s_ab + s_ad - s_b - s_d
+
+    gap = np.abs(_per_rank(functional, _rank(spec.eigenvalues)) - margins.primary)
+    return _least(margins.primary, margins.alt, -gap)
 
 
 def _check_pure_states(psi):
@@ -361,11 +362,12 @@ def _check_pure_states(psi):
     d = math.isqrt(psi.shape[-1])
     gap, (lam_a, lam_b) = _pure_state_lemmas(psi, (d, psi.shape[-1] // d))
     # each entropy from its nonzero spectrum, descending, one stack per pair of ranks
-    entropy_gap = np.empty(len(psi))
-    for (r_a, r_b), rows in _by_rank(_rank(lam_a), _rank(lam_b)).items():
-        s_a, s_b = (_entropy(lam[rows, lam.shape[-1] - r:][:, ::-1]) for lam, r in ((lam_a, r_a), (lam_b, r_b)))
-        entropy_gap[rows] = np.abs(s_a - s_b)
-    return _least(-gap, -entropy_gap)
+
+    def entropy_gap(rows, ranks):
+        s_a, s_b = (_entropy(lam[rows, lam.shape[-1] - r:][:, ::-1]) for lam, r in zip((lam_a, lam_b), ranks))
+        return np.abs(s_a - s_b)
+
+    return _least(-gap, -_per_rank(entropy_gap, _rank(lam_a), _rank(lam_b)))
 
 
 _ADJOINT_TS = (0.5, 1.0, 2.0)
@@ -456,13 +458,14 @@ def _check_ancilla(kraus, rho):
 
 def _check_purification(rho):
     spec = _psd_stack(rho, True, True)[1]  # purify's validation and eigh
-    margins = np.empty(len(rho))
-    for rows in _by_rank(_rank(spec.eigenvalues)).values():
-        psi = _purify(Spectrum(spec.eigenvalues[rows], spec.eigenvectors[rows]))
+
+    def margin(rows, key):
+        psi = _purify(spec[rows])
         dims = (rho.shape[-1], psi.shape[-1] // rho.shape[-1])
         err = _max_abs(partial_trace_pure(psi, dims, (0,)) - rho[rows])
-        margins[rows] = _least(-err, -check_pure_state_lemmas(psi, dims))
-    return margins
+        return _least(-err, -check_pure_state_lemmas(psi, dims))
+
+    return _per_rank(margin, _rank(spec.eigenvalues))
 
 
 def _check_condent_identity(rho):

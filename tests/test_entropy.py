@@ -291,7 +291,7 @@ def _tail_constant_and_cut(p, q) -> tuple[float, float]:
     """C and L of the integral route on (P, Q); the route's data are those
     of (P, Q) / scale, so C is scale times theirs."""
     data = entropy_mod._IntegralData(p, q)
-    (_, weights, q_eigs, _), = data.groups
+    (_, weights, q_eigs, _), = data.groups.values()
     return float(data.scale[0]) * float(np.sum(weights[0] / q_eigs[0])), data.half_width[0]
 
 

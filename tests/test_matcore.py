@@ -230,8 +230,15 @@ def test_partial_trace_pure_rejects_bad_input():
         v[2] = bad
         with pytest.raises(ValueError):
             partial_trace_pure(v, (2, 3), (0,))
-    with pytest.raises(ValueError):
-        partial_trace_pure(np.eye(2), (2, 2), (0,))  # a matrix, not a vector
+    with pytest.raises(ValueError, match=r"^expected a state vector, got shape \(\)$"):
+        partial_trace_pure(np.array(1.0), (1,), (0,))
+    # a 2-d input is a stack of vectors, each of the length dims multiply to
+    with pytest.raises(ValueError, match=r"^factor dimensions \[2, 2\] do not multiply to 2$"):
+        partial_trace_pure(np.eye(2), (2, 2), (0,))
+    rhos = partial_trace_pure(np.eye(4), (2, 2), (0,))
+    assert rhos.shape == (4, 2, 2)
+    for row, rho in zip(np.eye(4), rhos):
+        assert np.array_equal(rho, partial_trace_pure(row, (2, 2), (0,)))
 
 
 def test_json_roundtrip(tmp_path):

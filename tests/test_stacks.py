@@ -118,6 +118,8 @@ CASES = {
     "von_neumann_entropy": (lambda rng: (random_density(D, 1 + rng.integer(D), rng),), von_neumann_entropy),
     "check_ssa": (lambda rng: (random_density(8, 1 + rng.integer(8), rng),),
                   lambda rho: check_ssa(rho, (2, 2, 2))),
+    "check_ssa (2, 3, 4)": (lambda rng: (random_density(24, 1 + rng.integer(24), rng),),
+                            lambda rho: check_ssa(rho, (2, 3, 4))),
     "check_pure_state_lemmas": (lambda rng: (random_unit_vector(D * 5, rng),),
                                 lambda psi: check_pure_state_lemmas(psi, (D, 5))),
     # a stack of states of one rank purifies on one ancilla dimension
@@ -187,3 +189,18 @@ def test_stacks_of_states_of_mixed_rank_purify_apart():
         psi = purify(rhos[rank - 1::2])
         assert psi.shape == (2, D * rank)
         assert np.abs(partial_trace_pure(psi, (D, rank), (0,)) - rhos[rank - 1::2]).max() < 1e-15
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 3, 4), (3, 2, 2)])
+def test_check_ssa_takes_factors_of_unequal_dimensions(dims):
+    # marginals of different shapes cannot share a stack; each margin is the
+    # one its marginals' own entropies give
+    n = int(np.prod(dims))
+    rhos = np.stack([random_density(n, 1 + i, RngState(12).child(i)) for i in range(MEMBERS)])
+    stacked = check_ssa(rhos, dims)
+    for j, rho in enumerate(rhos):
+        s_ab, s_bc, s_ac, s_b, s_c = (von_neumann_entropy(partial_trace(rho, dims, keep))
+                                      for keep in ((0, 1), (1, 2), (0, 2), (1,), (2,)))
+        want = (s_ab + s_bc - von_neumann_entropy(rho) - s_b, s_ab + s_ac - s_b - s_c)
+        assert tuple(check_ssa(rho, dims)) == want
+        assert (stacked.primary[j], stacked.alt[j]) == want

@@ -79,9 +79,8 @@ def suite_work(name: str) -> dict:
                 for mod in mods.values() if getattr(mod, "_hermitian", None) is hermitian]
     patches.append((randgen.RngState, "child", counted_child))
     suite = suites.SUITES[name]
-    if getattr(suite, "batch", None) is not None:
-        patches.append((suites, "SUITES", {**suites.SUITES,
-                                           name: suite._replace(batch=_counting(counts, "batch", suite.batch))}))
+    patches.append((suites, "SUITES", {**suites.SUITES,
+                                       name: suite._replace(batch=_counting(counts, "batch", suite.batch))}))
     with _patched(patches):
         suites.run_suite(name, dims=DIMS, trials=TRIALS, seed=SEED)
     counts["rng_words"] = sum(stream.position for stream in streams)
