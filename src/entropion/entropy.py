@@ -241,15 +241,15 @@ class _IntegralData:
     Per pair, weights and eigenvalues are those of (P, Q) / scale, a power
     of two in (lambda / 2, lambda] for lambda = max(lambda_max(P),
     lambda_max(Q)), so the pair's resolvent integral is scale times theirs.
-    ``scale``, ``trace_correction``, ``violated``, ``ranks`` (of Q) and
-    ``half_width`` (the cut L of the integral route's range u in [-L, L])
-    hold one entry per pair, over the leading axes ``lead`` flattened.  Rows
-    in ker Q are dropped, so the pairs whose Q has one rank share a row
-    length: ``groups`` holds, per rank, the pairs' flat indices and their
-    weights, Q eigenvalues and P eigenvalues, one row per pair.
+    ``scale``, ``trace_correction``, ``violated`` and ``half_width`` (the
+    cut L of the integral route's range u in [-L, L]) hold one entry per
+    pair, over the leading axes ``lead`` flattened.  Rows in ker Q are
+    dropped, so the pairs whose Q has one rank share a row length:
+    ``groups`` holds, per rank, the pairs' flat indices and their weights,
+    Q eigenvalues and P eigenvalues, one row per pair.
     """
 
-    __slots__ = ("lead", "scale", "trace_correction", "violated", "half_width", "ranks", "groups")
+    __slots__ = ("lead", "scale", "trace_correction", "violated", "half_width", "groups")
 
     def __init__(self, p, q):
         p, sp = _psd_stack(p, True)
@@ -269,14 +269,14 @@ class _IntegralData:
         lam_q = lam_q / column
         self.trace_correction = (p.trace(0, -2, -1).real - q.trace(0, -2, -1).real).reshape(-1)
         self.violated = split.infinite.reshape(-1)
-        self.ranks, self.groups = split.on_q.sum(axis=-1).reshape(-1), {}
+        self.groups = {}
 
         # rows in ker(Q) carry no true contribution once supports are
         # compatible; drop them so denominators stay bounded away from zero.
         # Q's eigenvalues ascend, so its support is its last rank of them
         def group(rows, key):
             r, = key
-            weights = np.ascontiguousarray(w2[rows, d - r:]).reshape(-1, r * d)
+            weights = np.ascontiguousarray(w2[rows, d - r:]).reshape(-1, r * d)  # w2 is a strided view
             q_eigs = lam_q[rows, d - r:].repeat(d, axis=-1)
             p_eigs = lam_p[rows, None, :].repeat(r, axis=-2).reshape(weights.shape)
             self.groups[key] = rows, weights, q_eigs, p_eigs
@@ -284,7 +284,7 @@ class _IntegralData:
 
         # g(u) <= C e^{-|u|}; C overflows only once Q / scale leaves the normal range
         with np.errstate(over="ignore", divide="ignore"):
-            bound = _per_rank(group, self.ranks)
+            bound = _per_rank(group, split.on_q.sum(axis=-1).reshape(-1))
         self.half_width = np.array([_half_width(c, s) for c, s in zip(bound.tolist(), self.scale.tolist())])
 
     def value(self, integral: Callable[..., np.ndarray]):
@@ -326,12 +326,9 @@ def relative_entropy_integral_steps(p, q) -> list[tuple[float, float]]:
     steps = [_step(half)]
     while 2.0 * steps[-1] <= half:
         steps.append(2.0 * steps[-1])
-
-    def integral_at(h):
-        return lambda rows, weights, q_eigs, p_eigs: [
-            _trapezoid(functools.partial(_integrand, weights[0], q_eigs[0], p_eigs[0]), half, h)]
-
-    return [(h, data.value(integral_at(h))) for h in reversed(steps)]
+    (_, (weights,), (q_eigs,), (p_eigs,)), = data.groups.values()
+    integrand = functools.partial(_integrand, weights, q_eigs, p_eigs)
+    return [(h, data.value(lambda *group: [_trapezoid(integrand, half, h)])) for h in reversed(steps)]
 
 
 # --------------------------------------------------------------------------
