@@ -284,7 +284,7 @@ class _IntegralData:
 
         # g(u) <= C e^{-|u|}; C overflows only once Q / scale leaves the normal range
         with np.errstate(over="ignore", divide="ignore"):
-            bound = _per_rank(group, split.on_q.sum(axis=-1).reshape(-1))
+            bound = _per_rank(group, split.on_q.sum(axis=-1))
         self.half_width = np.array([_half_width(c, s) for c, s in zip(bound.tolist(), self.scale.tolist())])
 
     def value(self, integral: Callable[..., np.ndarray]):

@@ -437,12 +437,13 @@ def _pure_state_lemmas(psi, dims) -> tuple[float, list[np.ndarray]]:
         raise ValueError(f"dims must list two factors, got {dims!r}")
     lams = [np.maximum(np.linalg.eigvalsh(partial_trace_pure(v, dims, keep)), 0.0)
             for keep in ((0,), (1,))]
-    # the nonzero spectra descend from the front, zeros after them, so
-    # padding both to one length lines them up
-    k = max(lam.shape[-1] for lam in lams)
-    a, b = (np.pad(np.where(lam > zero_band(lam), lam, 0.0)[..., ::-1],
-                   [(0, 0)] * (lam.ndim - 1) + [(0, k - lam.shape[-1])]) for lam in lams)
-    return _scalar(np.abs(a - b).max(axis=-1, initial=0.0)), lams
+    # ascending, each spectrum ends in its nonzero part: the shorter one
+    # lines up with the longer one's last entries, and the longer one's
+    # first entries are matched with the zeros the shorter one lacks
+    a, b = sorted((np.where(lam > zero_band(lam), lam, 0.0) for lam in lams), key=lambda lam: lam.shape[-1])
+    extra = b.shape[-1] - a.shape[-1]
+    gap = np.maximum(np.abs(b[..., extra:] - a).max(axis=-1, initial=0.0), b[..., :extra].max(axis=-1, initial=0.0))
+    return _scalar(gap), lams
 
 
 def check_adjoint_contraction(phi: KrausMap, p, q, a, t: float = 1.0) -> float:

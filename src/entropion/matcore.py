@@ -260,8 +260,8 @@ def _per_rank(fn: Callable[[np.ndarray | slice, tuple[int, ...]], np.ndarray], *
     per member of ``rows``, scattered back to one per member.  Groups come in
     order of first appearance; when all members share one key, ``rows`` is
     ``slice(None)`` and ``fn``'s values are returned as they are."""
-    keys = list(zip(*(np.ravel(r).tolist() for r in ranks)))
-    if len(set(keys)) == 1:
+    keys = list(zip(*[r.ravel().tolist() for r in ranks]))
+    if keys.count(keys[0]) == len(keys):
         return fn(slice(None), keys[0])
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, key in enumerate(keys):
